@@ -44,13 +44,12 @@ free (the buffer dies with the machine; only the platter survives).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..clock import SimClock
 from ..obs import CounterAttr, MetricsRegistry
-from ..errors import CheckError, LabelCheckError, PowerFailure
-from .drive import (MAX_READ_RETRIES, Action, DiskDrive, PartCommand,
-                    TransferResult, _NO_ACTION)
+from ..errors import CheckError, PowerFailure
+from .drive import MAX_READ_RETRIES, Action, DiskDrive, TransferResult
 from .image import DiskImage
 from .scheduler import RequestScheduler
 from .sector import VALUE_WORDS
@@ -79,9 +78,6 @@ class CacheEntry:
         self.value: Optional[List[int]] = None
         self.dirty = False
         self.pins = 0
-
-    def has(self, part: str) -> bool:
-        return getattr(self, part) is not None
 
 
 class CacheStats:
@@ -155,35 +151,30 @@ class CachedDrive(DiskDrive):
     # The command choke point
     # ------------------------------------------------------------------------
 
-    def transfer(
-        self,
-        address: int,
-        header: PartCommand = None,
-        label: PartCommand = None,
-        value: PartCommand = None,
-    ) -> TransferResult:
-        commands = {
-            "header": header if header is not None else _NO_ACTION,
-            "label": label if label is not None else _NO_ACTION,
-            "value": value if value is not None else _NO_ACTION,
-        }
-        self._validate_write_continuation(commands)
-        self.shape.check_address(address)
+    # Inherited unchanged (it validates, flattens, and calls _command); bound
+    # here because perfbench/layers.py wraps ``CachedDrive.transfer`` by
+    # reading it from this class's own ``__dict__``.
+    transfer = DiskDrive.transfer
+
+    def _command(self, address: int, parts: Sequence) -> TransferResult:
+        """Intercept the drive's one command path (see
+        :meth:`DiskDrive._command`): the first write decides the route."""
         if self.cache_sectors <= 0:
-            return self._pass_through(address, commands)
-        if commands["header"].action is Action.WRITE or commands["label"].action is Action.WRITE:
-            return self._structural(address, commands)
-        if commands["value"].action is Action.WRITE:
-            if commands["header"].action is Action.NONE:
-                return self._deferred_write(address, commands)
-            return self._pass_through(address, commands)
-        return self._read(address, commands)
+            return DiskDrive._command(self, address, parts)
+        for part, action, _data in parts:
+            if action is Action.WRITE:
+                if part != "value":
+                    return self._structural(address, parts)
+                if parts[0][0] == "header":
+                    return self._pass_through(address, parts)
+                return self._deferred_write(address, parts)
+        return self._read(address, parts)
 
     # ------------------------------------------------------------------------
     # Write-through: label-path commands
     # ------------------------------------------------------------------------
 
-    def _structural(self, address: int, commands: dict) -> TransferResult:
+    def _structural(self, address: int, parts: Sequence) -> TransferResult:
         """A command that writes a header or label: the crash discipline
         lives here, so it goes to the platter now, in program order.
 
@@ -198,27 +189,20 @@ class CachedDrive(DiskDrive):
             self.scheduler.discard(address)
             self.cache_stats.cancelled_writes += 1
         self.cache_stats.write_through += 1
-        return self._pass_through(address, commands)
+        return self._pass_through(address, parts)
 
-    def _pass_through(self, address: int, commands: dict) -> TransferResult:
+    def _pass_through(self, address: int, parts: Sequence) -> TransferResult:
         """Issue the command on the real drive, then refresh the cache from
         what the platter now provably holds."""
-        result = DiskDrive.transfer(
-            self,
-            address,
-            header=commands["header"],
-            label=commands["label"],
-            value=commands["value"],
-        )
-        if self.cache_sectors > 0:
-            self._install(address, commands, result)
+        result = DiskDrive._command(self, address, parts)
+        self._install(address, parts, result)
         return result
 
     # ------------------------------------------------------------------------
     # Write-back: ordinary data writes
     # ------------------------------------------------------------------------
 
-    def _deferred_write(self, address: int, commands: dict) -> TransferResult:
+    def _deferred_write(self, address: int, parts: Sequence) -> TransferResult:
         """The section 3.3 single-pass guarded data write, buffered.
 
         The label check runs now, in memory, against the cached label; the
@@ -236,19 +220,23 @@ class CachedDrive(DiskDrive):
         ):
             # Cold (or suspect) sector: the first write costs the same
             # guarded pass it would cost uncached, and warms the cache.
-            return self._pass_through(address, commands)
+            return self._pass_through(address, parts)
         self._touch(address)
         result = TransferResult()
-        label_cmd = commands["label"]
-        if label_cmd.action is Action.CHECK:
-            try:
-                result.label = self._check_part(address, "label", label_cmd.data, entry.label)
-            except (LabelCheckError, CheckError):
-                if entry.dirty:
-                    raise  # buffered data under a label we no longer trust
-                self._drop(address)  # the cache was the stale hint; ask the platter
-                return self._pass_through(address, commands)
-        data = commands["value"].data
+        # No header part; at most a label READ or CHECK before the value.
+        if len(parts) == 2:
+            _part, action, expected = parts[0]
+            if action is Action.READ:
+                result.label = list(entry.label)
+            else:
+                try:
+                    result.label = self._check_part(address, "label", expected, entry.label)
+                except CheckError:
+                    if entry.dirty:
+                        raise  # buffered data under a label we no longer trust
+                    self._drop(address)  # the cache was the stale hint; ask the platter
+                    return self._pass_through(address, parts)
+        data = parts[-1][2]
         if len(data) != VALUE_WORDS:
             raise ValueError(f"value write buffer must be {VALUE_WORDS} words")
         entry.value = list(data)
@@ -266,34 +254,34 @@ class CachedDrive(DiskDrive):
     # Reads and checks
     # ------------------------------------------------------------------------
 
-    def _read(self, address: int, commands: dict) -> TransferResult:
-        needed = [part for part in ("header", "label", "value") if commands[part].action is not Action.NONE]
+    def _read(self, address: int, parts: Sequence) -> TransferResult:
         entry = self._entries.get(address)
+        checksum_bad = self.image.checksum_bad
         servable = (
             entry is not None
-            and all(entry.has(part) for part in needed)
+            and all(getattr(entry, part) is not None for part, _a, _d in parts)
             and address not in self.image.bad_media
-            and not any((address, part) in self.image.checksum_bad for part in needed)
+            and not any((address, part) in checksum_bad for part, _a, _d in parts)
         )
         if not servable:
             self.cache_stats.misses += 1
-            return self._pass_through(address, commands)
+            return self._pass_through(address, parts)
         self._require_uncrashed()
         self._touch(address)
         result = TransferResult()
-        for part in needed:
+        for part, action, expected in parts:
             cached = getattr(entry, part)
-            if commands[part].action is Action.READ:
+            if action is Action.READ:
                 setattr(result, part, list(cached))
             else:  # CHECK, with the hardware's exact wildcard semantics
                 try:
-                    effective = self._check_part(address, part, commands[part].data, cached)
-                except (LabelCheckError, CheckError):
+                    effective = self._check_part(address, part, expected, cached)
+                except CheckError:
                     if entry.dirty:
                         raise
                     self._drop(address)
                     self.cache_stats.misses += 1
-                    return self._pass_through(address, commands)
+                    return self._pass_through(address, parts)
                 setattr(result, part, effective)
         self.cache_stats.hits += 1
         with self.clock.obs.span("disk.cache.hit", "disk",
@@ -330,12 +318,10 @@ class CachedDrive(DiskDrive):
         if entry is None or not entry.dirty:
             self.scheduler.discard(address)
             return
-        DiskDrive.transfer(
-            self,
-            address,
-            label=PartCommand(Action.CHECK, list(entry.label)),
-            value=PartCommand(Action.WRITE, list(entry.value)),
-        )
+        DiskDrive._command(self, address, (
+            ("label", Action.CHECK, entry.label),
+            ("value", Action.WRITE, entry.value),
+        ))
         entry.dirty = False
         self.scheduler.mark_serviced(address)
         self.cache_stats.flushes += 1
@@ -457,18 +443,17 @@ class CachedDrive(DiskDrive):
         self.cache_stats.overflows += 1
         return False
 
-    def _install(self, address: int, commands: dict, result: TransferResult) -> None:
+    def _install(self, address: int, parts: Sequence, result: TransferResult) -> None:
         """Refresh the cache from a completed disk command: READ/CHECK
         parts from the transfer result, written parts from the platter."""
         entry = self._insert(address)
         wrote = False
-        for part in ("header", "label", "value"):
-            action = commands[part].action
-            if action in (Action.READ, Action.CHECK):
-                setattr(entry, part, list(getattr(result, part)))
-            elif action is Action.WRITE:
+        for part, action, _data in parts:
+            if action is Action.WRITE:
                 wrote = True
                 setattr(entry, part, self._platter_words(address, part))
+            else:
+                setattr(entry, part, list(getattr(result, part)))
         if wrote:
             entry.dirty = False
             self.scheduler.discard(address)

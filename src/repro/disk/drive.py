@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..clock import SimClock
 from ..obs import CounterAttr, MetricsRegistry
@@ -45,8 +45,6 @@ class Action(enum.Enum):
     WRITE = "write"
 
 
-#: Part names in the order they pass under the head.
-PART_ORDER = ("header", "label", "value")
 _PART_SIZES = {"header": HEADER_WORDS, "label": LABEL_WORDS, "value": VALUE_WORDS}
 
 
@@ -59,41 +57,33 @@ def merge_check(expected, disk_words):
     the first non-wildcard mismatch.
 
     The dominant case -- a label check against exactly what the platter
-    holds -- is one C-level list comparison.  Wildcards and mismatches
-    drop to the reference loop, whose cost only matters on the failure
-    path.
+    holds -- is one C-level list comparison; a wildcard match is one
+    comprehension.  Only a mismatch (the failure path) scans word by word.
     """
     if type(expected) is not list:
         expected = list(expected)
     if expected == disk_words:
         return list(disk_words), None
     if 0 in expected:
-        # Wildcard merge in one comprehension; on success every non-zero
-        # word matched, so the merge equals the disk prefix.  A mismatch
-        # (rare: it is the failure path) reruns the reference loop to find
-        # the first offending index.
+        # On success every non-zero word matched, so the merge equals the
+        # disk prefix.
         merged = [have if want == 0 else want
                   for want, have in zip(expected, disk_words)]
         if merged == (disk_words if len(merged) == len(disk_words)
                       else list(disk_words[: len(merged)])):
             return merged, None
-        from ..reference import merge_check_reference
-
-        return merge_check_reference(expected, disk_words)
     for i, (want, have) in enumerate(zip(expected, disk_words)):
-        if want != have:
+        if want != have and want != 0:
             return None, (i, want, have)
-    # Only reachable when the buffers differ in length: mirror the
-    # reference's zip semantics (effective covers the common prefix).
+    # No non-wildcard mismatch, yet no match above: the buffers differ in
+    # length (or type).  Mirror the reference's zip semantics (effective
+    # covers the common prefix).
     return list(disk_words[: len(expected)]), None
 
-def _parts_summary(commands: dict) -> str:
+
+def _parts_summary(parts) -> str:
     """Compact ``header:read,label:check`` form for span annotations."""
-    return ",".join(
-        f"{part}:{command.action.value}"
-        for part, command in commands.items()
-        if command.action is not Action.NONE
-    )
+    return ",".join(f"{part}:{action.value}" for part, action, _data in parts)
 
 
 #: Default bounded retry budget for transient read errors: a marginal read
@@ -114,9 +104,6 @@ class PartCommand:
             raise ValueError(f"{self.action.value} requires a data buffer")
 
 
-#: Shared default for parts a transfer does not touch (never mutated).
-_NO_ACTION = PartCommand()
-
 #: Static (part, action, data) shapes for the read-only convenience
 #: commands (READ carries no buffer, so these are fully constant).
 _READ_ALL_PARTS = (
@@ -129,9 +116,6 @@ _READ_LABEL_VALUE_PARTS = (
     ("label", Action.READ, None),
     ("value", Action.READ, None),
 )
-
-#: Shared READ command (a READ carries no buffer and is never mutated).
-_READ_CMD = PartCommand(Action.READ)
 
 
 @dataclass(slots=True)
@@ -208,10 +192,6 @@ class DiskDrive:
         #: writes -- the injector raises before the tap).  This is the
         #: replication journal's capture point (:mod:`repro.server.replica`).
         self.journal_tap = None
-        # Direct references to the stats counters: the per-command hot path
-        # increments these a few times per sector and must not re-run the
-        # descriptor-protocol read-modify-write of ``stats.x += 1``.  Both
-        # routes mutate the same Counter objects (and their mirrors).
         # True when this instance uses the base per-part implementations,
         # letting _process_parts read sector storage without the method
         # dispatch.  Any override (ReferenceDrive's word-at-a-time loops)
@@ -222,6 +202,9 @@ class DiskDrive:
             and cls._check_part is DiskDrive._check_part
             and cls._write_part is DiskDrive._write_part
         )
+        # Direct references to the stats counters: the per-command hot path
+        # increments these a few times per sector and must not re-run the
+        # descriptor-protocol read-modify-write of ``stats.x += 1``.
         registry = self.stats.registry
         self._c_commands = registry.counter("disk.drive.commands")
         self._c_label_checks = registry.counter("disk.drive.label_checks")
@@ -247,26 +230,13 @@ class DiskDrive:
         label: PartCommand = None,
         value: PartCommand = None,
     ) -> TransferResult:
-        """Execute one sector command.
+        """Execute one sector command given as one :class:`PartCommand` per part.
 
-        Positions the arm and head (charging seek + rotation), then processes
-        header, label, and value in passing order, charging one sector time.
-        A failed CHECK aborts the remaining parts -- in particular a write
-        scheduled *after* the check never happens, "so that a subsequent
-        write operation can be aborted before anything is written, without
-        taking an extra revolution" (section 3.3).
-
-        Transient read errors (dust, marginal signal -- injected through the
-        fault plan) are absorbed here: the pass is retried with linearly
-        growing rotational backoff, up to ``max_read_retries`` times.  The
-        write-continuation rule means writes are always a suffix of the
-        parts, so an aborted pass has written nothing and the retry is safe.
-        Past the budget, :class:`~repro.errors.ReadRetriesExhausted` surfaces
-        to the caller with the last transient error chained.
+        The public adapter over :meth:`_command`: enforces "once a write is
+        begun, it must continue through the rest of the sector", flattens
+        the parts to ``(part, Action, data)`` triples in head order, and
+        validates the address before any time is charged.
         """
-        # Validate continuation and flatten to (part, action, data) triples
-        # in one pass; the dict of PartCommands is only materialized for the
-        # observed paths (trace, span, fault injector) that take it.
         parts = []
         writing = False
         for part, command in (("header", header), ("label", label), ("value", value)):
@@ -280,29 +250,48 @@ class DiskDrive:
             if action is not Action.NONE:
                 parts.append((part, action, command.data))
         self.shape.check_address(address)
+        return self._command(address, parts)
 
+    def _command(self, address: int, parts: Sequence) -> TransferResult:
+        """The one command path: every sector command, from :meth:`transfer`
+        and from each convenience command, runs through here.
+
+        *parts* holds a ``(part, Action, data)`` triple for every non-NONE
+        part in head order, obeying write continuation; the address is
+        already validated.  Positions the arm and head (charging seek +
+        rotation), then processes the parts in passing order, charging one
+        sector time.  A failed CHECK aborts the remaining parts -- in
+        particular a write scheduled *after* the check never happens, "so
+        that a subsequent write operation can be aborted before anything is
+        written, without taking an extra revolution" (section 3.3).
+
+        Transient read errors (dust, marginal signal -- injected through the
+        fault plan) are absorbed here: the pass is retried with linearly
+        growing rotational backoff, up to ``max_read_retries`` times.  The
+        write-continuation rule means writes are always a suffix of the
+        parts, so an aborted pass has written nothing and the retry is safe.
+        Past the budget, :class:`~repro.errors.ReadRetriesExhausted` surfaces
+        to the caller with the last transient error chained.
+
+        Observers (a ``disk.transfer`` span, a :class:`DiskTrace`, a fault
+        injector) watch this same path; none of them changes the route.
+        :class:`~repro.disk.cache.CachedDrive` overrides it to serve commands
+        from memory and reaches the platter through ``DiskDrive._command``.
+        """
         obs = self.clock.obs
-        if obs.tracing or self.trace is not None:
-            commands = {
-                "header": header if header is not None else _NO_ACTION,
-                "label": label if label is not None else _NO_ACTION,
-                "value": value if value is not None else _NO_ACTION,
-            }
-            if obs.tracing:
-                with obs.span("disk.transfer", "disk", address=address,
-                              cylinder=self.shape.decompose(address)[0],
-                              parts=_parts_summary(commands)):
-                    return self._execute(address, parts, commands)
-            return self._execute(address, parts, commands)
-        return self._execute(address, parts, None)
+        if obs.tracing:
+            with obs.span("disk.transfer", "disk", address=address,
+                          cylinder=self.shape.decompose(address)[0],
+                          parts=_parts_summary(parts)):
+                return self._execute(address, parts)
+        return self._execute(address, parts)
 
-    def _execute(self, address: int, parts: list,
-                 commands: Optional[dict] = None) -> TransferResult:
-        """The transfer body, after validation (span-wrapped when tracing)."""
+    def _execute(self, address: int, parts: Sequence) -> TransferResult:
+        """The body of :meth:`_command` (span-wrapped when tracing)."""
         self._c_commands.inc(1)
         self.timer.position_and_transfer(address)
         if self.trace is not None:
-            self.trace.record(self, address, commands)
+            self.trace.record(self, address, parts)
 
         if address in self.image.bad_media:
             raise BadSectorError(f"unrecoverable media error at address {address}")
@@ -325,7 +314,7 @@ class DiskDrive:
         """One pass over the sector: parts in head order."""
         injector = self.fault_injector
         hook = getattr(injector, "before_part", None) if injector is not None else None
-        # transfer() validated the address before any time was charged;
+        # The caller validated the address before any time was charged;
         # index the platter directly rather than re-validating per pass.
         sector = self.image._sectors[address]
         if sector is None:
@@ -381,20 +370,6 @@ class DiskDrive:
 
     # -- helpers ------------------------------------------------------------
 
-    @staticmethod
-    def _validate_write_continuation(commands: dict) -> None:
-        """Enforce "once a write is begun, it must continue through the rest
-        of the sector"."""
-        writing = False
-        for part in PART_ORDER:
-            action = commands[part].action
-            if writing and action is not Action.WRITE:
-                raise ValueError(
-                    f"write begun before {part} must continue: {part} may not be {action.value}"
-                )
-            if action is Action.WRITE:
-                writing = True
-
     def _get_part(self, sector: Sector, part: str) -> List[int]:
         """The part's packed words, straight from the sector's storage.
 
@@ -448,85 +423,53 @@ class DiskDrive:
     # Convenience commands (each is exactly one hardware command)
     # ------------------------------------------------------------------------
     #
-    # Each shapes a statically valid command (write-continuation holds by
-    # construction), so on a plain DiskDrive with neither a tracer nor an
-    # active span collection the PartCommand packaging and transfer()
-    # re-validation add nothing: address check + _execute is the identical
-    # computation.  A fault injector rides the direct route too -- it
-    # observes the flattened (part, action, data) triples, which the
-    # static shapes below already are.  Subclasses (CachedDrive intercepts
-    # transfer; ReferenceDrive replays the slow loops) and traced drives
-    # always take the full route.
-
-    def _direct(self) -> bool:
-        return (type(self) is DiskDrive
-                and self.trace is None and not self.clock.obs.tracing)
+    # Each shapes a statically valid command (write continuation holds by
+    # construction), so it needs only the address check before handing its
+    # (part, action, data) triples to _command -- the same path transfer()
+    # takes, whatever the drive's type and whoever is observing it.
 
     def read_sector(self, address: int) -> TransferResult:
         """Read header, label, and value in one pass."""
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, _READ_ALL_PARTS)
-        return self.transfer(
-            address, header=_READ_CMD, label=_READ_CMD, value=_READ_CMD
-        )
+        self.shape.check_address(address)
+        return self._command(address, _READ_ALL_PARTS)
 
     def read_label(self, address: int) -> Label:
         """Read just the label (the scavenger's sweep primitive)."""
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, _READ_LABEL_PARTS).label_object()
-        return self.transfer(address, label=_READ_CMD).label_object()
+        self.shape.check_address(address)
+        return self._command(address, _READ_LABEL_PARTS).label_object()
 
     def read_label_value(self, address: int) -> TransferResult:
         """Read the label and value in one pass (the sweep's per-sector
         command: both ride the same revolution, section 3.5)."""
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, _READ_LABEL_VALUE_PARTS)
-        return self.transfer(address, label=_READ_CMD, value=_READ_CMD)
+        self.shape.check_address(address)
+        return self._command(address, _READ_LABEL_VALUE_PARTS)
 
     def check_label(self, address: int, expected: Label) -> TransferResult:
         """Check just the label; the result's label buffer has the pattern's
         0-wildcards replaced by the disk words (the first pass of the
         change-length sequence)."""
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, (("label", Action.CHECK, expected.pack()),))
-        return self.transfer(address, label=PartCommand(Action.CHECK, expected.pack()))
+        self.shape.check_address(address)
+        return self._command(address, (("label", Action.CHECK, expected.pack()),))
 
     def write_label_value(self, address: int, label: Label, value: Sequence[int]) -> None:
         """Write the label and value with no preceding check (the second
         pass of the change-length sequence; the first pass did the check)."""
-        if self._direct():
-            self.shape.check_address(address)
-            self._execute(address, (
-                ("label", Action.WRITE, label.pack()),
-                ("value", Action.WRITE, value),
-            ))
-            return
-        self.transfer(
-            address,
-            label=PartCommand(Action.WRITE, label.pack()),
-            value=PartCommand(Action.WRITE, list(value)),
-        )
+        self.shape.check_address(address)
+        self._command(address, (
+            ("label", Action.WRITE, label.pack()),
+            ("value", Action.WRITE, value),
+        ))
 
     def check_label_read_value(self, address: int, expected: Label) -> TransferResult:
         """Ordinary page read: confirm identity, then take the data.
 
         One pass; raises :class:`LabelCheckError` when the hint is stale.
         """
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, (
-                ("label", Action.CHECK, expected.pack()),
-                ("value", Action.READ, None),
-            ))
-        return self.transfer(
-            address,
-            label=PartCommand(Action.CHECK, expected.pack()),
-            value=PartCommand(Action.READ),
-        )
+        self.shape.check_address(address)
+        return self._command(address, (
+            ("label", Action.CHECK, expected.pack()),
+            ("value", Action.READ, None),
+        ))
 
     def check_label_write_value(
         self, address: int, expected: Label, value: Sequence[int]
@@ -534,17 +477,11 @@ class DiskDrive:
         """Ordinary page write: "On any other write the label is checked, at
         no cost in time" (section 3.3).  One pass; aborts before writing when
         the check fails."""
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, (
-                ("label", Action.CHECK, expected.pack()),
-                ("value", Action.WRITE, value),
-            ))
-        return self.transfer(
-            address,
-            label=PartCommand(Action.CHECK, expected.pack()),
-            value=PartCommand(Action.WRITE, list(value)),
-        )
+        self.shape.check_address(address)
+        return self._command(address, (
+            ("label", Action.CHECK, expected.pack()),
+            ("value", Action.WRITE, value),
+        ))
 
     def check_label_then_rewrite(
         self,
@@ -562,25 +499,16 @@ class DiskDrive:
         scheme costs a disk revolution each time a page is allocated or
         freed").
         """
-        if self._direct():
-            self.shape.check_address(address)
-            self._execute(address, (("label", Action.CHECK, expected.pack()),))
-            self._execute(address, (
-                ("label", Action.WRITE, new_label.pack()),
-                # Once a write begins it must continue through the sector,
-                # so a label rewrite alone still rewrites the value with its
-                # current contents (the hardware streams it back out).
-                ("value", Action.WRITE,
-                 value if value is not None else self.current_value(address)),
-            ))
-            return
-        self.transfer(address, label=PartCommand(Action.CHECK, expected.pack()))
-        parts = {"label": PartCommand(Action.WRITE, new_label.pack())}
-        if value is not None:
-            parts["value"] = PartCommand(Action.WRITE, list(value))
-        else:
-            parts["value"] = PartCommand(Action.WRITE, self.current_value(address))
-        self.transfer(address, **parts)
+        self.shape.check_address(address)
+        self._command(address, (("label", Action.CHECK, expected.pack()),))
+        self._command(address, (
+            ("label", Action.WRITE, new_label.pack()),
+            # Once a write begins it must continue through the sector, so a
+            # label rewrite alone still rewrites the value with its current
+            # contents (the hardware streams it back out).
+            ("value", Action.WRITE,
+             value if value is not None else self.current_value(address)),
+        ))
 
     def current_value(self, address: int) -> List[int]:
         """The logically current data words of *address* -- what a value
@@ -595,17 +523,9 @@ class DiskDrive:
     ) -> None:
         """Full sector format (used only by pack formatting and the
         compacting scavenger, which owns the whole disk)."""
-        if self._direct():
-            self.shape.check_address(address)
-            self._execute(address, (
-                ("header", Action.WRITE, header.pack()),
-                ("label", Action.WRITE, label.pack()),
-                ("value", Action.WRITE, value),
-            ))
-            return
-        self.transfer(
-            address,
-            header=PartCommand(Action.WRITE, header.pack()),
-            label=PartCommand(Action.WRITE, label.pack()),
-            value=PartCommand(Action.WRITE, list(value)),
-        )
+        self.shape.check_address(address)
+        self._command(address, (
+            ("header", Action.WRITE, header.pack()),
+            ("label", Action.WRITE, label.pack()),
+            ("value", Action.WRITE, value),
+        ))

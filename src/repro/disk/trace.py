@@ -73,18 +73,15 @@ class DiskTrace:
     def detach(drive) -> None:
         drive.trace = None
 
-    def record(self, drive, address: int, commands: dict) -> None:
-        actions = tuple(
-            (part, command.action.value)
-            for part, command in commands.items()
-            if command.action.value != "none"
-        )
+    def record(self, drive, address: int, parts) -> None:
+        """Log one command; *parts* is the drive's ``(part, Action, data)``
+        triples, one per non-NONE part in head order."""
         self.records.append(
             TraceRecord(
                 time_us=drive.clock.now_us,
                 address=address,
                 cylinder=drive.shape.cylinder_of(address),
-                actions=actions,
+                actions=tuple((part, action.value) for part, action, _data in parts),
             )
         )
 

@@ -226,7 +226,15 @@ class AltoFile:
             # A stale address hint may be mirrored by a stale sector-cache
             # entry on a caching drive; both are hints, both get dropped.
             self.page_io.invalidate(name.address)
-            return operation(self.page_name(page_number))
+            try:
+                name = self.page_name(page_number)
+            except HintFailed:
+                # The neighbour the walk started from moved too (compaction
+                # moves pages wholesale): keep only the leader's address,
+                # which comes from outside, and walk from there.
+                self._addresses = {0: self._addresses[0]}
+                name = self.page_name(page_number)
+            return operation(name)
 
     # ------------------------------------------------------------------------
     # Reading

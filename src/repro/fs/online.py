@@ -49,9 +49,11 @@ from typing import List, Optional, Tuple
 from ..disk.sector import Label, VALUE_WORDS
 from ..errors import (
     BadSectorError,
+    CheckError,
     FileSystemError,
     HintFailed,
     PageNotFree,
+    ReadRetriesExhausted,
     SectorChecksumError,
 )
 from ..words import ones_words
@@ -302,7 +304,7 @@ class OnlineMaintenance:
             self.drive.check_label_then_rewrite(
                 address, label, Label.free(), ones_words(VALUE_WORDS)
             )
-        except Exception:
+        except (CheckError, BadSectorError, ReadRetriesExhausted):
             return  # changed under us or unwritable; the next pass retries
         self.fs.allocator.mark_free(address)
         self.report.garbage_labels_freed += 1

@@ -1,11 +1,13 @@
 """Identical command sequences through the fast drive and the reference drive.
 
 :func:`repro.reference.make_reference_drive` builds a ``DiskDrive`` subclass
-whose per-part loops are the original word-at-a-time forms, and whose type
-keeps it off every fast route (the direct-dispatch gate requires an exact
-``DiskDrive``).  These tests replay one script on both and require the
-complete observable record to match: return values, exception types and
-messages, counter snapshots, simulated microseconds, and the pack digest.
+whose per-part loops are the original word-at-a-time forms.  Both drives
+run every command through the same ``_command`` path; overriding the part
+loops turns off the drive's inlined storage reads, so the reference drive
+exercises the methods themselves.  These tests replay one script on both
+and require the complete observable record to match: return values,
+exception types and messages, counter snapshots, simulated microseconds,
+and the pack digest.
 """
 
 import random

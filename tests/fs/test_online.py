@@ -11,7 +11,9 @@ service corrupts nothing.
 import pytest
 
 from repro import DiskDrive, DiskImage, FileSystem, tiny_test_disk
+from repro.disk import FaultPlan
 from repro.disk.sector import Label
+from repro.errors import PowerFailure
 from repro.fs.descriptor import BOOT_PAGE_ADDRESS
 from repro.fs.fsck import check_image
 from repro.fs.online import (
@@ -21,6 +23,7 @@ from repro.fs.online import (
     PHASE_DONE,
     PHASE_SWEEP,
 )
+from repro.words import words_to_bytes
 
 GARBAGE_LABEL = Label(serial=0x0042, version=1, page_number=1, length=0)
 
@@ -106,6 +109,17 @@ def test_sweep_frees_garbage_labels_and_tolerates_them_as_baseline():
     assert not check_image(fs.drive.image).issues
 
 
+def test_power_failure_while_freeing_garbage_surfaces_at_once():
+    """A crash at the label write that frees a garbage label is the crash
+    itself, not a failure to shrug off until the next command finds the
+    machine down."""
+    fs = build_fs()
+    plant_garbage(fs, count=1)
+    fs.drive.fault_injector = FaultPlan(fs.drive.image).crash_at_point("label:write")
+    with pytest.raises(PowerFailure, match="^power failed at trace point label:write"):
+        OnlineMaintenance(fs).run_to_completion()
+
+
 def test_new_damage_past_the_baseline_is_fatal():
     fs = build_fs()
     maint = OnlineMaintenance(fs)
@@ -126,6 +140,26 @@ def test_compaction_moves_pages_down_without_breaking_files():
     for i in range(3, 6):
         assert fs.open_file(f"f{i}.dat").read_data() == bytes([i]) * (600 + 100 * i)
     assert not check_image(fs.drive.image).issues
+
+
+def test_open_handle_survives_compaction_moving_every_page():
+    """Compaction moves a page *and* the cached neighbour a re-walk would
+    start from; the handle must fall back to walking from the leader."""
+    fs = FileSystem.format(DiskDrive(DiskImage(tiny_test_disk())))
+    for i in range(6):
+        fs.create_file(f"filler{i}.dat").write_data(bytes([i]) * 3072)
+    data = bytes(range(256)) * 40                # 20 full pages
+    fs.create_file("target.dat").write_data(data)
+    for i in range(6):
+        fs.delete_file(f"filler{i}.dat")
+    handle = fs.open_file("target.dat")
+    for page_number in range(1, handle.last_page_number + 1):
+        handle.read_page(page_number)            # caches every address
+    report = OnlineMaintenance(fs).run_to_completion()
+    assert report.pages_moved == handle.last_page_number
+    contents = handle.read_page(10)
+    assert words_to_bytes(contents.value) == data[9 * 512:10 * 512]
+    assert handle.read_data() == data
 
 
 def test_continuous_patrol_restarts_after_done():
