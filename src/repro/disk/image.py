@@ -65,6 +65,16 @@ class DiskImage:
         """All sectors in physical order."""
         return (self._materialize(address) for address in range(len(self._sectors)))
 
+    def sector_list(self) -> List[Sector]:
+        """All sectors in physical order, as the image's own list (read it,
+        never modify it).  Materializes exactly as :meth:`sectors` does,
+        but once every sector is touched a call costs one C-level scan."""
+        sectors = self._sectors
+        if not all(sectors):  # a None slot is a factory-fresh sector
+            for address in range(len(sectors)):
+                self._materialize(address)
+        return sectors
+
     # -- whole-pack operations --------------------------------------------------
 
     def snapshot(self) -> "DiskImage":

@@ -22,7 +22,7 @@ from .descriptor import (
 )
 from .directory import DirEntry, Directory
 from .file import AltoFile, FULL_PAGE
-from .fsck import CheckReport, Issue, check_image
+from .fsck import CheckReport, Issue, PackIndex, check_image
 from .filesystem import FileSystem, ROOT_DIRECTORY_NAME, SERIAL_LEASE
 from .hints import ConsecutiveReader, HintLadder, KthPageHints, LadderStats, RUNGS
 from .journal import JournaledDirectory, JournalRecord, recover_directory
@@ -77,6 +77,7 @@ __all__ = [
     "MaintenanceReport",
     "ONLINE_TOLERATED_ISSUES",
     "OnlineMaintenance",
+    "PackIndex",
     "PageAllocator",
     "PageContents",
     "PageIO",

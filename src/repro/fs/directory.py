@@ -156,7 +156,11 @@ class Directory:
                         name = words_to_string(words[offset + 5 : offset + length])
                     except ValueError as exc:
                         raise DirectoryError(f"corrupt entry name at word {offset}: {exc}") from exc
-                    entry = DirEntry(name, FullName(FileId(serial, version), 0, address))
+                    try:
+                        fid = FileId(serial, version)
+                    except ValueError as exc:
+                        raise DirectoryError(f"corrupt entry file id at word {offset}: {exc}") from exc
+                    entry = DirEntry(name, FullName(fid, 0, address))
                     if len(cache) >= Directory._ENTRY_CACHE_MAX:
                         cache.clear()
                     cache[key] = entry

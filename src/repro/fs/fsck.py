@@ -16,27 +16,54 @@ Checked invariants:
   free;
 * every directory entry names an existing file's leader, and the
   descriptor's root pointer resolves.
+
+A caller that checks the same pack again and again (the online maintainer,
+at every slice boundary) passes a :class:`PackIndex`, which carries what
+one call derived into the next.  ``check_image(image, index)`` re-derives
+only the addresses that differ from the index's last view, then only the
+files, duplicate groups, directory checks and map bits they imply, and
+returns exactly the report a full pass returns, issue order included.
+Without an index the call runs the same code on a fresh one: a fresh
+index *is* the full check.  The index contract:
+
+* **Compared by identity:** every address's ``Sector.header`` and
+  ``Sector.label`` views.  Both are frozen and interned by their words
+  (``Header.unpack``, ``Label.unpack``), so a view that is the very object
+  the index last read stands for the same words, and a write of other
+  words -- through the drive or raw -- yields another object.  An equal
+  object that is not the same one (the intern cache refilled) costs at
+  most a re-derivation.
+* **Copied:** the few values the check parses -- each file's leader page,
+  and every page of a directory or of a file whose leader sits at the
+  descriptor's address.  A value is a mutable word list that can change
+  in place, so the copy is compared word for word on every call.
+* **Not trusted:** writers.  A standby applies journal records with raw
+  ``set_*_words`` calls, wear is stamped straight onto an image, a fault
+  injector flips bits behind the drive: nothing reports what it changed.
+  So every call re-reads every address's views and every watched value,
+  and trusts nothing it did not compare.
+
+A call that raises leaves its index fresh, so the next call is a full
+check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass, field, replace
+from itertools import count
 from typing import Dict, List, Optional, Tuple
 
 from ..disk.geometry import NIL
 from ..disk.image import DiskImage
-from ..errors import FileFormatError
+from ..disk.sector import DIRECTORY_SERIAL_FLAG
+from ..errors import DirectoryError, FileFormatError
 from ..words import bytes_to_words, words_to_bytes
 from .descriptor import DESCRIPTOR_LEADER_ADDRESS, DiskDescriptor
 from .directory import Directory
 from .file import FULL_PAGE
 from .leader import LeaderPage
-from .names import (
-    FileId,
-    ORDINARY_SERIAL_FLAG,
-    PAGE_NUMBER_BIAS,
-    page_number_from_label,
-)
+from .names import ORDINARY_SERIAL_FLAG, PAGE_NUMBER_BIAS, page_number_from_label
 
 
 @dataclass(frozen=True)
@@ -90,128 +117,293 @@ def _parseable(label) -> bool:
     return True
 
 
-def check_image(image: DiskImage) -> CheckReport:
-    """Inspect a pack; returns a :class:`CheckReport` (no writes, no time)."""
-    report = CheckReport()
-    files: Dict[Tuple[int, int], Dict[int, object]] = {}
+def check_image(image: DiskImage, index: Optional["PackIndex"] = None) -> CheckReport:
+    """Inspect a pack; returns a :class:`CheckReport` (no writes, no time).
 
-    # -- pass 1: labels ----------------------------------------------------------
-    for sector in image.sectors():
-        label = sector.label
-        address = sector.header.address
-        if label.is_free:
-            report.free_pages += 1
-            continue
-        if label.is_bad:
-            report.bad_pages += 1
-            continue
-        if not _parseable(label):
-            report.note("garbage-label", address, f"unparseable in-use label {label.pack()}")
-            continue
-        key = (label.serial, label.version)
-        page_number = page_number_from_label(label)
-        bucket = files.setdefault(key, {})
-        if page_number in bucket:
-            report.note(
-                "duplicate-page", address,
-                f"(serial {label.serial:#x}, page {page_number}) also at "
-                f"{bucket[page_number].header.address}",
-            )
-            continue
-        bucket[page_number] = sector
-
-    report.files = len(files)
-
-    # -- pass 2: per-file structure ------------------------------------------------
-    for (serial, version), bucket in sorted(files.items()):
-        tag = f"serial {serial:#x}v{version}"
-        if FileId(serial).is_directory:
-            report.directories += 1
-        pages = sorted(bucket)
-        if pages[0] != 0:
-            report.note("headless", bucket[pages[0]].header.address,
-                        f"{tag} starts at page {pages[0]}")
-            continue
-        if pages != list(range(len(pages))):
-            missing = sorted(set(range(pages[-1] + 1)) - set(pages))
-            report.note("gap", None, f"{tag} missing pages {missing}")
-        last = pages[-1]
-        for pn in pages:
-            sector = bucket[pn]
-            label = sector.label
-            want_next = bucket[pn + 1].header.address if pn + 1 in bucket else NIL
-            want_prev = bucket[pn - 1].header.address if pn - 1 in bucket and pn > 0 else NIL
-            if label.next_link != want_next:
-                report.note("bad-link", sector.header.address,
-                            f"{tag} page {pn} NL={label.next_link}, want {want_next}")
-            if label.prev_link != want_prev:
-                report.note("bad-link", sector.header.address,
-                            f"{tag} page {pn} PL={label.prev_link}, want {want_prev}")
-            if pn < last and label.length != FULL_PAGE:
-                report.note("bad-length", sector.header.address,
-                            f"{tag} page {pn} is interior with L={label.length}")
-            if pn == last and pn > 0 and label.length >= FULL_PAGE:
-                report.note("ragged-end", sector.header.address,
-                            f"{tag} last page has L={label.length}")
-        if len(pages) < 2:
-            report.note("bare-leader", bucket[0].header.address,
-                        f"{tag} has a leader but no data page")
-        try:
-            LeaderPage.unpack(bucket[0].value)
-        except FileFormatError as exc:
-            report.note("bad-leader", bucket[0].header.address, f"{tag}: {exc}")
-
-    # -- pass 3: the descriptor and map ----------------------------------------------
-    descriptor = _read_descriptor(image, files, report)
-    if descriptor is not None:
-        allocator = descriptor.allocator()
-        for sector in image.sectors():
-            if sector.label.in_use and allocator.is_free(sector.header.address):
-                report.note("map-lies-free", sector.header.address,
-                            "allocation map calls an in-use page free")
-        root_key = (descriptor.root_directory.fid.serial,
-                    descriptor.root_directory.fid.version)
-        if root_key not in files:
-            report.note("dangling-root", None,
-                        f"descriptor names nonexistent root {root_key[0]:#x}")
-
-    # -- pass 4: directory entries ------------------------------------------------------
-    for (serial, version), bucket in sorted(files.items()):
-        if not FileId(serial).is_directory or 0 not in bucket:
-            continue
-        data = _file_bytes(bucket)
-        try:
-            entries = _parse_directory_bytes(data)
-        except Exception as exc:  # noqa: BLE001 - any parse failure is one issue
-            report.note("bad-directory", bucket[0].header.address,
-                        f"directory serial {serial:#x}: {exc}")
-            continue
-        for name, fid, address in entries:
-            key = (fid.serial, fid.version)
-            if key not in files:
-                report.note("dangling-entry", None,
-                            f"{name!r} names nonexistent serial {fid.serial:#x}")
-            elif files[key].get(0) is None or files[key][0].header.address != address:
-                report.note("stale-entry-hint", address,
-                            f"{name!r} hint {address} is not the leader address")
-    return report
-
-
-def _read_descriptor(image, files, report) -> Optional[DiskDescriptor]:
-    key = next(
-        (k for k, bucket in files.items()
-         if 0 in bucket and bucket[0].header.address == DESCRIPTOR_LEADER_ADDRESS),
-        None,
-    )
-    if key is None:
-        report.note("no-descriptor", DESCRIPTOR_LEADER_ADDRESS,
-                    "no file's leader sits at the standard address")
-        return None
+    With *index*, only what changed since the index's last call is
+    re-derived (see the module docstring); the report is the same.
+    """
+    if index is None:
+        index = PackIndex()
     try:
-        return DiskDescriptor.unpack(image.shape, bytes_to_words(_file_bytes(files[key])))
+        return index._check(image)
+    except BaseException:
+        index._reset(None, 0)  # never resume from a half-applied update
+        raise
+
+
+#: ``PackIndex.descriptor_key`` before the first read (None means "no
+#: candidate", which is a result too).
+_UNREAD = object()
+
+
+class _File:
+    """One file's pages, and what the check derived from them."""
+
+    __slots__ = ("pages", "issues", "first", "leader", "values", "entries")
+
+    def __init__(self) -> None:
+        #: Page number -> addresses holding that page, ascending; the
+        #: first one wins and the rest are duplicates.
+        self.pages: Dict[int, List[int]] = {}
+        self.issues: List[Issue] = []
+        self.first = 0  # lowest address holding any page: full-pass order
+        self.leader: Optional[int] = None  # page 0's header address
+        self.values: Dict[int, List[int]] = {}  # watched address -> copy
+        #: A directory's ``(name, fid, hint)`` entries, or its
+        #: ``bad-directory`` issue; None for other files and headless ones.
+        self.entries = None
+
+
+class PackIndex:
+    """What :func:`check_image` last saw of a pack, and what it implied.
+
+    Hand the same index to every call on one pack; each call then costs
+    one comparison per address plus the work its changes imply.
+    """
+
+    def __init__(self) -> None:
+        self._reset(None, 0)
+
+    def _reset(self, shape, total: int) -> None:
+        self.shape = shape
+        self.headers: List = [None] * total
+        self.labels: List = [None] * total
+        self.free_pages = self.bad_pages = 0
+        self.files: Dict[Tuple[int, int], _File] = {}
+        self.order: List[Tuple[int, int]] = []  # file keys, sorted
+        self.pass1: Dict[int, Issue] = {}  # garbage and duplicate labels
+        self.pass4: List[Issue] = []
+        self.descriptor_key: object = _UNREAD
+        self.descriptor: Optional[DiskDescriptor] = None
+        self.descriptor_issue: Optional[Issue] = None
+        self.map_words: Optional[List[int]] = None
+        self.allocator = None
+        self.lies: set = set()  # in-use addresses the map calls free
+        self.last: Optional[CheckReport] = None
+
+    def _check(self, image: DiskImage) -> CheckReport:
+        sectors = image.sector_list()
+        if image.shape != self.shape or len(sectors) != len(self.labels):
+            self._reset(image.shape, len(sectors))
+        old_headers, old_labels, files = self.headers, self.labels, self.files
+        headers = self.headers = [sector.header for sector in sectors]
+        labels = self.labels = [sector.label for sector in sectors]
+        changed = [] if labels == old_labels and headers == old_headers else [
+            address for address, header, label, old_header, old_label
+            in zip(count(), headers, labels, old_headers, old_labels)
+            if label is not old_label or header is not old_header]
+        dirty = set()  # file keys to re-derive
+        for key, file in files.items():
+            for address, copy in file.values.items():
+                if sectors[address].value != copy:
+                    dirty.add(key)
+                    break
+        if not changed and not dirty and self.last is not None:
+            return replace(self.last, issues=list(self.last.issues))
+
+        # -- pass 1: labels, address by address ------------------------------------
+        groups = set()  # (file key, page number) whose holders changed
+        for address in changed:
+            old = old_labels[address]
+            if old is not None:
+                self._tally(address, old, -1, groups, dirty)
+            self._tally(address, labels[address], 1, groups, dirty)
+        pass1 = self.pass1
+        for key, page_number in groups:
+            file = files.get(key)
+            holders = file.pages.get(page_number) if file is not None else None
+            if not holders:
+                continue
+            winner = holders[0]
+            pass1.pop(winner, None)
+            for loser in holders[1:]:
+                pass1[loser] = Issue(
+                    "duplicate-page", headers[loser].address,
+                    f"(serial {key[0]:#x}, page {page_number}) also at "
+                    f"{headers[winner].address}",
+                )
+
+        # -- pass 2: per-file structure, for the files that changed -----------------
+        for key in dirty:
+            file = files[key]
+            if file.pages:
+                self._derive(key, file, sectors)
+            else:
+                del files[key]
+        if dirty:
+            self.order = sorted(files)
+
+        # -- pass 3: the descriptor and map -------------------------------------------
+        candidate = min(((file.first, key) for key, file in files.items()
+                         if file.leader == DESCRIPTOR_LEADER_ADDRESS), default=None)
+        key = candidate[1] if candidate is not None else None
+        if key != self.descriptor_key or key in dirty:
+            self.descriptor_key = key
+            self._read_descriptor(key, sectors)
+        descriptor = self.descriptor
+        pass3 = [self.descriptor_issue] if self.descriptor_issue else []
+        if descriptor is None:
+            self.map_words = None
+        else:
+            recheck = changed
+            if descriptor.free_map_words != self.map_words:
+                self.allocator = descriptor.allocator()
+                self.map_words = descriptor.free_map_words
+                self.lies.clear()
+                recheck = range(len(sectors))  # a new map: every bit
+            allocator, lies = self.allocator, self.lies
+            for address in recheck:  # ascending: an off-pack header raises as in a full pass
+                lies.discard(address)
+                if labels[address].in_use and allocator.is_free(headers[address].address):
+                    lies.add(address)
+            for address in sorted(lies):
+                pass3.append(Issue("map-lies-free", headers[address].address,
+                                   "allocation map calls an in-use page free"))
+            root = descriptor.root_directory.fid
+            if (root.serial, root.version) not in files:
+                pass3.append(Issue("dangling-root", None,
+                                   f"descriptor names nonexistent root {root.serial:#x}"))
+
+        # -- pass 4: directory entries, whenever any file changed ---------------------
+        if dirty:
+            self.pass4 = self._check_entries()
+
+        issues = [pass1[address] for address in sorted(pass1)]
+        for key in self.order:
+            issues += files[key].issues
+        self.last = CheckReport(
+            issues=issues + pass3 + self.pass4,
+            files=len(files),
+            directories=sum(1 for serial, _ in self.order
+                            if serial & DIRECTORY_SERIAL_FLAG),
+            free_pages=self.free_pages,
+            bad_pages=self.bad_pages,
+        )
+        return replace(self.last, issues=list(self.last.issues))
+
+    def _tally(self, address: int, label, sign: int, groups: set, dirty: set) -> None:
+        """Learn (*sign* 1) or retract (-1) what one address's label implies."""
+        if label.is_free:
+            self.free_pages += sign
+        elif label.is_bad:
+            self.bad_pages += sign
+        elif not _parseable(label):
+            if sign > 0:
+                self.pass1[address] = Issue(
+                    "garbage-label", self.headers[address].address,
+                    f"unparseable in-use label {label.pack()}")
+            else:
+                del self.pass1[address]
+        else:
+            key = (label.serial, label.version)
+            page_number = page_number_from_label(label)
+            groups.add((key, page_number))
+            dirty.add(key)
+            if sign > 0:
+                file = self.files.get(key)
+                if file is None:
+                    file = self.files[key] = _File()
+                insort(file.pages.setdefault(page_number, []), address)
+            else:
+                self.pass1.pop(address, None)  # a duplicate-page, if it lost
+                pages = self.files[key].pages
+                pages[page_number].remove(address)
+                if not pages[page_number]:
+                    del pages[page_number]
+
+    def _derive(self, key: Tuple[int, int], file: _File, sectors) -> None:
+        """Re-derive one file's issues, watched values and entries."""
+        bucket = {pn: sectors[holders[0]] for pn, holders in file.pages.items()}
+        file.issues = _file_issues(key, bucket)
+        file.first = min(holders[0] for holders in file.pages.values())
+        leader = bucket.get(0)
+        file.leader = leader.header.address if leader is not None else None
+        directory = bool(key[0] & DIRECTORY_SERIAL_FLAG)
+        watched = (bucket if directory or file.leader == DESCRIPTOR_LEADER_ADDRESS
+                   else [0] if leader is not None else [])
+        file.values = {file.pages[pn][0]: list(bucket[pn].value) for pn in watched}
+        file.entries = None
+        if directory and leader is not None:
+            try:
+                file.entries = _parse_directory_bytes(_file_bytes(bucket))
+            except DirectoryError as exc:
+                file.entries = Issue("bad-directory", leader.header.address,
+                                     f"directory serial {key[0]:#x}: {exc}")
+
+    def _read_descriptor(self, key, sectors) -> None:
+        self.descriptor = self.descriptor_issue = None
+        if key is None:
+            self.descriptor_issue = Issue(
+                "no-descriptor", DESCRIPTOR_LEADER_ADDRESS,
+                "no file's leader sits at the standard address")
+            return
+        bucket = {pn: sectors[holders[0]]
+                  for pn, holders in self.files[key].pages.items()}
+        try:
+            self.descriptor = DiskDescriptor.unpack(
+                self.shape, bytes_to_words(_file_bytes(bucket)))
+        except FileFormatError as exc:
+            self.descriptor_issue = Issue("bad-descriptor", DESCRIPTOR_LEADER_ADDRESS, str(exc))
+
+    def _check_entries(self) -> List[Issue]:
+        out: List[Issue] = []
+        files = self.files
+        for key in self.order:
+            entries = files[key].entries
+            if isinstance(entries, Issue):
+                out.append(entries)
+                continue
+            for name, fid, address in entries or ():
+                target = files.get((fid.serial, fid.version))
+                if target is None:
+                    out.append(Issue("dangling-entry", None,
+                                     f"{name!r} names nonexistent serial {fid.serial:#x}"))
+                elif target.leader != address:
+                    out.append(Issue("stale-entry-hint", address,
+                                     f"{name!r} hint {address} is not the leader address"))
+        return out
+
+
+def _file_issues(key: Tuple[int, int], bucket) -> List[Issue]:
+    """One file's structural issues; *bucket* maps page number -> sector."""
+    serial, version = key
+    report = CheckReport()
+    tag = f"serial {serial:#x}v{version}"
+    pages = sorted(bucket)
+    if pages[0] != 0:
+        report.note("headless", bucket[pages[0]].header.address,
+                    f"{tag} starts at page {pages[0]}")
+        return report.issues
+    if pages != list(range(len(pages))):
+        missing = sorted(set(range(pages[-1] + 1)) - set(pages))
+        report.note("gap", None, f"{tag} missing pages {missing}")
+    last = pages[-1]
+    for pn in pages:
+        sector = bucket[pn]
+        label = sector.label
+        want_next = bucket[pn + 1].header.address if pn + 1 in bucket else NIL
+        want_prev = bucket[pn - 1].header.address if pn - 1 in bucket and pn > 0 else NIL
+        if label.next_link != want_next:
+            report.note("bad-link", sector.header.address,
+                        f"{tag} page {pn} NL={label.next_link}, want {want_next}")
+        if label.prev_link != want_prev:
+            report.note("bad-link", sector.header.address,
+                        f"{tag} page {pn} PL={label.prev_link}, want {want_prev}")
+        if pn < last and label.length != FULL_PAGE:
+            report.note("bad-length", sector.header.address,
+                        f"{tag} page {pn} is interior with L={label.length}")
+        if pn == last and pn > 0 and label.length >= FULL_PAGE:
+            report.note("ragged-end", sector.header.address,
+                        f"{tag} last page has L={label.length}")
+    if len(pages) < 2:
+        report.note("bare-leader", bucket[0].header.address,
+                    f"{tag} has a leader but no data page")
+    try:
+        LeaderPage.unpack(bucket[0].value)
     except FileFormatError as exc:
-        report.note("bad-descriptor", DESCRIPTOR_LEADER_ADDRESS, str(exc))
-        return None
+        report.note("bad-leader", bucket[0].header.address, f"{tag}: {exc}")
+    return report.issues
 
 
 def _file_bytes(bucket) -> bytes:

@@ -39,6 +39,13 @@ cannot be required to have finished before it has started.  Anything
 else -- an issue the maintenance pass itself introduced -- raises
 :class:`MaintenanceInvariantError`: the incremental machinery must never
 make the pack less consistent than it found it.
+
+The maintainer carries one :class:`~repro.fs.fsck.PackIndex` from
+boundary to boundary, so each check re-derives only what changed since
+the last one: the slice's own writes, and anything else that landed on
+the pack meanwhile (the index trusts no writer's account).  Its wall cost
+follows the change, not the pack; its verdict is the full pass's, issue
+for issue.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from ..errors import (
 )
 from ..words import ones_words
 from .descriptor import BOOT_PAGE_ADDRESS, DESCRIPTOR_LEADER_ADDRESS
-from .fsck import check_image
+from .fsck import PackIndex, check_image
 from .names import FileId, FullName, page_number_from_label
 from .scavenger import Scavenger
 
@@ -156,6 +163,9 @@ class OnlineMaintenance:
         #: Pre-existing issues, captured at the first slice boundary;
         #: never held against the pass (see module docstring).
         self._baseline: Optional[set] = None
+        #: What the last boundary check derived, so the next one costs
+        #: what changed in between rather than the whole pack.
+        self._index = PackIndex()
         self._total = self.drive.shape.total_sectors()
         self._sweep_cursor = 0
         self._compact_cursor = self._total - 1
@@ -403,7 +413,7 @@ class OnlineMaintenance:
         if not self.verify:
             return
         self.fs.flush()  # the platter must hold the logically current state
-        report = check_image(self.drive.image)
+        report = check_image(self.drive.image, self._index)
         self._c_checks.inc()
         self.report.checks_passed += 1
         if self._baseline is None:

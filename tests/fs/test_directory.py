@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import DirectoryError, FileNotFound, NotADirectory
-from repro.fs.directory import DirEntry, Directory
+from repro.fs.directory import DirEntry, Directory, ENTRY_FILE
 from repro.fs.names import FileId, FullName, make_serial
+from repro.words import string_to_words
 
 
 @pytest.fixture
@@ -108,6 +109,15 @@ class TestStructure:
         with pytest.raises(DirectoryError):
             directory.entries()
 
+    @pytest.mark.parametrize("serial_high,version", [(0x0000, 1), (0x4000, 0)])
+    def test_corrupt_entry_file_id_is_a_directory_error(self, serial_high, version):
+        """A serial without the ordinary-serial flag, or version 0, is a
+        corrupt entry -- not a ValueError escaping from ``FileId``."""
+        words = ([(ENTRY_FILE << 8) | 7, serial_high, 0x0042, version, 77]
+                 + string_to_words("zz"))
+        with pytest.raises(DirectoryError, match="corrupt entry file id at word 0"):
+            list(Directory._parse(words))
+
     def test_entry_pack_round_trip(self):
         entry = DirEntry("some-name.txt", fake_full_name(9, address=123))
         words = entry.pack()
@@ -134,3 +144,32 @@ class TestStructure:
         assert directory.file.page_count() > 2
         assert len(directory) == 60
         assert directory.lookup("file-059.extension") is not None
+
+
+# -- parsing arbitrary words (property) ---------------------------------------
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+words16 = st.integers(0, 0xFFFF)
+
+#: A well-formed file entry around arbitrary serial, version and hint words.
+file_entries = st.tuples(
+    words16, words16, words16, words16,
+    st.text(alphabet="abcXYZ.-_09", min_size=1, max_size=9),
+).map(lambda t: [(ENTRY_FILE << 8) | (5 + len(string_to_words(t[4]))), *t[:4]]
+      + string_to_words(t[4]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(file_entries, st.lists(words16, max_size=8)), max_size=5))
+def test_parse_of_any_words_raises_only_directory_error(chunks):
+    """Whatever a torn or decayed page holds, parsing it either yields
+    entries or raises ``DirectoryError`` -- the one failure every repair
+    path (the scavenger, fsck) is written to catch."""
+    try:
+        list(Directory._parse([word for chunk in chunks for word in chunk]))
+    except DirectoryError:
+        pass

@@ -4,8 +4,9 @@ import pytest
 
 from repro.disk import DiskDrive, FaultInjector
 from repro.fs import FileSystem, Scavenger
-from repro.fs.fsck import check_image
+from repro.fs.fsck import PackIndex, check_image
 from repro.fs.names import FileId, FullName, make_serial
+from tests.fs.fsck_reference import check_image as reference_check
 
 
 class TestCleanImages:
@@ -26,48 +27,64 @@ class TestCleanImages:
         assert report.bad_pages == 0
 
 
+@pytest.fixture
+def check(populated_fs, image):
+    """The checker each detection case runs after its damage, on two
+    inputs: a fresh call, and one carrying an index that checked the pack
+    before the damage.  Both reports must equal the full pass's."""
+    index = PackIndex()
+    assert check_image(image, index).clean
+
+    def run():
+        report = check_image(image)
+        assert check_image(image, index) == report == reference_check(image)
+        return report
+
+    return run
+
+
 class TestDetection:
-    def test_garbage_label(self, populated_fs, image, injector):
+    def test_garbage_label(self, check, injector):
         injector.scramble_label(injector.random_in_use_addresses(1)[0])
-        kinds = check_image(image).kinds()
+        kinds = check().kinds()
         # A scramble lands as garbage, or (rarely) as a valid-looking label
         # creating some structural violation; either way, not clean.
         assert kinds
 
-    def test_scrambled_links(self, populated_fs, image, injector):
+    def test_scrambled_links(self, check, injector):
         injector.scramble_links(injector.random_in_use_addresses(1)[0])
-        assert "bad-link" in check_image(image).kinds()
+        assert "bad-link" in check().kinds()
 
-    def test_duplicate_page(self, populated_fs, image):
+    def test_duplicate_page(self, check, image):
         source = next(s for s in image.sectors() if s.label.in_use)
         free = next(s for s in image.sectors() if s.label.is_free)
         free.label = source.label
         free.value = list(source.value)
-        assert "duplicate-page" in check_image(image).kinds()
+        assert "duplicate-page" in check().kinds()
 
-    def test_stale_map(self, populated_fs, image):
+    def test_stale_map(self, check, populated_fs, image):
         busy = next(s.header.address for s in image.sectors() if s.label.in_use)
         populated_fs.allocator.mark_free(busy)
         populated_fs.sync()
-        assert "map-lies-free" in check_image(image).kinds()
+        assert "map-lies-free" in check().kinds()
 
-    def test_stale_directory_hint(self, populated_fs, image):
+    def test_stale_directory_hint(self, check, populated_fs):
         populated_fs.root.update_hint("file02.dat", 3)
-        assert "stale-entry-hint" in check_image(image).kinds()
+        assert "stale-entry-hint" in check().kinds()
 
-    def test_dangling_entry(self, populated_fs, image):
+    def test_dangling_entry(self, check, populated_fs):
         populated_fs.root.add("ghost", FullName(FileId(make_serial(9999)), 0, 11))
-        assert "dangling-entry" in check_image(image).kinds()
+        assert "dangling-entry" in check().kinds()
 
-    def test_missing_descriptor(self, populated_fs, image, injector):
+    def test_missing_descriptor(self, check, injector):
         injector.scramble_label(1)
-        kinds = check_image(image).kinds()
+        kinds = check().kinds()
         assert "no-descriptor" in kinds or "garbage-label" in kinds
 
-    def test_corrupt_leader_value(self, populated_fs, image):
+    def test_corrupt_leader_value(self, check, populated_fs):
         target = populated_fs.open_file("file02.dat")
         populated_fs.page_io.write(target.full_name(), [0] * 256)
-        assert "bad-leader" in check_image(image).kinds()
+        assert "bad-leader" in check().kinds()
 
 
 class TestScavengerContract:

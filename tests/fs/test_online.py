@@ -205,3 +205,130 @@ def test_maintenance_interleaves_with_request_service():
     assert report.garbage_labels_freed == 2
     assert report.checks_passed > 0
     assert not check_image(fs.drive.image).issues
+
+
+# -- the boundary check, incremental vs full (property) ------------------------
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.disk.sector import DIRECTORY_SERIAL_FLAG  # noqa: E402
+from repro.fs import PackIndex  # noqa: E402
+from repro.fs.descriptor import DESCRIPTOR_LEADER_ADDRESS  # noqa: E402
+from repro.fs.online import ONLINE_TOLERATED_ISSUES  # noqa: E402
+from tests.fs.fsck_reference import check_image as reference_check  # noqa: E402
+
+#: Wear kinds; the last three flip one value bit in place, on a leader, a
+#: directory data page and a descriptor data page.
+WEAR = ("garbage", "links", "duplicate", "header", "leader-value",
+        "directory-value", "descriptor-value")
+
+
+def wear_targets(image, kind):
+    """Physical addresses of the in-use sectors *kind* may land on."""
+    descriptor = image.sector(DESCRIPTOR_LEADER_ADDRESS).label
+    wanted = {
+        # Label page numbers are biased by one: 1 is a leader.
+        "leader-value": lambda label: label.page_number == 1,
+        "directory-value": lambda label: (label.page_number > 1 and bool(
+            label.serial & DIRECTORY_SERIAL_FLAG)),
+        "descriptor-value": lambda label: (label.page_number > 1 and (
+            label.serial, label.version) == (descriptor.serial, descriptor.version)),
+    }.get(kind, lambda label: True)
+    return [address for address, sector in enumerate(image.sectors())
+            if sector.label.in_use and wanted(sector.label)]
+
+
+def apply_wear(plan, image, kind, pick, word, bit):
+    """One piece of wear, behind the drive, aimed by *pick*."""
+    targets = wear_targets(image, kind)
+    if not targets:
+        return
+    address = targets[pick % len(targets)]
+    if kind == "garbage":
+        plan.scramble_label(address)
+    elif kind == "links":
+        plan.scramble_links(address)
+    elif kind == "duplicate":
+        free = [a for a, sector in enumerate(image.sectors()) if sector.label.is_free]
+        copy = image.sector(free[pick % len(free)])
+        copy.label = image.sector(address).label
+        copy.value = list(image.sector(address).value)
+    elif kind == "header":
+        plan.flip_bits(address, "header", word % 2, 1 << bit)
+    else:
+        plan.flip_bits(address, "value", word, 1 << bit)
+
+
+def outcome(check, *args):
+    """A check's report, or the type and text of what it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # noqa: BLE001 - raising alike is part of the contract
+        return (type(exc), str(exc))
+
+
+wear = st.tuples(st.sampled_from(WEAR), st.integers(0, 10_000),
+                 st.integers(0, 40), st.integers(0, 15))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=6),
+    deleted=st.integers(0, 5),
+    before=st.lists(wear, max_size=4),
+    during=st.lists(st.tuples(st.integers(1, 60), wear), max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_every_boundary_verdict_matches_the_full_pass(sizes, deleted, before,
+                                                       during, seed):
+    """Slice by slice, with wear landing between slices: a carried index,
+    a fresh one and the verbatim full pass agree on every report (issue
+    order included) or raise alike, and the maintainer raises
+    ``MaintenanceInvariantError`` exactly at the boundaries where the full
+    pass shows a non-tolerated issue outside the first boundary's."""
+    fs = FileSystem.format(DiskDrive(DiskImage(tiny_test_disk())))
+    image = fs.drive.image
+    for i, size in enumerate(sizes):
+        fs.create_file(f"f{i}.dat").write_data(bytes([i]) * size)
+    if deleted < len(sizes) - 1:
+        fs.delete_file(f"f{deleted}.dat")
+    fs.sync()
+    plan = FaultPlan(image, seed=seed)
+    for piece in before:
+        apply_wear(plan, image, *piece)
+    schedule = {}
+    for slice_number, piece in during:
+        schedule.setdefault(slice_number, []).append(piece)
+
+    maint = OnlineMaintenance(fs)
+    live = PackIndex()
+    baseline = None
+    for slice_number in range(1, 400):
+        for piece in schedule.get(slice_number, ()):
+            apply_wear(plan, image, *piece)
+        try:
+            more = maint.step()
+            raised = None
+        except Exception as exc:  # noqa: BLE001 - compared below
+            more, raised = maint.phase != PHASE_DONE, exc
+        full = outcome(reference_check, image)
+        assert outcome(check_image, image, live) == full
+        assert outcome(check_image, image) == full
+        if (raised is not None and not isinstance(raised, MaintenanceInvariantError)
+                and (type(raised), str(raised)) != full):
+            return  # the slice's own work failed on the wear, before its check
+        if isinstance(full, tuple):
+            # The full pass itself raises: the boundary must raise alike.
+            assert raised is not None and (type(raised), str(raised)) == full
+        else:
+            if baseline is None:
+                baseline = {(issue.kind, issue.address) for issue in full.issues}
+            fatal = [issue for issue in full.issues
+                     if issue.kind not in ONLINE_TOLERATED_ISSUES
+                     and (issue.kind, issue.address) not in baseline]
+            assert isinstance(raised, MaintenanceInvariantError) == bool(fatal), (
+                slice_number, fatal, raised)
+        if not more:
+            break

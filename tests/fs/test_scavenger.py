@@ -12,7 +12,10 @@ from repro.fs import (
     Scavenger,
     scavenge,
 )
+from repro.fs.directory import ENTRY_FILE
+from repro.fs.fsck import check_image
 from repro.fs.names import page_number_from_label
+from repro.words import string_to_words, words_to_bytes
 
 
 def remount(image, clock=None):
@@ -179,6 +182,19 @@ class TestDirectoryVerification:
         assert report.directories_rebuilt == 1
         fs = remount(image)
         assert "nested.txt" in fs.list_files()  # rescued into the root
+
+    def test_corrupt_root_entry_file_id_rebuilds_the_root(self, fs, image):
+        """One root entry naming a serial without the ordinary-serial flag
+        used to crash the scavenger with a ValueError from ``FileId``."""
+        fs.create_file("keep.dat").write_data(b"kept" * 300)
+        bad_entry = ([(ENTRY_FILE << 8) | 7, 0x0000, 0x0042, 1, 77]
+                     + string_to_words("zz"))
+        fs.root.file.write_data(fs.root.file.read_data() + words_to_bytes(bad_entry))
+        fs.sync()
+        report = rescavenge(image)
+        assert report.directories_rebuilt == 1
+        assert remount(image).open_file("keep.dat").read_data() == b"kept" * 300
+        assert check_image(image).clean, check_image(image).issues
 
 
 class TestOrphanRescue:

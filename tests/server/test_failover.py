@@ -61,3 +61,13 @@ def test_failover_cli_sweep_subsample(capsys):
     assert main(["failover", "--points", "45", "-v"]) == 0
     out = capsys.readouterr().out
     assert "zero acked writes lost" in out
+
+
+@pytest.mark.parametrize("seed,point", [(601, 112), (615, 138), (648, 102)])
+def test_crash_at_the_second_to_last_part_write_fires(seed, point):
+    """Each point is its seed's second-to-last part-write.  The crash used
+    to never fire there: the patrol's garbage free swallowed the power
+    failure, and the drill read back from a dead machine."""
+    report = failover_drill(seed=seed, crash_at=point)
+    assert report.crash_reason, report.problems
+    assert report.ok, report.problems
