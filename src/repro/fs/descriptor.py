@@ -92,11 +92,14 @@ class DiskDescriptor:
         map_words = list(words[_HEADER_WORDS : _HEADER_WORDS + map_len])
         if len(map_words) != map_len:
             raise FileFormatError("descriptor allocation map truncated")
-        root = FullName(
-            FileId(from_double_word(words[7], words[8]), words[9]),
-            page_number=0,
-            address=words[10],
-        )
+        try:
+            root = FullName(
+                FileId(from_double_word(words[7], words[8]), words[9]),
+                page_number=0,
+                address=words[10],
+            )
+        except ValueError as exc:
+            raise FileFormatError(f"corrupt root directory name: {exc}") from exc
         return cls(
             shape=shape,
             serial_counter=from_double_word(words[5], words[6]),

@@ -23,7 +23,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..clock import SimClock
 from ..errors import ReproError
-from ..words import check_word
+from ..words import WORD_MASK, check_word
 
 
 class NetworkError(ReproError):
@@ -64,7 +64,8 @@ class Packet:
         if len(self.payload) > MAX_PAYLOAD_WORDS:
             raise NetworkError(f"payload of {len(self.payload)} words exceeds {MAX_PAYLOAD_WORDS}")
         for w in self.payload:
-            check_word(w, "payload word")
+            if type(w) is not int or w < 0 or w > WORD_MASK:
+                check_word(w, "payload word")  # raises, or admits an int subclass
 
 
 class PacketNetwork:

@@ -550,7 +550,7 @@ class FileServer:
     def _do_open(self, session, request: Request) -> Response:
         try:
             name = words_to_string(list(request.payload))
-        except Exception:
+        except ValueError:  # a length byte past the data, or non-ASCII
             return Response(ST_BAD_REQUEST, request.request_id)
         if not name:
             return Response(ST_BAD_REQUEST, request.request_id)

@@ -56,7 +56,7 @@ from ..fs.filesystem import FileSystem
 from ..fs.fsck import check_image
 from ..fs.online import ONLINE_TOLERATED_ISSUES, OnlineMaintenance
 from ..net.network import PacketNetwork
-from ..words import words_to_bytes
+from ..words import random_bytes, words_to_bytes
 from .client import FileClient, PendingRequest
 from .replica import ReplicaStandby, ReplicatedFileServer, promote
 from .router import ShardRouter
@@ -222,8 +222,7 @@ def workload_files(seed: int) -> List[Tuple[str, bytes]]:
     files = []
     for index in range(WORKLOAD_FILES):
         size = rng.randrange(WORKLOAD_MIN_BYTES, WORKLOAD_MAX_BYTES)
-        files.append((f"drill{index}.dat",
-                      bytes(rng.randrange(256) for _ in range(size))))
+        files.append((f"drill{index}.dat", random_bytes(rng, size)))
     return files
 
 

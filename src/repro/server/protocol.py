@@ -251,11 +251,13 @@ class FrameAssembler:
                 del self._partials[source]
             magic, header, first = _decode_header(packet.payload)
             expected = header[-1]  # word 6: the announced payload length
-            partial = _Partial(magic, header, expected, list(first))
-            if len(partial.payload) > expected:
+            if len(first) > expected:
                 raise ProtocolError(
                     f"frame announced {expected} payload words but the header "
-                    f"packet already carries {len(partial.payload)}")
+                    f"packet already carries {len(first)}")
+            if len(first) == expected:  # a one-packet frame
+                return source, _build(magic, header[:5], first)
+            partial = _Partial(magic, header, expected, list(first))
             self._partials[source] = partial
         elif packet.ptype == TYPE_DATA:
             partial = self._partials.get(source)

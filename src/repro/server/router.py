@@ -412,7 +412,7 @@ class ShardRouter:
     def _route_open(self, state: _ClientState, request: Request) -> None:
         try:
             name = words_to_string(list(request.payload))
-        except Exception:
+        except ValueError:  # a length byte past the data, or non-ASCII
             name = ""
         if not name:
             self._respond_local(state, Response(ST_BAD_REQUEST,

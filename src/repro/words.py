@@ -227,7 +227,7 @@ def random_bytes(rng, count: int) -> bytes:
                 r = getrandbits(9)
             out[i] = r
         return bytes(out)
-    np = fastpath.numpy()
+    np = fastpath.numpy() if count >= _NUMPY_MIN_ITEMS else None
     out = bytearray()
     need = count
     while need > 0:

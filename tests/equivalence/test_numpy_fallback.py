@@ -8,10 +8,15 @@ import itself fail, the way a genuinely numpy-less machine would: a
 so the gate re-probes and finds nothing.
 """
 
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro import fastpath
 from repro.reference import (
@@ -76,3 +81,16 @@ def test_workload_digest_identical_without_numpy(numpy_hidden):
         pytest.skip("goldens being regenerated")
     golden = json.loads(GOLDEN_PATH.read_text())
     assert WORKLOADS["mount_write"]() == golden["mount_write"]
+
+
+def test_small_random_bytes_leave_numpy_unimported():
+    """Below ``_NUMPY_MIN_ITEMS`` the pure block path is the fast one, so a
+    fresh process drawing that many bytes must not pay numpy's import."""
+    code = ("import random, sys\n"
+            "from repro.words import _NUMPY_MIN_ITEMS, random_bytes\n"
+            "random_bytes(random.Random(1), _NUMPY_MIN_ITEMS - 1)\n"
+            "sys.exit('numpy' in sys.modules)\n")
+    env = {key: value for key, value in os.environ.items() if key != "REPRO_NO_NUMPY"}
+    env["PYTHONPATH"] = str(Path(repro.__file__).parent.parent)
+    status = subprocess.run([sys.executable, "-c", code], env=env).returncode
+    assert status == 0, "random_bytes imported numpy below the threshold"

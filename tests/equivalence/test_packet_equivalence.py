@@ -1,0 +1,94 @@
+"""Packet's inline word check == the call-per-word check it replaced.
+
+``Packet.__post_init__`` tests each payload word inline and calls
+:func:`repro.words.check_word` only for a word that fails that test.  The
+property below holds it to the replaced body, kept verbatim as the oracle:
+the same exception class and message for every rejected payload, and for
+every accepted one the payload object stored as given.
+"""
+
+from enum import IntEnum
+
+from hypothesis import example, given, settings, strategies as st
+
+from repro.net.network import MAX_PAYLOAD_WORDS, TYPE_DATA, NetworkError, Packet
+from repro.words import WORD_MASK, check_word
+
+try:
+    import numpy
+except ImportError:  # the numpy-absent leg: plain Python values only
+    numpy = None
+
+
+class OraclePacket:
+    """The replaced check, one ``check_word`` call per payload word."""
+
+    def __init__(self, payload):
+        self.payload = payload
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        if len(self.payload) > MAX_PAYLOAD_WORDS:
+            raise NetworkError(f"payload of {len(self.payload)} words exceeds {MAX_PAYLOAD_WORDS}")
+        for w in self.payload:
+            check_word(w, "payload word")
+
+
+class Register(IntEnum):
+    ZERO = 0
+    TOP = WORD_MASK
+    OVER = WORD_MASK + 1
+
+
+#: Values check_word accepts: plain words, and int subclasses in range.
+good = st.one_of(st.integers(0, WORD_MASK), st.booleans(),
+                 st.sampled_from([Register.ZERO, Register.TOP]))
+
+#: Values it rejects, one way or another.
+bad = st.one_of(
+    st.integers(max_value=-1),
+    st.just(WORD_MASK + 1),
+    st.integers(min_value=2 ** 64),
+    st.just(Register.OVER),
+    st.floats(),
+    st.just(3.0),
+    st.none(),
+    st.text(max_size=2),
+    st.sampled_from([] if numpy is None else [
+        numpy.uint16(7), numpy.int64(-1), numpy.int32(WORD_MASK + 1)]),
+)
+
+
+@st.composite
+def payloads(draw):
+    """0-257 words, mostly good, with a few bad ones planted anywhere."""
+    count = draw(st.integers(0, MAX_PAYLOAD_WORDS + 1))
+    words = draw(st.lists(good, min_size=count, max_size=count))
+    if words:
+        for at, value in draw(st.lists(st.tuples(st.integers(0, count - 1), bad),
+                                       max_size=3)):
+            words[at] = value
+    return draw(st.sampled_from([tuple, list]))(words)
+
+
+def outcome(make, payload):
+    """What constructing a packet did: accepted, or the error it raised."""
+    snapshot = list(payload)
+    try:
+        packet = make(payload)
+    except Exception as exc:  # noqa: BLE001 - the class is the comparison
+        return type(exc), str(exc)
+    assert packet.payload is payload and list(payload) == snapshot
+    return "accepted"
+
+
+@settings(deadline=None)
+@given(payloads())
+@example((True, Register.TOP, 0, WORD_MASK))
+@example((1, 3.0, None))
+@example((WORD_MASK + 1, -1))
+@example(tuple([0] * MAX_PAYLOAD_WORDS))
+@example((None,) * (MAX_PAYLOAD_WORDS + 1))
+def test_inline_check_matches_the_call_per_word_check(payload):
+    expected = outcome(OraclePacket, payload)
+    assert outcome(lambda p: Packet("a", "b", TYPE_DATA, p), payload) == expected

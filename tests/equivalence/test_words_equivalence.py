@@ -114,7 +114,7 @@ class TestWordsToBytes:
 class TestRandomBytes:
     """Stream-position equivalence: same draws, same leftover RNG state."""
 
-    @pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 1000, 5000])
+    @pytest.mark.parametrize("count", THRESHOLD_SIZES)
     def test_same_bytes_and_same_stream_position(self, numpy_mode, count):
         a, b = random.Random(1979), random.Random(1979)
         assert random_bytes(a, count) == random_bytes_reference(b, count)

@@ -1,12 +1,14 @@
 """Unit tests for the disk descriptor."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.disk import tiny_test_disk
 from repro.errors import FileFormatError
 from repro.fs.allocator import PageAllocator
 from repro.fs.descriptor import DiskDescriptor
 from repro.fs.names import FileId, FullName, make_serial
+from repro.words import WORD_MASK
 
 
 @pytest.fixture
@@ -80,3 +82,23 @@ class TestValidation:
     def test_too_short(self, shape):
         with pytest.raises(FileFormatError):
             DiskDescriptor.unpack(shape, [1, 2, 3])
+
+    def test_undecodable_root_name(self, shape):
+        words = build(shape).pack()
+        words[9] = 0  # root version 0 is reserved
+        with pytest.raises(FileFormatError, match="root directory"):
+            DiskDescriptor.unpack(shape, words)
+
+    @given(st.dictionaries(st.integers(0, 11), st.integers(0, WORD_MASK), max_size=4),
+           st.none() | st.integers(0, 40))
+    def test_any_damage_decodes_or_raises_file_format_error(self, damage, keep):
+        """Whatever the words, unpack's only failure is FileFormatError,
+        the one error the checker turns into a ``bad-descriptor`` issue."""
+        shape = tiny_test_disk(cylinders=6)
+        words = build(shape).pack()
+        for index, value in damage.items():
+            words[index] = value
+        try:
+            DiskDescriptor.unpack(shape, words[:keep])
+        except FileFormatError:
+            pass

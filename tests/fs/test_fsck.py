@@ -3,9 +3,11 @@
 import pytest
 
 from repro.disk import DiskDrive, FaultInjector
+from repro.disk.sector import DIRECTORY_SERIAL_FLAG
 from repro.fs import FileSystem, Scavenger
+from repro.fs.descriptor import DESCRIPTOR_LEADER_ADDRESS
 from repro.fs.fsck import PackIndex, check_image
-from repro.fs.names import FileId, FullName, make_serial
+from repro.fs.names import ORDINARY_SERIAL_FLAG, FileId, FullName, make_serial
 from tests.fs.fsck_reference import check_image as reference_check
 
 
@@ -85,6 +87,27 @@ class TestDetection:
         target = populated_fs.open_file("file02.dat")
         populated_fs.page_io.write(target.full_name(), [0] * 256)
         assert "bad-leader" in check().kinds()
+
+    def test_root_serial_without_its_flags(self, check, image):
+        # Descriptor word 7 is the root directory serial's high word.
+        flags = (DIRECTORY_SERIAL_FLAG | ORDINARY_SERIAL_FLAG) >> 16
+        rewrite_descriptor_word(image, 7, lambda high: high & ~flags)
+        assert "bad-descriptor" in check().kinds()
+
+    def test_root_version_zero(self, check, image):
+        rewrite_descriptor_word(image, 9, lambda version: 0)
+        assert "bad-descriptor" in check().kinds()
+
+
+def rewrite_descriptor_word(image, index, change):
+    """Rewrite one word of the descriptor's first data page, behind the drive."""
+    leader = image.sector(DESCRIPTOR_LEADER_ADDRESS).label
+    sector = next(s for s in image.sectors()
+                  if (s.label.serial, s.label.version, s.label.page_number)
+                  == (leader.serial, leader.version, leader.page_number + 1))
+    value = list(sector.value)
+    value[index] = change(value[index])
+    sector.value = value
 
 
 class TestScavengerContract:

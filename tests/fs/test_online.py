@@ -24,6 +24,7 @@ from repro.fs.online import (
     PHASE_SWEEP,
 )
 from repro.words import words_to_bytes
+from tests.fs.test_fsck import rewrite_descriptor_word
 
 GARBAGE_LABEL = Label(serial=0x0042, version=1, page_number=1, length=0)
 
@@ -127,6 +128,21 @@ def test_new_damage_past_the_baseline_is_fatal():
     plant_garbage(fs, count=1)                # damage appears *after* it
     with pytest.raises(MaintenanceInvariantError):
         maint.run_to_completion()
+
+
+# Descriptor word 7 is the root serial's high word (flag bits 15 and 14);
+# word 9 is the root version.
+@pytest.mark.parametrize("index, change", [(7, lambda high: high & 0x3FFF),
+                                           (9, lambda version: 0)],
+                         ids=["root-serial-flags", "root-version"])
+def test_an_undecodable_descriptor_root_is_a_verdict(index, change):
+    """The checker reports a root name it cannot decode; it does not crash."""
+    fs = build_fs()
+    maint = OnlineMaintenance(fs)
+    assert maint.step()
+    rewrite_descriptor_word(fs.drive.image, index, change)
+    with pytest.raises(MaintenanceInvariantError, match="bad-descriptor"):
+        maint.step()
 
 
 def test_compaction_moves_pages_down_without_breaking_files():

@@ -1,6 +1,8 @@
 """Engine tests: the five operations, error codes, replay, fairness,
 backpressure, and the one-flush-per-poll batching discipline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.disk import CachedDrive, DiskDrive, DiskImage, tiny_test_disk
@@ -124,6 +126,18 @@ def test_open_with_empty_name_is_bad_request():
     _, server, [client] = make_served()
     with pytest.raises(RequestFailed) as excinfo:
         client.open("")
+    assert excinfo.value.status == ST_BAD_REQUEST
+
+
+# A non-empty name that does not decode: a BCPL length byte claiming five
+# characters where one follows, and a byte outside ASCII.
+@pytest.mark.parametrize("payload", [(0x0541,), (0x01FF,)],
+                         ids=["length-past-data", "non-ascii"])
+def test_open_with_malformed_name_is_bad_request(payload):
+    _, server, [client] = make_served()
+    request = replace(client.build_open("x", create=True), payload=payload)
+    with pytest.raises(RequestFailed) as excinfo:
+        client.transact(request)
     assert excinfo.value.status == ST_BAD_REQUEST
 
 

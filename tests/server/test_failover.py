@@ -6,9 +6,14 @@ test speed: the clean run, a handful of representative crash points
 (early, mid-stream, late), and the CLI plumbing itself.
 """
 
+import random
+
 import pytest
 
 from repro.server.failover import (
+    WORKLOAD_FILES,
+    WORKLOAD_MAX_BYTES,
+    WORKLOAD_MIN_BYTES,
     failover_crash_sweep,
     failover_drill,
     workload_files,
@@ -29,6 +34,22 @@ def test_clean_drill_acks_the_whole_workload():
 def test_workload_is_seed_deterministic():
     assert workload_files(7) == workload_files(7)
     assert workload_files(7) != workload_files(8)
+
+
+def per_byte_workload(seed):
+    """The drill's original one-draw-per-byte recipe, kept as the oracle."""
+    rng = random.Random(seed ^ 0x5EED)
+    files = []
+    for index in range(WORKLOAD_FILES):
+        size = rng.randrange(WORKLOAD_MIN_BYTES, WORKLOAD_MAX_BYTES)
+        files.append((f"drill{index}.dat",
+                      bytes(rng.randrange(256) for _ in range(size))))
+    return files
+
+
+@pytest.mark.parametrize("seed", [1, 7, 8, 601, 1979, 162088128])
+def test_workload_matches_the_per_byte_recipe(seed):
+    assert workload_files(seed) == per_byte_workload(seed)
 
 
 @pytest.mark.parametrize("point", [5, 45, 90])

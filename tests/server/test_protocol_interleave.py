@@ -19,8 +19,17 @@ from repro.server.protocol import (
 
 HOSTS = ("alpha", "bravo", "charlie", "delta")
 
-payloads = st.lists(
-    st.integers(min_value=0, max_value=0xFFFF), min_size=0, max_size=700)
+words = st.integers(min_value=0, max_value=0xFFFF)
+
+#: The header packet carries 249 payload words and a continuation 256, so
+#: these lengths are one packet (empty, one short of full, full), and two or
+#: three packets either side of a full continuation.
+EDGE_LENGTHS = (0, 248, 249, 250, 505, 506)
+
+payloads = st.one_of(
+    st.lists(words, min_size=0, max_size=700),
+    st.sampled_from(EDGE_LENGTHS).flatmap(
+        lambda n: st.lists(words, min_size=n, max_size=n)))
 
 
 def encode_streams(per_host_payloads):
@@ -95,3 +104,28 @@ def test_word_level_interleaving_of_continuations(per_host, data):
         FrameAssembler(), interleave(streams, data.draw))
     for i, payload in enumerate(per_host):
         assert interleaved[HOSTS[i]].payload == tuple(payload)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(payloads, payloads, st.lists(payloads, min_size=2, max_size=2), st.data())
+def test_a_header_mid_frame_abandons_only_that_hosts_frame(cut_short, restart,
+                                                           others, data):
+    """A host whose new header arrives before its frame finished: the old
+    frame is discarded and counted once in ``abandoned``, the new one
+    completes (one packet or several), and other hosts' frames are whole."""
+    old = encode_request(Request(OP_WRITE, request_id=1, handle=0,
+                                 payload=tuple(cut_short) + (7,) * 250),
+                         HOSTS[0], "srv")
+    sent = data.draw(st.integers(min_value=1, max_value=len(old) - 1))
+    new = Request(OP_WRITE, request_id=2, handle=0, payload=tuple(restart))
+    streams = encode_streams([()] + others)
+    streams[0] = old[:sent] + encode_request(new, HOSTS[0], "srv")
+
+    assembler = FrameAssembler()
+    frames = completed_frames(assembler, interleave(streams, data.draw))
+    assert frames[HOSTS[0]] == new
+    for i, payload in enumerate(others, start=1):
+        assert frames[HOSTS[i]].payload == tuple(payload)
+    assert assembler.abandoned == 1
+    assert assembler.stray == 0

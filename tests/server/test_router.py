@@ -7,6 +7,8 @@ unmodified ``"fileserver"`` host sees the same statuses, bytes, handle
 sequences, and LIST contents at any shard count.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import RequestFailed, ServerError
@@ -115,6 +117,20 @@ def test_bogus_handle_and_empty_name_fail_at_the_router():
         client.transact(client.build_open(""))
     assert excinfo.value.status == ST_BAD_REQUEST
     # Router-local errors never touch a shard.
+    assert system.router.stats()["router.forwarded"] == 0
+
+
+# A non-empty name that does not decode: a BCPL length byte claiming five
+# characters where one follows, and a byte outside ASCII.
+@pytest.mark.parametrize("payload", [(0x0541,), (0x01FF,)],
+                         ids=["length-past-data", "non-ascii"])
+def test_malformed_open_name_fails_at_the_router(payload):
+    system = make_cluster(shards=2)
+    [client] = system.clients
+    request = replace(client.build_open("x", create=True), payload=payload)
+    with pytest.raises(RequestFailed) as excinfo:
+        client.transact(request)
+    assert excinfo.value.status == ST_BAD_REQUEST
     assert system.router.stats()["router.forwarded"] == 0
 
 

@@ -136,6 +136,15 @@ class TestBcplStrings:
     def test_round_trip_property(self, text):
         assert words_to_string(string_to_words(text)) == text
 
+    @given(st.lists(st.integers(min_value=0, max_value=0xFFFF), max_size=140))
+    def test_arbitrary_words_raise_only_value_error(self, data):
+        # The server's OPEN decode catches ValueError alone, so a name off
+        # the wire must not fail any other way (UnicodeDecodeError is one).
+        try:
+            words_to_string(data)
+        except ValueError:
+            pass
+
 
 class TestFillsAndChecksum:
     def test_zero_and_ones(self):
