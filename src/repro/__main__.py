@@ -166,6 +166,33 @@ def stats_cmd(argv) -> int:
     return 0
 
 
+def _parse_points(parser, text):
+    """``--points N[,N...]`` as a list of ints (None: every point)."""
+    if not text:
+        return None
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        parser.error(f"--points expects integers, got {text!r}")
+
+
+def _print_sweep(result, replay: str, problems: bool = False) -> int:
+    """Print a sweep's summary and failures; returns the exit code.
+
+    *replay* is the subcommand line that reruns one point; *problems*
+    lists each failure's problems under it.
+    """
+    print(result.summary())
+    for failure in result.failures:
+        print(f"FAIL {failure}")
+        if problems:
+            for problem in failure.problems:
+                print(f"     {problem}")
+    if result.failures:
+        print(f"replay one point with: python -m repro {replay} --points <N> -v")
+    return 0 if result.ok else 1
+
+
 def crashtest(argv) -> int:
     """The ``crashtest`` subcommand: sweep every crash point and verify."""
     from .fs.check import canonical_build, canonical_workload, crash_point_sweep
@@ -196,13 +223,7 @@ def crashtest(argv) -> int:
                         help="record spans from every clock in the sweep and "
                              "write one merged Chrome trace JSON")
     args = parser.parse_args(argv)
-
-    points = None
-    if args.points:
-        try:
-            points = [int(p) for p in args.points.split(",")]
-        except ValueError:
-            parser.error(f"--points expects integers, got {args.points!r}")
+    points = _parse_points(parser, args.points)
 
     def narrate(report):
         status = "ok" if report.ok else "FAIL"
@@ -253,15 +274,10 @@ def crashtest(argv) -> int:
             handle.write("\n")
         spans = sum(1 for e in trace["traceEvents"] if e.get("ph") == "X")
         print(f"[trace written to {args.trace}: {spans} spans]")
-    print(result.summary())
-    for failure in result.failures:
-        print(f"FAIL {failure}")
-    if result.failures:
-        print(f"replay one point with: python -m repro crashtest --seed {args.seed}"
-              f"{' --tear' if args.tear else ''}{' --cached' if args.cached else ''}"
-              f"{' --rebalance' if args.rebalance else ''}"
-              f" --points <N> -v")
-    return 0 if result.ok else 1
+    return _print_sweep(
+        result, f"crashtest --seed {args.seed}"
+        f"{' --tear' if args.tear else ''}{' --cached' if args.cached else ''}"
+        f"{' --rebalance' if args.rebalance else ''}")
 
 
 def serve_cmd(argv) -> int:
@@ -397,14 +413,7 @@ def failover_cmd(argv) -> int:
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every crash point as it is checked")
     args = parser.parse_args(argv)
-
-    points = None
-    if args.points:
-        try:
-            points = [int(p) for p in args.points.split(",")]
-        except ValueError:
-            parser.error(f"--points expects integers, got {args.points!r}")
-
+    points = _parse_points(parser, args.points)
     maintain = not args.no_maintain
     if args.drill_only:
         report = failover_drill(seed=args.seed, cylinders=args.cylinders,
@@ -427,15 +436,7 @@ def failover_cmd(argv) -> int:
         )
     except (ValueError, RuntimeError) as exc:
         parser.error(str(exc))
-    print(result.summary())
-    for failure in result.failures:
-        print(f"FAIL {failure}")
-        for problem in failure.problems:
-            print(f"     {problem}")
-    if result.failures:
-        print(f"replay one point with: python -m repro failover "
-              f"--seed {args.seed} --points <N> -v")
-    return 0 if result.ok else 1
+    return _print_sweep(result, f"failover --seed {args.seed}", problems=True)
 
 
 def top_cmd(argv) -> int:

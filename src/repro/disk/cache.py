@@ -135,11 +135,9 @@ class CachedDrive(DiskDrive):
         fault_injector=None,
         max_read_retries: int = MAX_READ_RETRIES,
         cache_sectors: int = DEFAULT_CACHE_SECTORS,
-        hit_cost_us: int = CACHE_HIT_US,
     ) -> None:
         super().__init__(image, clock, fault_injector, max_read_retries)
         self.cache_sectors = cache_sectors
-        self.hit_cost_us = hit_cost_us
         self.cache_stats = CacheStats(parent=self.clock.obs.registry)
         self.scheduler = RequestScheduler(
             image.shape, parent_registry=self.clock.obs.registry)
@@ -247,7 +245,7 @@ class CachedDrive(DiskDrive):
         self.cache_stats.hits += 1
         with self.clock.obs.span("disk.cache.hit", "disk",
                                  address=address, op="write"):
-            self.clock.advance_us(self.hit_cost_us, CACHE)
+            self.clock.advance_us(CACHE_HIT_US, CACHE)
         return result
 
     # ------------------------------------------------------------------------
@@ -286,7 +284,7 @@ class CachedDrive(DiskDrive):
         self.cache_stats.hits += 1
         with self.clock.obs.span("disk.cache.hit", "disk",
                                  address=address, op="read"):
-            self.clock.advance_us(self.hit_cost_us, CACHE)
+            self.clock.advance_us(CACHE_HIT_US, CACHE)
         return result
 
     # ------------------------------------------------------------------------

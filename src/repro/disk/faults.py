@@ -219,8 +219,6 @@ class FaultPlan(FaultInjector):
         self.crash_reason: Optional[str] = None
         #: Part-writes seen so far (the crash-point coordinate system).
         self.writes_seen = 0
-        #: Read/check part attempts seen so far (includes drive retries).
-        self.reads_seen = 0
         self._crash_at_write: Optional[int] = None
         self._tear_at_write: Optional[int] = None
         self._crash_points: Dict[str, int] = {}  # point -> remaining passages
@@ -359,7 +357,6 @@ class FaultPlan(FaultInjector):
                     f"at address {address}"
                 )
         else:  # read or check
-            self.reads_seen += 1
             for burst in self._transient:
                 if burst.matches(address, part):
                     burst.remaining -= 1

@@ -32,8 +32,6 @@ class ArmTimer:
         self.shape = shape
         self.clock = clock
         self.cylinder = 0
-        self.seeks = 0
-        self.sectors_transferred = 0
         # Shape-derived constants, precomputed: these feed every sector
         # command and must not pay float round-trips per call.
         self._rotation_us_cached = round(shape.rotation_ms * MICROSECONDS_PER_MILLISECOND)
@@ -58,7 +56,6 @@ class ArmTimer:
         if cylinder != self.cylinder:
             self.clock.advance_ms(self.shape.seek_time_ms(self.cylinder, cylinder), SEEK)
             self.cylinder = cylinder
-            self.seeks += 1
 
     def wait_for_sector(self, sector: int) -> None:
         """Spin until *sector*'s leading edge is under the head."""
@@ -70,7 +67,6 @@ class ArmTimer:
     def transfer_sector(self) -> None:
         """Charge one sector time of transfer."""
         self.clock.advance_us(self._sector_us_cached, TRANSFER)
-        self.sectors_transferred += 1
 
     def position_for(self, address: int) -> None:
         """Seek + rotational wait for the sector at *address*.
@@ -95,7 +91,6 @@ class ArmTimer:
         if cylinder != self.cylinder:
             self.clock.advance_ms(shape.seek_time_ms(self.cylinder, cylinder), SEEK)
             self.cylinder = cylinder
-            self.seeks += 1
         clock = self.clock
         rotation_us = self._rotation_us_cached
         sector_us = self._sector_us_cached
@@ -118,7 +113,6 @@ class ArmTimer:
                 tallies[TRANSFER] += sector_us
             except KeyError:
                 tallies[TRANSFER] = sector_us
-        self.sectors_transferred += 1
 
     # -- accounting helpers -------------------------------------------------------
 

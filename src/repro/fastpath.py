@@ -1,18 +1,22 @@
 """The optional-acceleration gate: lazy numpy with a clean fallback.
 
-The bulk fast paths in :mod:`repro.words` (and anything else that wants
-vectorized help) never import numpy at module load.  They ask this gate,
-which tries the import exactly once, remembers the answer, and can be
-forced off -- either by the ``REPRO_NO_NUMPY=1`` environment variable (the
-CI "numpy absent" leg) or programmatically by the test suite
+One caller uses it: :func:`repro.words.random_bytes`, which scans large
+random blocks with numpy.  The word packing helpers do not: no
+benchmark workload packs 2048 or more items at once, and below that
+their ``array`` paths beat numpy's per-call overhead.
+
+Nothing imports numpy at module load.  Callers ask this gate, which
+tries the import exactly once, remembers the answer, and can be forced
+off -- either by the ``REPRO_NO_NUMPY=1`` environment variable (the CI
+"numpy absent" leg) or programmatically by the test suite
 (:func:`force_pure_python` / :func:`reset`), which also covers machines
 where numpy simply is not installed.
 
 Everything downstream must behave *identically* with and without numpy:
 the differential harness in ``tests/equivalence/`` runs both branches and
-asserts byte-identical results.  Fast paths therefore use numpy only for
-operations whose output is exactly reproducible in pure Python (packing,
-unpacking, summing 16-bit words) -- never for anything with float
+asserts byte-identical results.  A fast path therefore uses numpy only
+for an operation whose output is exactly reproducible in pure Python
+(picking bytes out of random words) -- never for anything with float
 rounding.
 """
 

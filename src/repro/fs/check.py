@@ -24,13 +24,19 @@ once to count its part-writes, then replay it once per write with a clean
 crash (or torn write) injected there, checking recovery after every crash.
 ``python -m repro crashtest`` and the ``crash_sweeper`` pytest fixture both
 drive this function.
+
+Every crash-point sweep in the repo -- this one, the rebalance sweep
+(:mod:`repro.server.rebalance`) and the failover sweep
+(:mod:`repro.server.failover`) -- runs on the driver here: one report
+base (:class:`PointReport`), one :class:`SweepResult`, and one point loop
+(:func:`sweep_points`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..disk.drive import DiskDrive
 from ..disk.faults import FaultPlan
@@ -86,16 +92,12 @@ def snapshot_files(fs: FileSystem) -> Dict[str, bytes]:
 
 
 @dataclass
-class RecoveryReport:
-    """Everything one post-crash recovery check found."""
+class PointReport:
+    """One crash point's verdict: the base every sweep's report extends."""
 
     crash_point: int = -1
-    crash_reason: str = ""
-    scavenge: Optional[ScavengeReport] = None
+    crash_reason: str = ""  #: why the run stopped; empty if it never crashed
     problems: List[str] = field(default_factory=list)
-    files_verified: int = 0
-    files_in_flight: int = 0
-    fsck_issues: int = 0
 
     @property
     def ok(self) -> bool:
@@ -103,6 +105,22 @@ class RecoveryReport:
 
     def note(self, problem: str) -> None:
         self.problems.append(problem)
+
+    @staticmethod
+    def summarize(result: "SweepResult") -> str:
+        """The one-line summary of a sweep of this report kind."""
+        return (f"{result.points_tested}/{result.total_writes} crash points "
+                f"swept: {result.verdict()}")
+
+
+@dataclass
+class RecoveryReport(PointReport):
+    """Everything one post-crash recovery check found."""
+
+    scavenge: Optional[ScavengeReport] = None
+    files_verified: int = 0
+    files_in_flight: int = 0
+    fsck_issues: int = 0
 
     def __str__(self) -> str:
         status = "ok" if self.ok else "; ".join(self.problems)
@@ -176,10 +194,12 @@ def check_recovery(
 
     # -- accounting: the map must agree with the labels ---------------------------
     unreadable_labels = {addr for (addr, part) in image.checksum_bad if part == "label"}
+    total = image.shape.total_sectors()
     for sector in image.sectors():
         address = sector.header.address
         if (
             address == BOOT_PAGE_ADDRESS
+            or address >= total  # an off-pack header: fsck names it above
             or address in image.bad_media
             or address in unreadable_labels
         ):
@@ -261,25 +281,54 @@ def _find_surviving(recovered: Dict[str, bytes], aliases: Sequence[str]) -> Opti
 
 @dataclass
 class SweepResult:
-    """Outcome of a full crash-point sweep."""
+    """Outcome of a crash-point sweep: the workload's part-write count and
+    one report per point swept, worded by the report kind (*kind*)."""
 
     total_writes: int = 0
-    points_tested: int = 0
-    reports: List[RecoveryReport] = field(default_factory=list)
+    reports: List[PointReport] = field(default_factory=list)
+    kind: Type[PointReport] = RecoveryReport
 
     @property
-    def failures(self) -> List[RecoveryReport]:
+    def points_tested(self) -> int:
+        return len(self.reports)
+
+    @property
+    def failures(self) -> List[PointReport]:
         return [r for r in self.reports if not r.ok]
 
     @property
     def ok(self) -> bool:
         return self.points_tested > 0 and not self.failures
 
+    def verdict(self, clean: str = "all recovered") -> str:
+        return clean if self.ok else f"{len(self.failures)} FAILED"
+
     def summary(self) -> str:
-        verdict = "all recovered" if self.ok else f"{len(self.failures)} FAILED"
-        return (
-            f"{self.points_tested}/{self.total_writes} crash points swept: {verdict}"
-        )
+        return self.kind.summarize(self)
+
+
+def sweep_points(
+    total: int,
+    points: Optional[Sequence[int]],
+    run_point: Callable[[int], PointReport],
+    on_point: Optional[Callable[[PointReport], None]] = None,
+    kind: Type[PointReport] = RecoveryReport,
+) -> SweepResult:
+    """The one point loop: ``run_point(n)`` for each crash point, in order.
+
+    *points* defaults to every part-write, ``1..total``; a point outside
+    that range raises ``ValueError`` when the loop reaches it.  *on_point*
+    sees each report as soon as its point is done.
+    """
+    result = SweepResult(total_writes=total, kind=kind)
+    for n in range(1, total + 1) if points is None else points:
+        if not 1 <= n <= total:
+            raise ValueError(f"crash point {n} outside 1..{total}")
+        report = run_point(n)
+        result.reports.append(report)
+        if on_point is not None:
+            on_point(report)
+    return result
 
 
 def crash_point_sweep(
@@ -315,39 +364,32 @@ def crash_point_sweep(
     baseline = image.snapshot()
     before = snapshot_files(fs)
 
-    # Pass 1: count part-writes over the same mount-then-run path the
-    # replays take (no faults scheduled), so crash points line up exactly.
-    plan = FaultPlan(image, seed=seed)
-    changes = workload(FileSystem.mount(make_drive(image, plan)))
-    total = plan.writes_seen
-
-    result = SweepResult(total_writes=total)
-    chosen = list(points) if points is not None else list(range(1, total + 1))
-    for n in chosen:
-        if not 1 <= n <= total:
-            raise ValueError(f"crash point {n} outside 1..{total}")
+    def run(n: int = 0):
+        """Replay the workload from the snapshot with a fault at write *n*
+        (0: none); returns the plan, the changes, and the crash reason."""
         image.restore(baseline)
         plan = FaultPlan(image, seed=seed)
-        if tear:
-            plan.tear_at_write(n)
-        else:
-            plan.crash_at_write(n)
-        drive = make_drive(image, plan)
-        reason = ""
+        if n:
+            (plan.tear_at_write if tear else plan.crash_at_write)(n)
         try:
-            workload(FileSystem.mount(drive))
+            return plan, workload(FileSystem.mount(make_drive(image, plan))), ""
         except PowerFailure as exc:
-            reason = str(exc)
+            return plan, None, str(exc)
+
+    # The counting pass takes the same mount-then-run path as the replays,
+    # so crash points line up exactly.
+    plan, changes, _ = run()
+
+    def check_point(n: int) -> RecoveryReport:
+        plan, _, reason = run(n)
         report = check_recovery(
             image, before, changes, crash_point=n, crash_reason=reason
         )
         if not reason:
             report.note(f"fault at write {n} never fired ({plan.writes_seen} writes seen)")
-        result.reports.append(report)
-        result.points_tested += 1
-        if on_point is not None:
-            on_point(report)
-    return result
+        return report
+
+    return sweep_points(plan.writes_seen, points, check_point, on_point)
 
 
 # ----------------------------------------------------------------------------

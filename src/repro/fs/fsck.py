@@ -13,7 +13,7 @@ Checked invariants:
 * NL/PL links agree with the absolute page numbering;
 * L = 512 on the leader and interior pages, L < 512 on the last page;
 * the allocation map (if the descriptor is readable) calls no in-use page
-  free;
+  free, and every in-use page's header names an address on the pack;
 * every directory entry names an existing file's leader, and the
   descriptor's root pointer resolves.
 
@@ -63,7 +63,7 @@ from .descriptor import DESCRIPTOR_LEADER_ADDRESS, DiskDescriptor
 from .directory import Directory
 from .file import FULL_PAGE
 from .leader import LeaderPage
-from .names import ORDINARY_SERIAL_FLAG, PAGE_NUMBER_BIAS, page_number_from_label
+from .names import page_number_from_label, parseable_label
 
 
 @dataclass(frozen=True)
@@ -101,20 +101,6 @@ class CheckReport:
 
     def note(self, kind: str, address: Optional[int], detail: str) -> None:
         self.issues.append(Issue(kind, address, detail))
-
-
-def _parseable(label) -> bool:
-    if not label.serial & ORDINARY_SERIAL_FLAG:
-        return False
-    if label.serial & 0xFFFF == 0:
-        return False
-    if not 1 <= label.version <= 0xFFFE:
-        return False
-    if label.page_number < PAGE_NUMBER_BIAS or label.page_number == 0xFFFF:
-        return False
-    if label.length > FULL_PAGE:
-        return False
-    return True
 
 
 def check_image(image: DiskImage, index: Optional["PackIndex"] = None) -> CheckReport:
@@ -179,7 +165,9 @@ class PackIndex:
         self.descriptor_issue: Optional[Issue] = None
         self.map_words: Optional[List[int]] = None
         self.allocator = None
-        self.lies: set = set()  # in-use addresses the map calls free
+        #: In-use address -> its map issue (the map calls it free, or its
+        #: header names an address off the pack).
+        self.map_issues: Dict[int, Issue] = {}
         self.last: Optional[CheckReport] = None
 
     def _check(self, image: DiskImage) -> CheckReport:
@@ -250,16 +238,22 @@ class PackIndex:
             if descriptor.free_map_words != self.map_words:
                 self.allocator = descriptor.allocator()
                 self.map_words = descriptor.free_map_words
-                self.lies.clear()
+                self.map_issues.clear()
                 recheck = range(len(sectors))  # a new map: every bit
-            allocator, lies = self.allocator, self.lies
-            for address in recheck:  # ascending: an off-pack header raises as in a full pass
-                lies.discard(address)
-                if labels[address].in_use and allocator.is_free(headers[address].address):
-                    lies.add(address)
-            for address in sorted(lies):
-                pass3.append(Issue("map-lies-free", headers[address].address,
-                                   "allocation map calls an in-use page free"))
+            allocator, issues, total = self.allocator, self.map_issues, len(sectors)
+            for address in recheck:
+                issues.pop(address, None)
+                if labels[address].in_use:
+                    named = headers[address].address
+                    if named >= total:
+                        issues[address] = Issue(
+                            "off-pack-header", address,
+                            f"header names address {named}, off the pack")
+                    elif allocator.is_free(named):
+                        issues[address] = Issue(
+                            "map-lies-free", named,
+                            "allocation map calls an in-use page free")
+            pass3 += [issues[address] for address in sorted(issues)]
             root = descriptor.root_directory.fid
             if (root.serial, root.version) not in files:
                 pass3.append(Issue("dangling-root", None,
@@ -288,7 +282,7 @@ class PackIndex:
             self.free_pages += sign
         elif label.is_bad:
             self.bad_pages += sign
-        elif not _parseable(label):
+        elif not parseable_label(label):
             if sign > 0:
                 self.pass1[address] = Issue(
                     "garbage-label", self.headers[address].address,

@@ -22,7 +22,7 @@ from typing import Optional
 from ..disk.geometry import NIL
 from ..disk.sector import DIRECTORY_SERIAL_FLAG, Label
 from ..errors import FileFormatError
-from ..words import WORD_MASK, check_word
+from ..words import PAGE_DATA_BYTES, WORD_MASK, check_word
 
 #: Marker bit present in every ordinary serial number, guaranteeing the high
 #: serial word is nonzero (see module docstring).
@@ -141,6 +141,25 @@ class FileId:
         if not label.in_use:
             raise FileFormatError("label does not describe an in-use page")
         return FileId(serial=label.serial, version=label.version)
+
+
+def parseable_label(label: Label) -> bool:
+    """Is this a structurally valid in-use label?
+
+    The one label-validity rule: the checker, the scavenger and the
+    online maintainer all call it.
+    """
+    if not label.serial & ORDINARY_SERIAL_FLAG:
+        return False
+    if label.serial & 0xFFFF == 0:  # low serial word must be nonzero
+        return False
+    if not 1 <= label.version <= 0xFFFE:
+        return False
+    if label.page_number < PAGE_NUMBER_BIAS or label.page_number == 0xFFFF:
+        return False
+    if label.length > PAGE_DATA_BYTES:
+        return False
+    return True
 
 
 def page_number_from_label(label: Label) -> int:

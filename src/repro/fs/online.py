@@ -6,7 +6,7 @@ run -- fine for the paper's single-user Alto, an eternity for a file
 server at production traffic (E1: ~a minute of downtime).
 :class:`OnlineMaintenance` does the always-on version: each call to
 :meth:`OnlineMaintenance.step` performs a *bounded* amount of work
-(``budget_us`` of simulated time, at most ``moves_per_slice`` page moves)
+(``budget_us`` of simulated time, at most :data:`MOVES_PER_SLICE` page moves)
 and returns, so a server can interleave one slice per poll cycle with
 request service (see ``FileServer.maintenance``).
 
@@ -51,7 +51,7 @@ for issue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..disk.sector import Label, VALUE_WORDS
 from ..errors import (
@@ -66,15 +66,14 @@ from ..errors import (
 from ..words import ones_words
 from .descriptor import BOOT_PAGE_ADDRESS, DESCRIPTOR_LEADER_ADDRESS
 from .fsck import PackIndex, check_image
-from .names import FileId, FullName, page_number_from_label
-from .scavenger import Scavenger
+from .names import FileId, FullName, page_number_from_label, parseable_label
 
 #: Default simulated-time work budget per slice (20 ms: a few label reads
 #: or one page move on the simulated disk).
 DEFAULT_BUDGET_US = 20_000
 
-#: Default page-move cap per slice (bounds write amplification per cycle).
-DEFAULT_MOVES_PER_SLICE = 1
+#: Page-move cap per slice (bounds write amplification per cycle).
+MOVES_PER_SLICE = 1
 
 #: Issue kinds tolerated at a *live* slice boundary (see module docstring).
 ONLINE_TOLERATED_ISSUES = ("ragged-end", "map-lies-free")
@@ -136,28 +135,18 @@ class OnlineMaintenance:
         self,
         fs,
         budget_us: int = DEFAULT_BUDGET_US,
-        moves_per_slice: int = DEFAULT_MOVES_PER_SLICE,
-        verify: bool = True,
-        compact: bool = True,
         continuous: bool = False,
-        tolerated: Tuple[str, ...] = ONLINE_TOLERATED_ISSUES,
     ) -> None:
         if budget_us < 1:
             raise ValueError("budget_us must be >= 1")
-        if moves_per_slice < 1:
-            raise ValueError("moves_per_slice must be >= 1")
         self.fs = fs
         self.drive = fs.drive
         self.budget_us = budget_us
-        self.moves_per_slice = moves_per_slice
-        self.verify = verify
-        self.compact = compact
         #: When True the maintainer is a patrol: a finished pass starts
         #: over from the top instead of going idle -- the 24/7 mode an
         #: always-on server runs, where map drift and fragmentation are
         #: re-audited for as long as the machine is up.
         self.continuous = continuous
-        self.tolerated = tuple(tolerated)
         self.report = MaintenanceReport()
         self.phase = PHASE_SWEEP
         #: Pre-existing issues, captured at the first slice boundary;
@@ -208,7 +197,7 @@ class OnlineMaintenance:
                 if self.phase == PHASE_SWEEP:
                     self._sweep_one()
                 elif self.phase == PHASE_COMPACT:
-                    if moves >= self.moves_per_slice:
+                    if moves >= MOVES_PER_SLICE:
                         break
                     moves += self._compact_one()
                 else:
@@ -299,7 +288,7 @@ class OnlineMaintenance:
                 self.report.map_freed += 1
                 self._c_map_repairs.inc()
             return
-        if label.in_use and not Scavenger._parseable(label):
+        if label.in_use and not parseable_label(label):
             self._free_garbage(address, label)
             return
         if allocator.is_free(address):
@@ -323,11 +312,7 @@ class OnlineMaintenance:
     def _end_sweep(self) -> None:
         self.fs.sync()  # persist the reconciled map (includes a flush)
         self.report.syncs += 1
-        if self.compact:
-            self.phase = PHASE_COMPACT
-        else:
-            self.report.passes += 1
-            self.phase = PHASE_DONE
+        self.phase = PHASE_COMPACT
 
     # ------------------------------------------------------------------------
     # Phase 2: incremental compaction
@@ -348,7 +333,7 @@ class OnlineMaintenance:
             label = Label.unpack(contents.label)
         except (BadSectorError, SectorChecksumError):
             return 0
-        if not label.in_use or not Scavenger._parseable(label):
+        if not label.in_use or not parseable_label(label):
             return 0
         page_number = page_number_from_label(label)
         if page_number == 0:
@@ -410,8 +395,6 @@ class OnlineMaintenance:
     # ------------------------------------------------------------------------
 
     def _check_boundary(self) -> None:
-        if not self.verify:
-            return
         self.fs.flush()  # the platter must hold the logically current state
         report = check_image(self.drive.image, self._index)
         self._c_checks.inc()
@@ -420,7 +403,7 @@ class OnlineMaintenance:
             self._baseline = {(issue.kind, issue.address)
                               for issue in report.issues}
         fatal = [issue for issue in report.issues
-                 if issue.kind not in self.tolerated
+                 if issue.kind not in ONLINE_TOLERATED_ISSUES
                  and (issue.kind, issue.address) not in self._baseline]
         for issue in report.issues:
             if issue.kind not in self.report.issues_seen:

@@ -54,11 +54,11 @@ from .leader import LeaderPage, MAX_NAME_LENGTH
 from .names import (
     FileId,
     FullName,
-    ORDINARY_SERIAL_FLAG,
     PAGE_NUMBER_BIAS,
     make_serial,
     next_usable_counter,
     page_number_from_label,
+    parseable_label,
     serial_counter,
 )
 from .page import PageIO
@@ -256,7 +256,7 @@ class Scavenger:
         if serial == SERIAL_BAD:
             self.report.bad_sectors.append(address)
             return
-        if not self._parseable(label):
+        if not parseable_label(label):
             garbage.append((address, label.pack()))
             return
         page = SweptPage(
@@ -270,21 +270,6 @@ class Scavenger:
         )
         self._pages.append(page)
         self._max_counter = max(self._max_counter, serial_counter(label.serial))
-
-    @staticmethod
-    def _parseable(label: Label) -> bool:
-        """Is this a structurally valid in-use label?"""
-        if not label.serial & ORDINARY_SERIAL_FLAG:
-            return False
-        if label.serial & 0xFFFF == 0:  # low serial word must be nonzero
-            return False
-        if not 1 <= label.version <= 0xFFFE:
-            return False
-        if label.page_number < PAGE_NUMBER_BIAS or label.page_number == 0xFFFF:
-            return False
-        if label.length > FULL_PAGE:
-            return False
-        return True
 
     # ------------------------------------------------------------------------
     # Phase 2: sort by absolute name

@@ -77,7 +77,6 @@ from .protocol import (
 )
 from .failover import (
     FailoverReport,
-    FailoverSweepResult,
     failover_crash_sweep,
     failover_drill,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "EventQueue",
     "FLAG_CREATE",
     "FailoverReport",
-    "FailoverSweepResult",
     "FileClient",
     "FileServer",
     "FrameAssembler",

@@ -123,7 +123,6 @@ class FileServer:
         max_pending: int = DEFAULT_MAX_PENDING,
         quantum: int = 1,
         admission: Optional[AdmissionCurve] = None,
-        qos_weights: Optional[Dict[str, int]] = None,
         admission_seed: int = 1979,
     ) -> None:
         self.fs = fs
@@ -135,9 +134,6 @@ class FileServer:
         #: ``max_pending`` (byte-identical to the PR-5 engine).
         self.admission = (admission if admission is not None
                           else AdmissionCurve.cliff(max_pending))
-        #: Requests allowed per class visit, per unit of ``quantum``.
-        self.qos_weights = dict(DEFAULT_QOS_WEIGHTS if qos_weights is None
-                                else qos_weights)
         self.clock = fs.drive.clock
         self.obs = self.clock.obs
         self.assembler = FrameAssembler()
@@ -272,12 +268,8 @@ class FileServer:
             self._in_cycle = False
         if wrote:
             with self.obs.span("server.flush", "server"):
-                drained = self.fs.flush()
+                self.fs.flush()
             self._c_flushes.inc()
-            for session in self.sessions.values():
-                for handle in session.handles.values():
-                    handle.wrote = False
-            del drained
         fired = self.timers.fire_due()
         if fired:
             self._c_timer_events.inc(fired)
@@ -424,7 +416,7 @@ class FileServer:
                      position: Dict[str, int], budget: Optional[int],
                      served_so_far: int) -> Tuple[int, bool]:
         """One class visit: up to ``weight * quantum`` requests."""
-        allowance = max(1, self.qos_weights.get(cls, 1)) * self.quantum
+        allowance = DEFAULT_QOS_WEIGHTS[cls] * self.quantum
         ready = self._ready[cls]
         served = 0
         wrote = False
@@ -479,7 +471,6 @@ class FileServer:
             session = self.sessions[client] = self._session_type(
                 client, qos=self._qos.get(client, QOS_INTERACTIVE))
             self._c_sessions.inc()
-        session.last_wake_us = self.clock.now_us
         cached = session.replay(request.request_id)
         if cached is not None:
             self._c_replayed.inc()
@@ -560,7 +551,7 @@ class FileServer:
             if not request.arg0 & FLAG_CREATE:
                 return Response(ST_NOT_FOUND, request.request_id)
             file = self.fs.create_file(name)
-        handle = session.grant(file, name, now_us=self.clock.now_us)
+        handle = session.grant(file)
         size = file.byte_length
         return Response(ST_OK, request.request_id, handle=handle,
                         result0=size >> 16, result1=size & 0xFFFF)
@@ -582,9 +573,7 @@ class FileServer:
             contents = handle.file.read_page(page)
             payload.extend(contents.value)
             tail_bytes = contents.label.length
-        handle.pages_read += pages
         self._c_pages_read.inc(pages)
-        session.read_cursor = (request.handle, first + pages)
         return Response(ST_OK, request.request_id, handle=request.handle,
                         result0=pages, result1=tail_bytes,
                         payload=tuple(payload))
@@ -627,8 +616,6 @@ class FileServer:
                     return Response(ST_BAD_PAGE, request.request_id), False
         except ValueError:
             return Response(ST_BAD_REQUEST, request.request_id), False
-        handle.pages_written += 1
-        handle.wrote = True
         self._c_pages_written.inc()
         return Response(ST_OK, request.request_id, handle=request.handle,
                         result0=file.last_page_number), True

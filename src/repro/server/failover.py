@@ -35,22 +35,24 @@ journal tail queued on the link), swaps it into the router, and checks:
    of every file matches, with the promoted pack passing
    :func:`~repro.fs.fsck.check_image`.
 
-:func:`failover_crash_sweep` runs the drill at every crash point (pass 1
-counts the writes, pass 2 replays each point from a fresh lab -- the
-same two-pass pattern as :func:`~repro.server.rebalance.rebalance_crash_sweep`).
+:func:`failover_crash_sweep` runs the drill at every crash point: the
+clean drill counts the primary's part-writes, then each point replays the
+drill from a fresh lab, on the crash-point driver every sweep shares
+(:func:`~repro.fs.check.sweep_points`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..disk.drive import DiskDrive
 from ..disk.faults import FaultPlan
 from ..disk.geometry import tiny_test_disk
 from ..disk.image import DiskImage
-from ..errors import PowerFailure, RequestFailed
+from ..errors import PowerFailure, ReproError, RequestFailed
+from ..fs.check import PointReport, SweepResult, sweep_points
 from ..fs.file import FULL_PAGE
 from ..fs.filesystem import FileSystem
 from ..fs.fsck import check_image
@@ -89,23 +91,14 @@ SEEDED_GARBAGE_LABELS = 10
 # ----------------------------------------------------------------------------
 
 @dataclass
-class FailoverReport:
+class FailoverReport(PointReport):
     """One crash point's failover verdict."""
 
-    crash_point: int
-    crash_reason: str = ""
     acked_pages: int = 0         #: pages acknowledged before the crash
     tail_records: int = 0        #: journal records replayed at promotion
     promotion_us: int = 0        #: simulated promotion time
     replay_probe: bool = False   #: retry answered from the replay cache
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def note(self, problem: str) -> None:
-        self.problems.append(problem)
+    part_writes: int = 0         #: primary part-writes by the workload's end
 
     def __str__(self) -> str:
         status = "ok" if self.ok else "; ".join(self.problems)
@@ -113,30 +106,13 @@ class FailoverReport:
                 f"tail={self.tail_records} "
                 f"promotion={self.promotion_us / 1000:.1f}ms: {status}")
 
-
-@dataclass
-class FailoverSweepResult:
-    """Outcome of the whole failover crash sweep."""
-
-    total_writes: int = 0
-    points_tested: int = 0
-    reports: List[FailoverReport] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[FailoverReport]:
-        return [r for r in self.reports if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return self.points_tested > 0 and not self.failures
-
-    def summary(self) -> str:
-        verdict = ("zero acked writes lost" if self.ok
-                   else f"{len(self.failures)} FAILED")
-        fired = sum(1 for r in self.reports if r.crash_reason)
-        worst = max((r.promotion_us for r in self.reports), default=0)
-        return (f"{self.points_tested}/{self.total_writes} failover crash "
-                f"points swept ({fired} fired): {verdict}; worst promotion "
+    @staticmethod
+    def summarize(result: SweepResult) -> str:
+        fired = sum(1 for r in result.reports if r.crash_reason)
+        worst = max((r.promotion_us for r in result.reports), default=0)
+        return (f"{result.points_tested}/{result.total_writes} failover crash "
+                f"points swept ({fired} fired): "
+                f"{result.verdict('zero acked writes lost')}; worst promotion "
                 f"{worst / 1000:.1f}ms")
 
 
@@ -296,6 +272,7 @@ def failover_drill(
         crashed = True
         report.crash_reason = str(exc)
     report.acked_pages = len(acked)
+    report.part_writes = lab.plan.writes_seen
 
     if crashed:
         replayed_before = lab.router.stats().get("router.replayed", 0)
@@ -338,7 +315,7 @@ def _verify_acked(fs: FileSystem, acked: Dict[Tuple[str, int], bytes],
     for name, pages in sorted(by_file.items()):
         try:
             file = fs.open_file(name)
-        except Exception as exc:
+        except ReproError as exc:
             report.note(f"acked file {name} lost at failover "
                         f"({type(exc).__name__})")
             continue
@@ -382,7 +359,7 @@ def _verify_readback(lab: _Lab, report: FailoverReport) -> None:
     for name, data in lab.files:
         try:
             got = lab.client.read_file(name)
-        except Exception as exc:
+        except ReproError as exc:
             report.note(f"read-back of {name} failed "
                         f"({type(exc).__name__}: {exc})")
             continue
@@ -410,40 +387,18 @@ def failover_crash_sweep(
     points: Optional[Sequence[int]] = None,
     maintain: bool = True,
     on_point: Optional[Callable[[FailoverReport], None]] = None,
-) -> FailoverSweepResult:
+) -> SweepResult:
     """Crash the primary at every part-write of the drill; verify each.
 
-    Pass 1 runs the drill clean to count the primary's part-writes; pass
-    2 replays the drill from a fresh lab per point with the crash
-    scheduled there.  *points* restricts the sweep (1-based, as
-    ``FaultPlan.crash_at_write`` counts).
+    The clean drill counts the primary's part-writes through the end of
+    its workload; then the drill is replayed from a fresh lab per point
+    with the crash scheduled there.  *points* restricts the sweep
+    (1-based, as ``FaultPlan.crash_at_write`` counts).
     """
     clean = failover_drill(seed, cylinders, crash_at=None, maintain=maintain)
     if not clean.ok:
         raise RuntimeError(f"clean drill failed: {'; '.join(clean.problems)}")
-    # The clean pass's lab is gone; count writes with a probe lab run the
-    # same way.  FaultPlan counts every part-write it sees.
-    probe_lab_writes = _count_writes(seed, cylinders, maintain)
-    result = FailoverSweepResult(total_writes=probe_lab_writes)
-    chosen = (list(points) if points is not None
-              else list(range(1, probe_lab_writes + 1)))
-    for n in chosen:
-        if not 1 <= n <= probe_lab_writes:
-            raise ValueError(
-                f"crash point {n} outside 1..{probe_lab_writes}")
-        report = failover_drill(seed, cylinders, crash_at=n,
-                                maintain=maintain)
-        result.reports.append(report)
-        result.points_tested += 1
-        if on_point is not None:
-            on_point(report)
-    return result
-
-
-def _count_writes(seed: int, cylinders: int, maintain: bool) -> int:
-    """How many part-writes the primary performs in a clean drill."""
-    lab = _Lab(seed, cylinders, maintain)
-    lab.primary.replication.bootstrap()
-    for name, data in lab.files:
-        _upload(lab.client, name, data)
-    return lab.plan.writes_seen
+    return sweep_points(
+        clean.part_writes, points,
+        lambda n: failover_drill(seed, cylinders, crash_at=n, maintain=maintain),
+        on_point, kind=FailoverReport)

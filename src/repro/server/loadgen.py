@@ -41,6 +41,9 @@ from .protocol import Request, Response, ST_OK
 #: Maximum driver rounds with zero progress before declaring livelock.
 STALL_LIMIT = 10_000
 
+#: Write-back cache size of every served pack's drive, in sectors.
+SERVER_CACHE_SECTORS = 512
+
 
 @dataclass
 class ServedSystem:
@@ -64,8 +67,6 @@ def build_system(
     clients: int,
     seed: int = 1979,
     cached: bool = True,
-    cache_sectors: int = 512,
-    big_disk: bool = False,
     max_pending: int = 128,
     tiny: bool = False,
 ) -> ServedSystem:
@@ -81,7 +82,7 @@ def build_system(
     else:
         shape = diablo31()
     image = DiskImage(shape)
-    drive = (CachedDrive(image, cache_sectors=cache_sectors)
+    drive = (CachedDrive(image, cache_sectors=SERVER_CACHE_SECTORS)
              if cached else DiskDrive(image))
     fs = FileSystem.format(drive)
     network = PacketNetwork(clock=drive.clock)
@@ -139,8 +140,6 @@ def build_cluster(
     shards: int = 2,
     seed: int = 1979,
     cached: bool = True,
-    cache_sectors: int = 512,
-    big_disk: bool = False,
     max_pending: int = 128,
     per_shard_window: int = 32,
     tiny: bool = False,
@@ -166,7 +165,7 @@ def build_cluster(
         else:
             shape = diablo31()
         image = DiskImage(shape)
-        drive = (CachedDrive(image, cache_sectors=cache_sectors)
+        drive = (CachedDrive(image, cache_sectors=SERVER_CACHE_SECTORS)
                  if cached else DiskDrive(image))
         fs = FileSystem.format(drive)
         host = f"shard{index:02d}"

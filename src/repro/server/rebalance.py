@@ -41,12 +41,22 @@ False
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import FileNotFound, ReproError
+from ..disk.cache import CachedDrive
+from ..disk.drive import DiskDrive
+from ..disk.faults import FaultPlan
+from ..disk.geometry import tiny_test_disk
+from ..disk.image import DiskImage
+from ..errors import FileNotFound, PowerFailure, ReproError
+from ..fs.check import TOLERATED_ISSUES, PointReport, SweepResult, sweep_points
 from ..fs.filesystem import FileSystem
+from ..fs.fsck import check_image
+from ..fs.scavenger import Scavenger
 from ..words import random_bytes
+from .shardmap import ShardMap
 
 #: The durable commit record on the *target* pack.  Its existence is the
 #: whole commit state: present = roll forward, absent = roll back.
@@ -231,22 +241,20 @@ def recover_shipment(source_fs: FileSystem,
 # ----------------------------------------------------------------------------
 
 
-class _TaggedPlan:
-    """Builds a :class:`~repro.disk.faults.FaultPlan` subclass whose write
-    stream is logged into a shared, globally ordered list -- the coordinate
-    system for crash points spanning two packs."""
+class _TaggedPlan(FaultPlan):
+    """A fault plan that logs each write it sees into a shared, globally
+    ordered list -- the coordinate system for crash points spanning two
+    packs."""
 
-    @staticmethod
-    def make(image, seed: int, tag: str, log: List[str]):
-        from ..disk.faults import FaultPlan
+    def __init__(self, image, seed: int, tag: str, log: List[str]) -> None:
+        super().__init__(image, seed=seed)
+        self.tag = tag
+        self.log = log
 
-        class Tagged(FaultPlan):
-            def before_part(self, drive, address, part, action):
-                if action == "write" and not self.crashed:
-                    log.append(tag)
-                super().before_part(drive, address, part, action)
-
-        return Tagged(image, seed=seed)
+    def before_part(self, drive, address, part, action):
+        if action == "write" and not self.crashed:
+            self.log.append(self.tag)
+        super().before_part(drive, address, part, action)
 
 
 def _build_shipping_lab(seed: int, cylinders: int):
@@ -256,13 +264,6 @@ def _build_shipping_lab(seed: int, cylinders: int):
     holding the most of them (at least two with the default seed), so the
     sweep exercises multi-file shipments.
     """
-    import random
-
-    from ..disk.drive import DiskDrive
-    from ..disk.geometry import tiny_test_disk
-    from ..disk.image import DiskImage
-    from .shardmap import ShardMap
-
     source_image = DiskImage(tiny_test_disk(cylinders=cylinders))
     target_image = DiskImage(tiny_test_disk(cylinders=cylinders))
     source_fs = FileSystem.format(DiskDrive(source_image))
@@ -290,48 +291,21 @@ def _build_shipping_lab(seed: int, cylinders: int):
 
 
 @dataclass
-class ShipmentReport:
+class ShipmentReport(PointReport):
     """One crash point's recovery verdict."""
 
-    crash_point: int
-    crash_reason: str = ""
     rolled: str = ""  # "forward" or "back"
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def note(self, problem: str) -> None:
-        self.problems.append(problem)
 
     def __str__(self) -> str:
         status = "ok" if self.ok else "; ".join(self.problems)
         return f"crash@{self.crash_point} rolled {self.rolled or '?'}: {status}"
 
-
-@dataclass
-class ShipmentSweepResult:
-    """Outcome of the whole rebalance crash sweep."""
-
-    total_writes: int = 0
-    points_tested: int = 0
-    reports: List[ShipmentReport] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[ShipmentReport]:
-        return [r for r in self.reports if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return self.points_tested > 0 and not self.failures
-
-    def summary(self) -> str:
-        verdict = "all recovered" if self.ok else f"{len(self.failures)} FAILED"
-        forward = sum(1 for r in self.reports if r.rolled == "forward")
-        return (f"{self.points_tested}/{self.total_writes} shipping crash "
-                f"points swept: {verdict} ({forward} rolled forward, "
-                f"{self.points_tested - forward} rolled back)")
+    @staticmethod
+    def summarize(result: SweepResult) -> str:
+        forward = sum(1 for r in result.reports if r.rolled == "forward")
+        return (f"{result.points_tested}/{result.total_writes} shipping crash "
+                f"points swept: {result.verdict()} ({forward} rolled forward, "
+                f"{result.points_tested - forward} rolled back)")
 
 
 def _check_shipping_recovery(
@@ -340,10 +314,6 @@ def _check_shipping_recovery(
     report: ShipmentReport,
 ) -> None:
     """Scavenge, recover, and assert every shipping invariant."""
-    from ..disk.drive import DiskDrive
-    from ..fs.fsck import check_image
-    from ..fs.scavenger import Scavenger
-
     try:
         Scavenger(DiskDrive(source_image)).scavenge()
         Scavenger(DiskDrive(target_image)).scavenge()
@@ -411,7 +381,7 @@ def _check_shipping_recovery(
     # Both packs pass the read-only fsck (the replica-unit property).
     for label, img in (("source", source_image), ("target", target_image)):
         for issue in check_image(img).issues:
-            if issue.kind not in ("ragged-end",):
+            if issue.kind not in TOLERATED_ISSUES:
                 report.note(f"fsck[{label}]: {issue}")
 
 
@@ -422,7 +392,7 @@ def rebalance_crash_sweep(
     points: Optional[Sequence[int]] = None,
     on_point: Optional[Callable[[ShipmentReport], None]] = None,
     cached: bool = False,
-) -> ShipmentSweepResult:
+) -> SweepResult:
     """Crash pack shipping at every part-write across both packs.
 
     Writes on the two drives are globally ordered by a shared log, so
@@ -432,63 +402,44 @@ def rebalance_crash_sweep(
     there, scavenges **both** packs, runs :func:`recover_shipment`, and
     checks that the moving names survive intact on exactly one pack.
     """
-    from ..disk.drive import DiskDrive
-
-    def make_drive(image, plan):
-        if cached:
-            from ..disk.cache import CachedDrive
-
-            return CachedDrive(image, fault_injector=plan)
-        return DiskDrive(image, fault_injector=plan)
-
+    drive_type = CachedDrive if cached else DiskDrive
     (source_image, target_image, source_contents, target_contents,
      slot, moving) = _build_shipping_lab(seed, cylinders)
     source_base = source_image.snapshot()
     target_base = target_image.snapshot()
 
-    def run_shipment(log: List[str], plans: List) -> None:
-        source_plan = _TaggedPlan.make(source_image, seed, "s", log)
-        target_plan = _TaggedPlan.make(target_image, seed + 1, "t", log)
-        plans.extend([source_plan, target_plan])
-        source_fs = FileSystem.mount(make_drive(source_image, source_plan))
-        target_fs = FileSystem.mount(make_drive(target_image, target_plan))
-        ship_names(source_fs, target_fs, moving, slot)
-
-    # Pass 1: no faults; the log becomes the global write order.
-    order: List[str] = []
-    run_shipment(order, [])
-    total = len(order)
-
-    result = ShipmentSweepResult(total_writes=total)
-    chosen = list(points) if points is not None else list(range(1, total + 1))
-    from ..errors import PowerFailure
-
-    for n in chosen:
-        if not 1 <= n <= total:
-            raise ValueError(f"crash point {n} outside 1..{total}")
+    def run(n: int = 0) -> Tuple[List[str], str]:
+        """Replay the shipment from the snapshots with a fault at global
+        write *n* (0: none); returns the write log and the crash reason."""
         source_image.restore(source_base)
         target_image.restore(target_base)
-        local = order[:n].count(order[n - 1])
         log: List[str] = []
-        plans: List = []
-        report = ShipmentReport(crash_point=n)
-        try:
-            # Schedule on the right pack's plan once both exist; mounting
-            # performs no writes, so scheduling before the run is safe.
-            source_plan = _TaggedPlan.make(source_image, seed, "s", log)
-            target_plan = _TaggedPlan.make(target_image, seed + 1, "t", log)
+        source_plan = _TaggedPlan(source_image, seed, "s", log)
+        target_plan = _TaggedPlan(target_image, seed + 1, "t", log)
+        if n:
+            # Schedule on the pack the write lands on; mounting performs
+            # no writes, so scheduling before the run is safe.
             victim = source_plan if order[n - 1] == "s" else target_plan
+            local = order[:n].count(order[n - 1])
             (victim.tear_at_write if tear else victim.crash_at_write)(local)
-            source_fs = FileSystem.mount(make_drive(source_image, source_plan))
-            target_fs = FileSystem.mount(make_drive(target_image, target_plan))
-            ship_names(source_fs, target_fs, moving, slot)
-            report.note(f"fault at global write {n} never fired")
+        try:
+            ship_names(
+                FileSystem.mount(drive_type(source_image, fault_injector=source_plan)),
+                FileSystem.mount(drive_type(target_image, fault_injector=target_plan)),
+                moving, slot)
         except PowerFailure as exc:
-            report.crash_reason = str(exc)
+            return log, str(exc)
+        return log, ""
+
+    order = run()[0]  # the counting pass: its log is the global write order
+
+    def check_point(n: int) -> ShipmentReport:
+        report = ShipmentReport(crash_point=n, crash_reason=run(n)[1])
+        if not report.crash_reason:
+            report.note(f"fault at global write {n} never fired")
         _check_shipping_recovery(source_image, target_image, moving,
                                  source_contents, target_contents, report)
-        result.reports.append(report)
-        result.points_tested += 1
-        if on_point is not None:
-            on_point(report)
-    return result
+        return report
+
+    return sweep_points(len(order), points, check_point, on_point,
+                        kind=ShipmentReport)

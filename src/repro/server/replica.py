@@ -524,8 +524,6 @@ class PromotionReport:
 def promote(
     standby: ReplicaStandby,
     host: Optional[str] = None,
-    server_type=FileServer,
-    **server_kwargs,
 ) -> PromotionReport:
     """Turn *standby* into a serving primary.
 
@@ -549,8 +547,7 @@ def promote(
         serve_host = host if host is not None else standby.host
         if serve_host not in standby.network.hosts():
             standby.network.attach(serve_host, queue_limit=4096, clock=clock)
-        server = server_type(fs, standby.network, host=serve_host,
-                             **server_kwargs)
+        server = FileServer(fs, standby.network, host=serve_host)
     registry.counter("replica.promotions").inc()
     registry.counter("replica.tail_replayed").inc(tail)
     return PromotionReport(server=server, tail_records=tail,

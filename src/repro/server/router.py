@@ -128,7 +128,6 @@ class _InFlight:
 
     request: Request                 #: the client's original frame
     shard: Optional[int]             #: pinned shard; None for a scatter
-    epoch: int                       #: map epoch at admission (the pin's why)
     name: Optional[str] = None       #: file name, when the op has one
     sent_us: int = 0                 #: router clock when first forwarded
     packets: List[Packet] = field(default_factory=list)
@@ -447,8 +446,7 @@ class ShardRouter:
             return
         packets = encode_request(forward if forward is not None else request,
                                  state.proxy, self.shards[shard].host)
-        ctx = _InFlight(request=request, shard=shard,
-                        epoch=self.shard_map.epoch, name=name,
+        ctx = _InFlight(request=request, shard=shard, name=name,
                         sent_us=self.clock.now_us, packets=packets)
         state.inflight[request.request_id] = ctx
         self._pending += 1
@@ -466,7 +464,6 @@ class ShardRouter:
             return
         with self.obs.span("router.scatter", "router", shards=len(self.shards)):
             ctx = _InFlight(request=request, shard=None,
-                            epoch=self.shard_map.epoch,
                             sent_us=self.clock.now_us)
             self._h_scatter_fanout.observe(len(self.shards))
             ctx.pending_shards = set(range(len(self.shards)))

@@ -1,22 +1,21 @@
 """Per-client session state: open handles and the at-most-once replay cache.
 
 The server keeps one :class:`Session` per client host.  A session owns the
-client's open-file handles, remembers where its last sequential read ended
-(so the engine can spot batchable runs), and caches the encoded response
-of recent requests keyed by request id -- a retried request id is answered
-from the cache without re-executing, which is what makes client retries
-safe for non-idempotent operations like page appends.
+client's open-file handles and caches the encoded response of recent
+requests keyed by request id -- a retried request id is answered from the
+cache without re-executing, which is what makes client retries safe for
+non-idempotent operations like page appends.
 
 Under the event-driven engine a session also carries its QoS class (the
-scheduling and admission bucket -- see :mod:`repro.server.qos`) and the
-simulated time of its last wakeup; a session with nothing queued sleeps
-and costs the engine nothing per poll cycle.
+scheduling and admission bucket -- see :mod:`repro.server.qos`); a
+session with nothing queued sleeps and costs the engine nothing per poll
+cycle.
 
 >>> from repro.server.session import Session
 >>> session = Session("workstation")
 >>> session.qos
 'interactive'
->>> handle = session.grant(object(), "memo.txt")
+>>> handle = session.grant(object())
 >>> handle, session.resolve(handle) is None
 (1, False)
 >>> _ = session.release(handle)
@@ -27,7 +26,7 @@ True
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 #: Cached replies kept per session; a retry storm deeper than this falls
@@ -43,11 +42,6 @@ class OpenHandle:
     """One open file within a session."""
 
     file: object                 #: the :class:`~repro.fs.file.AltoFile`
-    name: str
-    opened_at_us: int = 0
-    pages_read: int = 0
-    pages_written: int = 0
-    wrote: bool = False          #: dirtied the disk since the last flush
 
 
 class Session:
@@ -63,22 +57,18 @@ class Session:
         self.client = client
         #: The QoS class this session is scheduled and admitted under.
         self.qos = qos
-        #: Simulated time the engine last woke this session for service.
-        self.last_wake_us = 0
         self.handles: "OrderedDict[int, OpenHandle]" = OrderedDict()
         self._next_handle = 1
         self._replies: "OrderedDict[int, List]" = OrderedDict()
         self.requests_served = 0
-        #: (handle, next page) of the last sequential read, for batching.
-        self.read_cursor: Optional[tuple] = None
 
     # -- handles --------------------------------------------------------------
 
-    def grant(self, file, name: str, now_us: int = 0) -> int:
+    def grant(self, file) -> int:
         """Allocate a handle for *file*; handles are session-scoped."""
         handle = self._next_handle
         self._next_handle = handle % MAX_HANDLE + 1
-        self.handles[handle] = OpenHandle(file, name, opened_at_us=now_us)
+        self.handles[handle] = OpenHandle(file)
         return handle
 
     def resolve(self, handle: int) -> Optional[OpenHandle]:
@@ -100,15 +90,6 @@ class Session:
         self._replies[request_id] = packets
         while len(self._replies) > REPLAY_CACHE_SIZE:
             self._replies.popitem(last=False)
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def dirty_handles(self) -> List[OpenHandle]:
-        return [h for h in self.handles.values() if h.wrote]
-
-    def open_names(self) -> List[str]:
-        """The file names this session currently holds open."""
-        return [h.name for h in self.handles.values()]
 
     def __repr__(self) -> str:
         return (f"Session({self.client!r}, handles={len(self.handles)}, "

@@ -8,11 +8,13 @@ byte packing (two bytes per word, big-endian within the word as on the Alto),
 and BCPL-style string coding.
 
 The packing and checksum hot loops run as *bulk operations*
-(``array('H')``/``int.from_bytes``-class primitives, optionally numpy via
-:mod:`repro.fastpath` for large buffers).  The original word-at-a-time
-forms survive in :mod:`repro.reference`, and ``tests/equivalence/``
-asserts fast == reference on arbitrary inputs; see ARCHITECTURE.md,
-"Fast paths and the differential harness".
+(``array('H')``/``int.from_bytes``-class primitives); only
+:func:`random_bytes` asks :mod:`repro.fastpath` for numpy, for large
+counts.  Each helper has one path: packing takes a bytes-like buffer and
+unpacking takes 16-bit int words, and anything else raises.  The original
+word-at-a-time forms survive in :mod:`repro.reference`, and
+``tests/equivalence/`` asserts fast == reference on arbitrary inputs;
+see ARCHITECTURE.md, "Fast paths and the differential harness".
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from . import fastpath
 #: a little-endian host byteswaps the C array in one C call.
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
-#: Below this many words/bytes the ``array`` path wins; above it numpy
-#: (when available) is worth its per-call overhead.  The value is not
-#: semantically meaningful -- both branches are exact and equivalence-
-#: tested -- it only picks the faster of two identical answers.
+#: Below this many bytes :func:`random_bytes` scans its block in pure
+#: Python; from here on numpy (when available) is worth its per-call
+#: overhead.  The value is not semantically meaningful -- both branches
+#: are exact and equivalence-tested -- it only picks the faster of two
+#: identical answers.
 _NUMPY_MIN_ITEMS = 2048
 
 WORD_BITS = 16
@@ -91,36 +94,21 @@ def bytes_to_words(data: bytes, pad: int = 0) -> List[int]:
 
     An odd trailing byte is padded with *pad* (default 0) in the low byte,
     matching the Alto convention that the byte count -- not the word count --
-    records the true length.
+    records the true length.  *data* must be a bytes-like buffer; anything
+    else (a list of ints, say) raises ``TypeError``.
 
     Bulk implementation; reference twin:
     :func:`repro.reference.bytes_to_words_reference`.
     """
     n = len(data)
-    even = n & ~1
-    try:
-        if n >= _NUMPY_MIN_ITEMS:
-            np = fastpath.numpy()
-            if np is not None:
-                words = np.frombuffer(data, dtype=">u2", count=even >> 1).tolist()
-                if n & 1:
-                    words.append((data[-1] << 8) | (pad & 0xFF))
-                return words
-        packed = array("H")
-        packed.frombytes(data if not n & 1 else memoryview(data)[:even])
-        if _LITTLE_ENDIAN:
-            packed.byteswap()
-        words = packed.tolist()
-        if n & 1:
-            words.append((data[-1] << 8) | (pad & 0xFF))
-        return words
-    except (TypeError, BufferError):
-        # Exotic input (a plain int sequence, an unbuffered object):
-        # degrade to the byte-at-a-time reference loop, which accepts
-        # anything indexable.
-        from .reference import bytes_to_words_reference
-
-        return bytes_to_words_reference(data, pad)
+    packed = array("H")
+    packed.frombytes(data if not n & 1 else memoryview(data)[:n - 1])
+    if _LITTLE_ENDIAN:
+        packed.byteswap()
+    words = packed.tolist()
+    if n & 1:
+        words.append((data[-1] << 8) | (pad & 0xFF))
+    return words
 
 
 def words_to_bytes(words: Sequence[int], nbytes: int = -1) -> bytes:
@@ -129,7 +117,9 @@ def words_to_bytes(words: Sequence[int], nbytes: int = -1) -> bytes:
     When *nbytes* is given, the result is truncated to that many bytes (used
     to honour a page's byte length L, which may be odd).  ``nbytes`` is
     validated up front: it must be ``-1`` (no truncation) or at most the
-    ``2 * len(words)`` bytes actually available.
+    ``2 * len(words)`` bytes actually available.  Every word must be an
+    int in 0..0xFFFF: a word out of range raises ``OverflowError`` and a
+    non-int word raises ``TypeError``.
 
     Bulk implementation; reference twin:
     :func:`repro.reference.words_to_bytes_reference`.
@@ -138,23 +128,11 @@ def words_to_bytes(words: Sequence[int], nbytes: int = -1) -> bytes:
         raise ValueError(f"nbytes must be -1 (no truncation) or >= 0, got {nbytes}")
     if nbytes > 2 * len(words):
         raise ValueError(f"asked for {nbytes} bytes from {2 * len(words)} available")
-    try:
-        if len(words) >= _NUMPY_MIN_ITEMS:
-            np = fastpath.numpy()
-            if np is not None:
-                out = np.asarray(words, dtype=">u2").tobytes()
-                return out if nbytes == -1 else out[:nbytes]
-        packed = array("H", words)
-        if _LITTLE_ENDIAN:
-            packed.byteswap()
-        out = packed.tobytes()
-        return out if nbytes == -1 else out[:nbytes]
-    except (TypeError, OverflowError):
-        # Out-of-range or non-int words: the reference loop reproduces the
-        # historical masking semantics ((w >> 8) & 0xFF, w & 0xFF) exactly.
-        from .reference import words_to_bytes_reference
-
-        return words_to_bytes_reference(words, nbytes)
+    packed = array("H", words)
+    if _LITTLE_ENDIAN:
+        packed.byteswap()
+    out = packed.tobytes()
+    return out if nbytes == -1 else out[:nbytes]
 
 
 def string_to_words(text: str, max_bytes: int = 255) -> List[int]:

@@ -35,13 +35,18 @@ from repro.words import (
 from repro.words import _NUMPY_MIN_ITEMS
 
 
-@pytest.fixture
-def numpy_hidden(monkeypatch):
-    """numpy uninstalled, as far as any ``import numpy`` can tell."""
+def hide_numpy(monkeypatch):
+    """Make every ``import numpy`` fail until *monkeypatch* undoes it."""
     for name in [m for m in sys.modules if m == "numpy" or m.startswith("numpy.")]:
         monkeypatch.delitem(sys.modules, name)
     monkeypatch.setitem(sys.modules, "numpy", None)  # import -> ImportError
     fastpath.reset()
+
+
+@pytest.fixture
+def numpy_hidden(monkeypatch):
+    """numpy uninstalled, as far as any ``import numpy`` can tell."""
+    hide_numpy(monkeypatch)
     yield
     fastpath.reset()  # re-probe with the real sys.modules restored
 
@@ -70,6 +75,23 @@ def test_equivalence_holds_without_numpy(numpy_hidden):
     a, b = random.Random(1979), random.Random(1979)
     assert random_bytes(a, 4000) == random_bytes_reference(b, 4000)
     assert a.getrandbits(64) == b.getrandbits(64)
+
+
+def test_float_words_raise_alike_with_and_without_numpy(monkeypatch):
+    """A non-int word is rejected the same way on both sides of the gate,
+    at the size where packing once switched to numpy (which truncated
+    1.5 to 1 instead of raising)."""
+    words = [1.5] * _NUMPY_MIN_ITEMS
+    with pytest.raises(TypeError) as present:
+        words_to_bytes(words)
+    hide_numpy(monkeypatch)
+    try:
+        with pytest.raises(TypeError) as hidden:
+            words_to_bytes(words)
+    finally:
+        monkeypatch.undo()
+        fastpath.reset()
+    assert str(hidden.value) == str(present.value)
 
 
 def test_workload_digest_identical_without_numpy(numpy_hidden):

@@ -70,10 +70,12 @@ class TestBytesToWords:
                 data = bytes(rng.randrange(256) for _ in range(n + extra))
                 assert bytes_to_words(data, 0xAB) == bytes_to_words_reference(data, 0xAB)
 
-    def test_exotic_input_degrades_to_reference(self, numpy_mode):
-        # A plain list of ints is not a buffer; both forms must agree anyway.
-        data = [0x41, 0x42, 0x43]
-        assert bytes_to_words(data) == bytes_to_words_reference(bytes(data))
+    @pytest.mark.parametrize("n", [2, 3, _NUMPY_MIN_ITEMS + 1])
+    def test_non_buffer_input_rejected(self, numpy_mode, n):
+        # Only a bytes-like buffer packs: a plain list of ints raises at
+        # any length, even or odd, on both sides of the numpy gate.
+        with pytest.raises(TypeError):
+            bytes_to_words([0x41] * n)
 
 
 class TestWordsToBytes:
@@ -97,11 +99,15 @@ class TestWordsToBytes:
                 assert words_to_bytes(data, 2 * n - 1) == words_to_bytes_reference(data, 2 * n - 1)
 
     @eq_settings
-    @given(st.lists(st.integers(min_value=-(2 ** 20), max_value=2 ** 20), min_size=1, max_size=50))
-    def test_out_of_range_words_match_reference_masking(self, numpy_mode, data):
-        # Out-of-range and negative words take the historical masking path
-        # ((w >> 8) & 0xFF, w & 0xFF) in both implementations.
-        assert words_to_bytes(data) == words_to_bytes_reference(data)
+    @given(words_lists, st.integers(min_value=0, max_value=600),
+           st.one_of(st.integers(max_value=-1), st.integers(min_value=WORD_MASK + 1)))
+    def test_bad_words_rejected(self, numpy_mode, data, at, bad):
+        # One word outside 0..0xFFFF anywhere raises rather than being
+        # masked, and so does one word that is not an int.
+        with pytest.raises(OverflowError):
+            words_to_bytes(data[:at] + [bad] + data[at:])
+        with pytest.raises(TypeError):
+            words_to_bytes(data[:at] + [float(bad)] + data[at:])
 
     @pytest.mark.parametrize("nbytes", [-2, -100])
     def test_negative_nbytes_rejected_before_work(self, numpy_mode, nbytes):

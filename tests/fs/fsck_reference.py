@@ -6,6 +6,11 @@ the whole pack, nothing remembered.  The differential tests assert that
 the shipped checker, with a fresh index and with a long-lived one, returns
 exactly what this returns -- same issues, same order, same counts -- and
 raises exactly what this raises.  Only the report types are shared.
+
+Two verdicts moved with the shipped checker since: an undecodable
+descriptor is a ``bad-descriptor`` issue, and an in-use page whose header
+names an address off the pack is an ``off-pack-header`` issue in the map
+pass.
 """
 
 from __future__ import annotations
@@ -118,8 +123,14 @@ def check_image(image: DiskImage) -> CheckReport:
     descriptor = _read_descriptor(image, files, report)
     if descriptor is not None:
         allocator = descriptor.allocator()
-        for sector in image.sectors():
-            if sector.label.in_use and allocator.is_free(sector.header.address):
+        total = image.shape.total_sectors()
+        for address, sector in enumerate(image.sectors()):
+            if not sector.label.in_use:
+                continue
+            if sector.header.address >= total:
+                report.note("off-pack-header", address,
+                            f"header names address {sector.header.address}, off the pack")
+            elif allocator.is_free(sector.header.address):
                 report.note("map-lies-free", sector.header.address,
                             "allocation map calls an in-use page free")
         root_key = (descriptor.root_directory.fid.serial,

@@ -7,6 +7,7 @@ and sweep determinism -- get pinned here first.
 
 import pytest
 
+from repro.disk import FaultPlan
 from repro.fs import (
     Change,
     check_recovery,
@@ -112,6 +113,15 @@ class TestCheckRecovery:
         report = check_recovery(populated_fs.drive.image, before, changes)
         assert report.ok, report.problems
         assert report.files_in_flight == 1
+
+    def test_off_pack_header_is_a_problem_not_a_crash(self, populated_fs):
+        before = snapshot_files(populated_fs)
+        image = populated_fs.drive.image
+        address = next(a for a, s in enumerate(image.sectors())
+                       if s.label.in_use and s.label.page_number > 1)
+        FaultPlan(image).flip_bits(address, "header", 1, 1 << 15)
+        report = check_recovery(image, before)
+        assert any("off-pack-header" in p for p in report.problems), report.problems
 
     def test_rename_found_under_either_name(self, populated_fs):
         before = snapshot_files(populated_fs)

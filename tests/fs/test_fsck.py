@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.disk import DiskDrive, FaultInjector
+from repro.disk import DiskDrive, FaultInjector, FaultPlan
 from repro.disk.sector import DIRECTORY_SERIAL_FLAG
 from repro.fs import FileSystem, Scavenger
 from repro.fs.descriptor import DESCRIPTOR_LEADER_ADDRESS
@@ -97,6 +97,15 @@ class TestDetection:
     def test_root_version_zero(self, check, image):
         rewrite_descriptor_word(image, 9, lambda version: 0)
         assert "bad-descriptor" in check().kinds()
+
+    def test_off_pack_header(self, check, image):
+        # Bit 15 of a data page's header address word names an address
+        # past the end of the pack: reported, never raised.
+        address = next(a for a, s in enumerate(image.sectors())
+                       if s.label.in_use and s.label.page_number > 1)
+        FaultPlan(image).flip_bits(address, "header", 1, 1 << 15)
+        issues = [i for i in check().issues if i.kind == "off-pack-header"]
+        assert [i.address for i in issues] == [address]
 
 
 def rewrite_descriptor_word(image, index, change):

@@ -121,6 +121,21 @@ def test_power_failure_while_freeing_garbage_surfaces_at_once():
         OnlineMaintenance(fs).run_to_completion()
 
 
+def test_an_off_pack_header_is_a_verdict_not_a_crash():
+    """A header address word off the pack, landing after the baseline,
+    is an invariant failure of the boundary, not an escaping
+    ``AddressOutOfRange``."""
+    fs = build_fs()
+    maint = OnlineMaintenance(fs)
+    assert maint.step()
+    image = fs.drive.image
+    address = next(a for a, s in enumerate(image.sectors())
+                   if s.label.in_use and s.label.page_number > 1)
+    FaultPlan(image).flip_bits(address, "header", 1, 1 << 15)
+    with pytest.raises(MaintenanceInvariantError, match="off-pack-header"):
+        maint.step()
+
+
 def test_new_damage_past_the_baseline_is_fatal():
     fs = build_fs()
     maint = OnlineMaintenance(fs)
@@ -235,9 +250,10 @@ from repro.fs.descriptor import DESCRIPTOR_LEADER_ADDRESS  # noqa: E402
 from repro.fs.online import ONLINE_TOLERATED_ISSUES  # noqa: E402
 from tests.fs.fsck_reference import check_image as reference_check  # noqa: E402
 
-#: Wear kinds; the last three flip one value bit in place, on a leader, a
-#: directory data page and a descriptor data page.
-WEAR = ("garbage", "links", "duplicate", "header", "leader-value",
+#: Wear kinds; "off-pack" flips a high bit of the header address word
+#: (past the end of any test pack), and the last three flip one value bit
+#: in place, on a leader, a directory data page and a descriptor data page.
+WEAR = ("garbage", "links", "duplicate", "header", "off-pack", "leader-value",
         "directory-value", "descriptor-value")
 
 
@@ -273,6 +289,8 @@ def apply_wear(plan, image, kind, pick, word, bit):
         copy.value = list(image.sector(address).value)
     elif kind == "header":
         plan.flip_bits(address, "header", word % 2, 1 << bit)
+    elif kind == "off-pack":
+        plan.flip_bits(address, "header", 1, 1 << (8 + bit % 8))
     else:
         plan.flip_bits(address, "value", word, 1 << bit)
 

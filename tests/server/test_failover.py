@@ -10,10 +10,14 @@ import random
 
 import pytest
 
+from repro.errors import FileNotFound
+from repro.server.client import FileClient
 from repro.server.failover import (
     WORKLOAD_FILES,
     WORKLOAD_MAX_BYTES,
     WORKLOAD_MIN_BYTES,
+    FailoverReport,
+    _verify_acked,
     failover_crash_sweep,
     failover_drill,
     workload_files,
@@ -61,6 +65,40 @@ def test_swept_crash_points_lose_no_acked_write(point):
     assert report.crash_point == point
     assert report.promotion_us > 0               # the standby was promoted
     assert not report.problems
+
+
+def test_sweep_counts_the_clean_drills_part_writes():
+    """The sweep's point count is the clean drill's own part-write count."""
+    clean = failover_drill()
+    assert failover_crash_sweep(points=[]).total_writes == clean.part_writes > 0
+
+
+class _Pack:
+    """A promoted pack whose every open fails with *error*."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def open_file(self, name):
+        raise self.error
+
+
+def test_acked_check_notes_repro_errors_and_raises_the_rest():
+    report = FailoverReport(crash_point=1)
+    acked = {("a.dat", 1): b"x"}
+    _verify_acked(_Pack(FileNotFound("a.dat")), acked, report)
+    assert report.problems == ["acked file a.dat lost at failover (FileNotFound)"]
+    with pytest.raises(TypeError):
+        _verify_acked(_Pack(TypeError("a bug, not a finding")), acked, report)
+
+
+def test_a_programming_error_in_the_read_back_raises(monkeypatch):
+    def broken(client, name):
+        raise TypeError("a bug, not a finding")
+
+    monkeypatch.setattr(FileClient, "read_file", broken)
+    with pytest.raises(TypeError):
+        failover_drill()
 
 
 def test_sweep_rejects_out_of_range_points():

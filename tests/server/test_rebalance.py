@@ -137,6 +137,16 @@ def test_full_crash_sweep_recovers_with_torn_writes():
     assert result.ok, "\n".join(str(r) for r in result.failures)
 
 
+def test_cached_crash_sweep_recovers_every_point():
+    """Through the write-back cache every point recovers too, and the
+    deferred writes make the sweep shorter than the plain drive's."""
+    cached = rebalance_crash_sweep(seed=1979, cylinders=20, cached=True)
+    assert cached.points_tested == cached.total_writes
+    assert cached.ok, "\n".join(str(r) for r in cached.failures)
+    plain = rebalance_crash_sweep(seed=1979, cylinders=20, points=[1])
+    assert 0 < cached.total_writes < plain.total_writes
+
+
 def test_sweep_rejects_out_of_range_points():
     with pytest.raises(ValueError):
         rebalance_crash_sweep(seed=1979, cylinders=20, points=[10_000])

@@ -87,7 +87,6 @@ def test_unanswered_retry_stays_pinned_to_its_admission_shard():
     state = router._states[client.host]
     ctx = state.inflight[request.request_id]
     pinned_shard = ctx.shard
-    assert ctx.epoch == router.shard_map.epoch
 
     # The map changes under it: move the name's slot (it is empty on
     # disk, so draining is not the obstacle -- but this ctx pins it, so
