@@ -51,8 +51,9 @@ _PART_SIZES = {"header": HEADER_WORDS, "label": LABEL_WORDS, "value": VALUE_WORD
 def merge_check(expected, disk_words):
     """The check action's compare-and-merge, as a bulk operation.
 
-    Same contract as :func:`repro.reference.merge_check_reference` (the
-    word-at-a-time twin the equivalence suite pins this against): returns
+    Same contract as ``merge_check_reference`` in
+    ``tests/equivalence/reference.py`` (the word-at-a-time twin the
+    equivalence suite pins this against): returns
     ``(effective, None)`` on success, ``(None, (index, want, have))`` at
     the first non-wildcard mismatch.
 
@@ -375,8 +376,9 @@ class DiskDrive:
 
         The returned list is the sector's own (callers copy before
         mutating; READ and CHECK results are built as fresh lists).
-        Reference twin: ``repro.reference.make_reference_drive``, which
-        re-packs through the object views on every access.
+        Reference twin: ``make_reference_drive`` in
+        ``tests/equivalence/reference.py``, which re-packs through the
+        object views on every access.
         """
         if part == "header":
             return sector.header_words()

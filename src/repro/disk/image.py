@@ -6,6 +6,15 @@ the oxide".  Keeping it separate lets crash tests snapshot a pack, lets the
 fault injector corrupt it behind the drive's back, and lets two independent
 software stacks mount the same pack (the openness property of section 1:
 the on-disk representation is the interface).
+
+The image also keeps a :class:`ChangeLog` of the addresses whose headers
+or labels changed, so a checker that read the pack before can re-read
+only those (section 3.3: the label identifies the page, so labels alone
+tell what moved).  Every sector in the image knows its address and logs
+its own header and label writes, whoever makes them -- the drive, a
+journal replay, a fault injector, a raw test edit.  :meth:`set_sector`
+logs the address it replaces, and :meth:`restore`, which replaces every
+sector, tells readers to start over.
 """
 
 from __future__ import annotations
@@ -17,6 +26,50 @@ from ..errors import AddressOutOfRange
 from ..words import ones_words, words_to_bytes
 from .geometry import DiskShape, diablo31
 from .sector import Label, Sector, VALUE_WORDS
+
+
+class ChangeLog:
+    """Which addresses' headers or labels changed, in order.
+
+    Address -> the stamp of its last change, oldest first.  A change moves
+    its address to the end, so the log never holds more entries than the
+    pack has sectors, read or not.  A reader keeps the :attr:`stamp` it
+    read to and asks :meth:`since` for what came after; reading consumes
+    nothing, so any number of readers share one log.  Sectors point at the
+    log and the log points at nothing, so a dropped image is freed at once,
+    not left in a reference cycle.
+    """
+
+    __slots__ = ("_changes", "stamp", "_restarted")
+
+    def __init__(self) -> None:
+        self._changes: Dict[int, int] = {}
+        self.stamp = 0  # of the last change or restart
+        self._restarted = 0
+
+    def note(self, address: int) -> None:
+        """Log a change at *address* (``Sector`` calls this)."""
+        changes = self._changes
+        changes.pop(address, None)  # the newest change goes last
+        self.stamp = changes[address] = self.stamp + 1
+
+    def restart(self) -> None:
+        """Every address changed at once: readers must start over."""
+        self._changes.clear()
+        self.stamp = self._restarted = self.stamp + 1
+
+    def since(self, stamp: int) -> Optional[List[int]]:
+        """The addresses changed after *stamp* (an earlier :attr:`stamp`),
+        newest first, at one step per address returned; None when a
+        restart came after *stamp*."""
+        if stamp < self._restarted:
+            return None
+        changed = []
+        for address, when in reversed(self._changes.items()):
+            if when <= stamp:
+                break
+            changed.append(address)
+        return changed
 
 
 class DiskImage:
@@ -33,12 +86,15 @@ class DiskImage:
         # fresh header captures the pack id at construction time.
         self._fresh_pack_id = pack_id
         self._sectors: List[Optional[Sector]] = [None] * self.shape.total_sectors()
+        self._whole = False  # no None slot left (see sector_list)
         #: Addresses the fault injector has marked as unreadable media.
         self.bad_media: set = set()
         #: ``(address, part)`` pairs whose checksum a torn write ruined;
         #: reads fail until the part is rewritten (real disks detect an
         #: interrupted write this way -- the CRC never got laid down).
         self.checksum_bad: set = set()
+        #: Every header and label change, whoever made it.
+        self.changes = ChangeLog()
 
     # -- access ---------------------------------------------------------------
 
@@ -46,7 +102,8 @@ class DiskImage:
         """The sector at *address*, created fresh on first touch."""
         sector = self._sectors[address]
         if sector is None:
-            sector = self._sectors[address] = Sector.fresh(self._fresh_pack_id, address)
+            sector = self._sectors[address] = Sector.fresh(
+                self._fresh_pack_id, address, self.changes)
         return sector
 
     def sector(self, address: int) -> Sector:
@@ -55,8 +112,12 @@ class DiskImage:
         return self._materialize(address)
 
     def set_sector(self, address: int, sector: Sector) -> None:
+        """Install a copy of *sector* at *address*.  A copy, so that no
+        sector object sits at two addresses or in two images: each logs
+        its writes to exactly one place."""
         self.shape.check_address(address)
-        self._sectors[address] = sector
+        self._sectors[address] = sector.copy(self.changes, address)
+        self.changes.note(address)
 
     def __len__(self) -> int:
         return len(self._sectors)
@@ -68,11 +129,12 @@ class DiskImage:
     def sector_list(self) -> List[Sector]:
         """All sectors in physical order, as the image's own list (read it,
         never modify it).  Materializes exactly as :meth:`sectors` does,
-        but once every sector is touched a call costs one C-level scan."""
+        once; after that a call costs nothing."""
         sectors = self._sectors
-        if not all(sectors):  # a None slot is a factory-fresh sector
+        if not self._whole:
             for address in range(len(sectors)):
                 self._materialize(address)
+            self._whole = True
         return sectors
 
     # -- whole-pack operations --------------------------------------------------
@@ -83,7 +145,10 @@ class DiskImage:
         clone.shape = self.shape
         clone.pack_id = self.pack_id
         clone._fresh_pack_id = self._fresh_pack_id
-        clone._sectors = [None if s is None else s.copy() for s in self._sectors]
+        changes = clone.changes = ChangeLog()
+        clone._sectors = [None if s is None else s.copy(changes, address)
+                          for address, s in enumerate(self._sectors)]
+        clone._whole = self._whole
         clone.bad_media = set(self.bad_media)
         clone.checksum_bad = set(self.checksum_bad)
         return clone
@@ -122,9 +187,13 @@ class DiskImage:
             raise ValueError("snapshot is from a different disk shape")
         self.pack_id = snapshot.pack_id
         self._fresh_pack_id = snapshot._fresh_pack_id
-        self._sectors = [None if s is None else s.copy() for s in snapshot._sectors]
+        changes = self.changes
+        self._sectors = [None if s is None else s.copy(changes, address)
+                         for address, s in enumerate(snapshot._sectors)]
+        self._whole = snapshot._whole
         self.bad_media = set(snapshot.bad_media)
         self.checksum_bad = set(snapshot.checksum_bad)
+        changes.restart()
 
     # -- statistics (used by tests and benchmarks) -------------------------------
 

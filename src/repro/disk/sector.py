@@ -256,15 +256,24 @@ class Sector:
     :meth:`header_words` / :meth:`label_words` and skip object
     construction entirely.  The two representations are kept in lockstep:
     writing either one invalidates the other's cache.
+
+    A sector placed in a :class:`~repro.disk.image.DiskImage` knows its
+    address and its image's :class:`~repro.disk.image.ChangeLog`, and each
+    of the four setters below logs the address there: they are the only
+    routes to a sector's header and label, so the log is complete whoever
+    the writer is.  The value is a plain word list that can change in
+    place; it is not logged.
     """
 
-    __slots__ = ("_header_obj", "_header_words", "_label_obj", "_label_words", "value")
+    __slots__ = ("_header_obj", "_header_words", "_label_obj", "_label_words", "value",
+                 "_log", "_address")
 
     def __init__(self, header: Header, label: Label = None, value: List[int] = None) -> None:
         self._header_obj = header
         self._header_words = None
         self._label_obj = label if label is not None else _FREE_LABEL
         self._label_words = None
+        self._log = self._address = None
         if value is None:
             value = ones_words(VALUE_WORDS)
         elif len(value) != VALUE_WORDS:
@@ -284,6 +293,8 @@ class Sector:
     def header(self, header: Header) -> None:
         self._header_obj = header
         self._header_words = None
+        if self._log is not None:
+            self._log.note(self._address)
 
     @property
     def label(self) -> Label:
@@ -296,6 +307,8 @@ class Sector:
     def label(self, label: Label) -> None:
         self._label_obj = label
         self._label_words = None
+        if self._log is not None:
+            self._log.note(self._address)
 
     # -- packed views (what the head reads and writes) ------------------------
 
@@ -318,6 +331,8 @@ class Sector:
         """Install *data* (length-validated by the caller) as the header."""
         self._header_words = data
         self._header_obj = None
+        if self._log is not None:
+            self._log.note(self._address)
 
     def set_label_words(self, data: List[int]) -> None:
         """Install *data* as the label.
@@ -333,25 +348,31 @@ class Sector:
         if suspect:
             self._label_obj = Label.unpack(data)
             self._label_words = None
-            return
-        self._label_words = data
-        self._label_obj = None
+        else:
+            self._label_words = data
+            self._label_obj = None
+        if self._log is not None:
+            self._log.note(self._address)
 
     # -- copying ---------------------------------------------------------------
 
-    def copy(self) -> "Sector":
-        """A deep copy (value words fresh; frozen objects shared)."""
+    def copy(self, log=None, address: int = None) -> "Sector":
+        """A deep copy (value words fresh; frozen objects shared), logging
+        its header and label changes at *address* in *log* when given."""
         clone = Sector.__new__(Sector)
         clone._header_obj = self._header_obj
         clone._header_words = list(self._header_words) if self._header_words is not None else None
         clone._label_obj = self._label_obj
         clone._label_words = list(self._label_words) if self._label_words is not None else None
         clone.value = list(self.value)
+        clone._log = log
+        clone._address = address
         return clone
 
     @staticmethod
-    def fresh(pack_id: int, address: int) -> "Sector":
-        """A factory-fresh (never-written) sector: free label, ones value.
+    def fresh(pack_id: int, address: int, log=None) -> "Sector":
+        """A factory-fresh (never-written) sector: free label, ones value,
+        logging its header and label changes in *log* when given.
 
         Pack formatting creates one per sector in a tight loop, so in-range
         inputs install the packed header words directly; anything else goes
@@ -359,6 +380,8 @@ class Sector:
         where it always did.
         """
         sector = Sector.__new__(Sector)
+        sector._log = log
+        sector._address = address
         if (type(pack_id) is int and 0 <= pack_id <= WORD_MASK
                 and type(address) is int and 0 <= address <= WORD_MASK):
             sector._header_obj = None

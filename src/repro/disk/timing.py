@@ -37,18 +37,6 @@ class ArmTimer:
         self._rotation_us_cached = round(shape.rotation_ms * MICROSECONDS_PER_MILLISECOND)
         self._sector_us_cached = round(shape.sector_time_ms() * MICROSECONDS_PER_MILLISECOND)
 
-    # -- internal helpers -------------------------------------------------------
-
-    def _rotation_us(self) -> int:
-        return self._rotation_us_cached
-
-    def _sector_us(self) -> int:
-        return self._sector_us_cached
-
-    def rotational_position_us(self) -> int:
-        """Microseconds into the current platter revolution."""
-        return self.clock.now_us % self._rotation_us()
-
     # -- charging ---------------------------------------------------------------
 
     def seek_to(self, cylinder: int) -> None:
@@ -118,4 +106,4 @@ class ArmTimer:
 
     def revolutions_waited(self) -> float:
         """Total rotational waiting expressed in revolutions."""
-        return self.clock.tally_us(ROTATION) / self._rotation_us()
+        return self.clock.tally_us(ROTATION) / self._rotation_us_cached

@@ -100,13 +100,6 @@ class DiskTrace:
                 out[key] = out.get(key, 0) + 1
         return out
 
-    def point_counts(self) -> Dict[str, int]:
-        """How many times each named trace point was passed."""
-        return {
-            point_name(part, action): count
-            for (part, action), count in self.commands_by_part_action().items()
-        }
-
     def arm_travel(self) -> int:
         """Total cylinders of arm movement across the trace."""
         travel = 0

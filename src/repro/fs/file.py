@@ -172,10 +172,6 @@ class AltoFile:
         """All pages including the leader."""
         return self._last_page_number + 1
 
-    def known_address(self, page_number: int) -> Optional[int]:
-        """The cached address hint for a page, if any (no disk traffic)."""
-        return self._addresses.get(page_number)
-
     # ------------------------------------------------------------------------
     # Page name resolution (cache + link walking)
     # ------------------------------------------------------------------------

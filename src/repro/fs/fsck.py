@@ -20,28 +20,31 @@ Checked invariants:
 A caller that checks the same pack again and again (the online maintainer,
 at every slice boundary) passes a :class:`PackIndex`, which carries what
 one call derived into the next.  ``check_image(image, index)`` re-derives
-only the addresses that differ from the index's last view, then only the
+only the addresses that changed since the index's last call, then only the
 files, duplicate groups, directory checks and map bits they imply, and
 returns exactly the report a full pass returns, issue order included.
 Without an index the call runs the same code on a fresh one: a fresh
 index *is* the full check.  The index contract:
 
-* **Compared by identity:** every address's ``Sector.header`` and
+* **Logged by the pack:** which addresses' headers and labels changed.
+  Every sector logs its own header and label writes in its image's
+  :class:`~repro.disk.image.ChangeLog` (``DiskImage.changes``), so the
+  log covers every writer -- the drive, a standby's journal replay,
+  a fault injector flipping bits, a raw test edit -- without trusting any
+  of them to report.  A call reads the views of the logged addresses
+  only.  The log is the image's, not the index's: any number of indexes
+  read it, and none consumes it.  An index re-derives in full when it is
+  handed another image than last time, or after a ``restore`` replaced
+  every sector.
+* **Compared by identity:** a logged address's ``Sector.header`` and
   ``Sector.label`` views.  Both are frozen and interned by their words
-  (``Header.unpack``, ``Label.unpack``), so a view that is the very object
-  the index last read stands for the same words, and a write of other
-  words -- through the drive or raw -- yields another object.  An equal
-  object that is not the same one (the intern cache refilled) costs at
-  most a re-derivation.
+  (``Header.unpack``, ``Label.unpack``), so a rewrite of the same words
+  usually yields the very object the index last read and implies nothing.
 * **Copied:** the few values the check parses -- each file's leader page,
   and every page of a directory or of a file whose leader sits at the
   descriptor's address.  A value is a mutable word list that can change
-  in place, so the copy is compared word for word on every call.
-* **Not trusted:** writers.  A standby applies journal records with raw
-  ``set_*_words`` calls, wear is stamped straight onto an image, a fault
-  injector flips bits behind the drive: nothing reports what it changed.
-  So every call re-reads every address's views and every watched value,
-  and trusts nothing it did not compare.
+  in place and is not logged, so the copy is compared word for word on
+  every call.
 
 A call that raises leaves its index fresh, so the next call is a full
 check.
@@ -51,7 +54,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field, replace
-from itertools import count
 from typing import Dict, List, Optional, Tuple
 
 from ..disk.geometry import NIL
@@ -114,7 +116,7 @@ def check_image(image: DiskImage, index: Optional["PackIndex"] = None) -> CheckR
     try:
         return index._check(image)
     except BaseException:
-        index._reset(None, 0)  # never resume from a half-applied update
+        index._reset(None)  # never resume from a half-applied update
         raise
 
 
@@ -145,14 +147,20 @@ class PackIndex:
     """What :func:`check_image` last saw of a pack, and what it implied.
 
     Hand the same index to every call on one pack; each call then costs
-    one comparison per address plus the work its changes imply.
+    what changed since the last one: the logged addresses, the watched
+    values, and the work they imply.
     """
 
     def __init__(self) -> None:
-        self._reset(None, 0)
+        #: Calls that re-derived every address (first sight of an image,
+        #: a restore, a raise).
+        self.full_passes = 0
+        self._reset(None)
 
-    def _reset(self, shape, total: int) -> None:
-        self.shape = shape
+    def _reset(self, image: Optional[DiskImage]) -> None:
+        self.image = image
+        self.stamp = 0  # how far this index has read the image's change log
+        total = len(image) if image is not None else 0
         self.headers: List = [None] * total
         self.labels: List = [None] * total
         self.free_pages = self.bad_pages = 0
@@ -171,32 +179,38 @@ class PackIndex:
         self.last: Optional[CheckReport] = None
 
     def _check(self, image: DiskImage) -> CheckReport:
+        logged = image.changes.since(self.stamp) if image is self.image else None
+        if logged is None:
+            self._reset(image)
+            self.full_passes += 1
+            logged = range(len(image))
+        self.stamp = image.changes.stamp
         sectors = image.sector_list()
-        if image.shape != self.shape or len(sectors) != len(self.labels):
-            self._reset(image.shape, len(sectors))
-        old_headers, old_labels, files = self.headers, self.labels, self.files
-        headers = self.headers = [sector.header for sector in sectors]
-        labels = self.labels = [sector.label for sector in sectors]
-        changed = [] if labels == old_labels and headers == old_headers else [
-            address for address, header, label, old_header, old_label
-            in zip(count(), headers, labels, old_headers, old_labels)
-            if label is not old_label or header is not old_header]
+        headers, labels, files = self.headers, self.labels, self.files
         dirty = set()  # file keys to re-derive
         for key, file in files.items():
             for address, copy in file.values.items():
                 if sectors[address].value != copy:
                     dirty.add(key)
                     break
-        if not changed and not dirty and self.last is not None:
-            return replace(self.last, issues=list(self.last.issues))
 
         # -- pass 1: labels, address by address ------------------------------------
+        changed = []  # logged addresses whose header or label view differs
         groups = set()  # (file key, page number) whose holders changed
-        for address in changed:
-            old = old_labels[address]
+        for address in logged:
+            sector = sectors[address]
+            header, label = sector.header, sector.label
+            old = labels[address]
+            if label is old and header is headers[address]:
+                continue
+            changed.append(address)
+            headers[address] = header
+            labels[address] = label
             if old is not None:
                 self._tally(address, old, -1, groups, dirty)
-            self._tally(address, labels[address], 1, groups, dirty)
+            self._tally(address, label, 1, groups, dirty)
+        if not changed and not dirty and self.last is not None:
+            return replace(self.last, issues=list(self.last.issues))
         pass1 = self.pass1
         for key, page_number in groups:
             file = files.get(key)
@@ -336,7 +350,7 @@ class PackIndex:
                   for pn, holders in self.files[key].pages.items()}
         try:
             self.descriptor = DiskDescriptor.unpack(
-                self.shape, bytes_to_words(_file_bytes(bucket)))
+                self.image.shape, bytes_to_words(_file_bytes(bucket)))
         except FileFormatError as exc:
             self.descriptor_issue = Issue("bad-descriptor", DESCRIPTOR_LEADER_ADDRESS, str(exc))
 

@@ -43,9 +43,10 @@ make the pack less consistent than it found it.
 The maintainer carries one :class:`~repro.fs.fsck.PackIndex` from
 boundary to boundary, so each check re-derives only what changed since
 the last one: the slice's own writes, and anything else that landed on
-the pack meanwhile (the index trusts no writer's account).  Its wall cost
-follows the change, not the pack; its verdict is the full pass's, issue
-for issue.
+the pack meanwhile.  The pack logs every header and label change itself,
+whoever made it, so finding them takes neither a writer's account nor a
+pass over the pack.  Its wall cost follows the change, not the pack; its
+verdict is the full pass's, issue for issue.
 """
 
 from __future__ import annotations

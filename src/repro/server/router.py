@@ -145,17 +145,12 @@ class RouterStats:
     as-dict plumbing here.
     """
 
-    _FIELDS = ("rewrites", "rebalances", "shipped_names")
-
     rewrites = CounterAttr("router.rewrites")
     rebalances = CounterAttr("router.rebalances")
     shipped_names = CounterAttr("router.shipped_names")
 
     def __init__(self, registry) -> None:
         self.registry = registry
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self._FIELDS}
 
 
 class _ClientState:

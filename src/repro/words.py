@@ -12,7 +12,7 @@ The packing and checksum hot loops run as *bulk operations*
 :func:`random_bytes` asks :mod:`repro.fastpath` for numpy, for large
 counts.  Each helper has one path: packing takes a bytes-like buffer and
 unpacking takes 16-bit int words, and anything else raises.  The original
-word-at-a-time forms survive in :mod:`repro.reference`, and
+word-at-a-time forms survive in ``tests/equivalence/reference.py``, and
 ``tests/equivalence/`` asserts fast == reference on arbitrary inputs;
 see ARCHITECTURE.md, "Fast paths and the differential harness".
 """
@@ -98,7 +98,7 @@ def bytes_to_words(data: bytes, pad: int = 0) -> List[int]:
     else (a list of ints, say) raises ``TypeError``.
 
     Bulk implementation; reference twin:
-    :func:`repro.reference.bytes_to_words_reference`.
+    ``bytes_to_words_reference`` in ``tests/equivalence/reference.py``.
     """
     n = len(data)
     packed = array("H")
@@ -122,7 +122,7 @@ def words_to_bytes(words: Sequence[int], nbytes: int = -1) -> bytes:
     non-int word raises ``TypeError``.
 
     Bulk implementation; reference twin:
-    :func:`repro.reference.words_to_bytes_reference`.
+    ``words_to_bytes_reference`` in ``tests/equivalence/reference.py``.
     """
     if nbytes != -1 and nbytes < 0:
         raise ValueError(f"nbytes must be -1 (no truncation) or >= 0, got {nbytes}")
@@ -194,7 +194,8 @@ def random_bytes(rng, count: int) -> bytes:
     would also have consumed the whole block to produce.  Same values,
     same stream position, no per-byte Python call.
 
-    Reference twin: :func:`repro.reference.random_bytes_reference`.
+    Reference twin: ``random_bytes_reference`` in
+    ``tests/equivalence/reference.py``.
     """
     if count < 128:
         getrandbits = rng.getrandbits
@@ -236,7 +237,8 @@ def checksum(words: Iterable[int]) -> int:
     Because each step only adds then masks, the running mask commutes with
     the sum: ``(((a + b) & M) + c) & M == (a + b + c) & M``.  The bulk form
     therefore sums once in C and masks at the end -- bit-identical to the
-    word-at-a-time reference (:func:`repro.reference.checksum_reference`),
-    which the equivalence suite asserts on arbitrary word sequences.
+    word-at-a-time reference (``checksum_reference`` in
+    ``tests/equivalence/reference.py``), which the equivalence suite
+    asserts on arbitrary word sequences.
     """
     return (sum(words) & WORD_MASK) ^ WORD_MASK

@@ -1,8 +1,8 @@
 """The differential equivalence harness.
 
 Every bulk fast path in the tree keeps its original word-at-a-time form in
-:mod:`repro.reference`; the tests in this package run both and assert the
-outcomes are observationally identical -- same values, same exceptions,
+``reference.py``, beside these tests; the tests in this package run both
+and assert the outcomes are observationally identical -- same values, same exceptions,
 same counters, same simulated microseconds, byte-identical pack images.
 
 Three layers:

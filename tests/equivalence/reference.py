@@ -2,7 +2,7 @@
 
 Every hot inner loop that was rewritten as a bulk operation keeps its
 original word-at-a-time form here, unchanged.  These are not dead code:
-the differential harness in ``tests/equivalence/`` runs arbitrary inputs
+the differential tests beside this module run arbitrary inputs
 through both the fast path and its reference twin and asserts the results
 are observationally identical -- same values, same exceptions, same
 counter increments, same simulated microseconds.  When you add a new fast
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .words import WORD_MASK
+from repro.words import WORD_MASK
 
 
 # ----------------------------------------------------------------------------
@@ -100,14 +100,13 @@ def merge_check_reference(expected: Sequence[int], disk_words: Sequence[int]) ->
 def make_reference_drive(image, clock=None, fault_injector=None, **kwargs):
     """A :class:`~repro.disk.drive.DiskDrive` running the reference loops.
 
-    Used by ``tests/equivalence/`` to replay identical command sequences
+    Used by the drive differential to replay identical command sequences
     through the slow and fast part paths and assert byte- and
-    microsecond-identical outcomes.  Imported lazily to keep this module
-    free of circular imports.
+    microsecond-identical outcomes.
     """
-    from .disk.drive import DiskDrive, _PART_SIZES
-    from .disk.sector import Header, Label
-    from .errors import CheckError, LabelCheckError
+    from repro.disk.drive import DiskDrive, _PART_SIZES
+    from repro.disk.sector import Header, Label
+    from repro.errors import CheckError, LabelCheckError
 
     class ReferenceDrive(DiskDrive):
         """The pre-fast-path drive: per-word loops, per-access packing."""

@@ -1,6 +1,6 @@
 """Identical command sequences through the fast drive and the reference drive.
 
-:func:`repro.reference.make_reference_drive` builds a ``DiskDrive`` subclass
+:func:`tests.equivalence.reference.make_reference_drive` builds a ``DiskDrive`` subclass
 whose per-part loops are the original word-at-a-time forms.  Both drives
 run every command through the same ``_command`` path; overriding the part
 loops turns off the drive's inlined storage reads, so the reference drive
@@ -23,7 +23,7 @@ from repro.errors import (
     SectorChecksumError,
     TornWriteError,
 )
-from repro.reference import make_reference_drive
+from tests.equivalence.reference import make_reference_drive
 from repro.words import WORD_MASK
 
 #: The numpy_mode fixture just toggles a global flag -- identical for

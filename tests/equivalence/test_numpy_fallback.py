@@ -19,7 +19,7 @@ import pytest
 import repro
 
 from repro import fastpath
-from repro.reference import (
+from tests.equivalence.reference import (
     bytes_to_words_reference,
     checksum_reference,
     random_bytes_reference,

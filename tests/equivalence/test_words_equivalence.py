@@ -1,8 +1,8 @@
 """Fast == reference for the word-substrate primitives.
 
 Hypothesis drives arbitrary inputs through each bulk operation and its
-word-at-a-time twin from :mod:`repro.reference`; deterministic cases pin
-the sizes that straddle the numpy threshold (``_NUMPY_MIN_ITEMS``), where
+word-at-a-time twin from ``reference.py``; deterministic cases pin the
+sizes that straddle the numpy threshold (``_NUMPY_MIN_ITEMS``), where
 the bulk implementation switches strategies mid-function.
 """
 
@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.reference import (
+from tests.equivalence.reference import (
     bytes_to_words_reference,
     checksum_reference,
     merge_check_reference,

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.disk import DiskDrive, FaultInjector, FaultPlan
-from repro.disk.sector import DIRECTORY_SERIAL_FLAG
-from repro.fs import FileSystem, Scavenger
+from repro.disk.sector import DIRECTORY_SERIAL_FLAG, Label, Sector
+from repro.fs import FileSystem, OnlineMaintenance, Scavenger
 from repro.fs.descriptor import DESCRIPTOR_LEADER_ADDRESS
 from repro.fs.fsck import PackIndex, check_image
 from repro.fs.names import ORDINARY_SERIAL_FLAG, FileId, FullName, make_serial
@@ -106,6 +106,72 @@ class TestDetection:
         FaultPlan(image).flip_bits(address, "header", 1, 1 << 15)
         issues = [i for i in check().issues if i.kind == "off-pack-header"]
         assert [i.address for i in issues] == [address]
+
+
+@pytest.fixture
+def view_reads(monkeypatch):
+    """Every read of a ``Sector.header`` or ``Sector.label`` view, by name."""
+    reads = []
+    for name in ("header", "label"):
+        view = getattr(Sector, name)
+
+        def counted(sector, name=name, read=view.fget):
+            reads.append(name)
+            return read(sector)
+
+        monkeypatch.setattr(Sector, name, property(counted, view.fset))
+    return reads
+
+
+class TestCarriedCost:
+    """A carried check reads the views of the addresses the pack logged
+    as changed, and no others."""
+
+    def test_a_slice_that_changed_nothing_costs_no_view(self, populated_fs, image,
+                                                        view_reads):
+        maint = OnlineMaintenance(populated_fs)
+        assert maint.step()
+        index = PackIndex()
+        check_image(image, index)
+        stamp = image.changes.stamp
+        assert maint.step()  # a sweep slice: reads labels, writes none
+        assert image.changes.stamp == stamp
+        view_reads.clear()
+        report = check_image(image, index)
+        assert view_reads == []
+        assert report == reference_check(image)
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_k_changed_addresses_cost_k_header_and_label_views(self, populated_fs,
+                                                                image, view_reads, k):
+        index = PackIndex()
+        check_image(image, index)
+        free = [a for a, sector in enumerate(image.sectors()) if sector.label.is_free]
+        for address in free[:k]:
+            image.sector(address).label = Label.bad()
+        view_reads.clear()
+        report = check_image(image, index)
+        assert sorted(view_reads) == ["header"] * k + ["label"] * k
+        assert report == reference_check(image)
+        assert report.bad_pages == k
+
+    def test_full_passes_on_first_sight_restore_and_another_pack(self, populated_fs,
+                                                                 image, injector):
+        index = PackIndex()
+        earlier = image.snapshot()
+
+        def carried(pack, full_passes):
+            assert check_image(pack, index) == reference_check(pack)
+            assert index.full_passes == full_passes
+
+        carried(image, 1)
+        injector.scramble_links(injector.random_in_use_addresses(1)[0])
+        carried(image, 1)
+        image.restore(earlier)
+        carried(image, 2)
+        carried(earlier, 3)
+        carried(image, 4)
+        carried(image, 4)
 
 
 def rewrite_descriptor_word(image, index, change):
