@@ -31,7 +31,7 @@ SCALES = {
 def serve_load(clients: int, sequential: bool = False):
     """Run the standard load at *clients* scale; returns the LoadResult."""
     n, file_bytes, read_rounds = SCALES[clients]
-    system = build_system(n, seed=SEED)
+    system = build_system(n)
     generator = LoadGenerator(system, seed=SEED, file_bytes=file_bytes,
                               read_rounds=read_rounds)
     return generator.run_sequential() if sequential else generator.run()

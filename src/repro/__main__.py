@@ -319,8 +319,7 @@ def serve_cmd(argv) -> int:
             system = build_cluster(args.clients, shards=args.shards,
                                    seed=args.seed, cached=not args.uncached)
         else:
-            system = build_system(args.clients, seed=args.seed,
-                                  cached=not args.uncached)
+            system = build_system(args.clients, cached=not args.uncached)
         if args.trace:
             system.clock.obs.enable_tracing()
             if args.shards is not None:
@@ -469,7 +468,7 @@ def top_cmd(argv) -> int:
         system = build_cluster(args.clients, shards=args.shards, seed=args.seed)
         title = f"repro top -- {args.shards}-shard cluster, {args.clients} clients"
     else:
-        system = build_system(args.clients, seed=args.seed)
+        system = build_system(args.clients)
         title = f"repro top -- 1 server, {args.clients} clients"
     dashboard = TopDashboard(system.stats, interval=args.interval,
                              live=not args.once and sys.stdout.isatty(),

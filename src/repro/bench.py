@@ -76,12 +76,6 @@ def run_benchmarks(profile: str, only: Optional[str] = None, bench_dir: Optional
     being allowed to move the simulated numbers.
     """
     bench_dir = bench_dir or find_benchmarks_dir()
-    # Resolve the optional numpy fast path up front: its (one-time, lazy)
-    # import otherwise lands inside whichever module happens to hit a bulk
-    # operation first, skewing that row's wall clock.
-    from . import fastpath
-
-    fastpath.numpy()
     results = []
     wall: Dict[str, float] = {}
     for module in load_bench_modules(bench_dir):

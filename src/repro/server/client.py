@@ -44,7 +44,7 @@ from typing import Callable, List, Optional, Tuple
 from ..errors import RequestFailed, RequestTimeout
 from ..fs.file import FULL_PAGE
 from ..net.network import PacketNetwork
-from ..words import bytes_to_words, string_to_words, words_to_bytes
+from ..words import bytes_to_words, words_to_bytes
 from .protocol import (
     FLAG_CREATE,
     FrameAssembler,
@@ -59,6 +59,8 @@ from .protocol import (
     ST_BUSY,
     ST_NAMES,
     ST_OK,
+    decode_names,
+    encode_name,
     encode_request,
 )
 
@@ -156,7 +158,7 @@ class FileClient:
     def build_open(self, name: str, create: bool = False) -> Request:
         return Request(OP_OPEN, self._take_id(),
                        arg0=FLAG_CREATE if create else 0,
-                       payload=tuple(string_to_words(name)))
+                       payload=encode_name(name))
 
     def build_read(self, handle: int, first_page: int, count: int) -> Request:
         return Request(OP_READ, self._take_id(), handle=handle,
@@ -308,15 +310,7 @@ class FileClient:
 
     def listdir(self) -> List[str]:
         """The server directory's file names."""
-        from ..words import words_to_string
-
-        response = self.transact(self.build_list())
-        names, words, index = [], list(response.payload), 0
-        while index < len(words):
-            count = words[index]
-            names.append(words_to_string(words[index + 1: index + 1 + count]))
-            index += 1 + count
-        return names
+        return decode_names(self.transact(self.build_list()).payload)
 
     def read_file(self, name: str) -> bytes:
         """Fetch a whole file with batched sequential READs."""

@@ -59,7 +59,6 @@ from ..errors import (
 )
 from ..fs.file import FULL_PAGE
 from ..net.network import Packet, PacketNetwork
-from ..words import words_to_string
 from .events import EventQueue
 from .protocol import (
     FLAG_CREATE,
@@ -80,6 +79,8 @@ from .protocol import (
     ST_NAMES,
     ST_NOT_FOUND,
     ST_OK,
+    decode_name,
+    encode_names,
     encode_response,
 )
 from .qos import (
@@ -540,10 +541,8 @@ class FileServer:
 
     def _do_open(self, session, request: Request) -> Response:
         try:
-            name = words_to_string(list(request.payload))
-        except ValueError:  # a length byte past the data, or non-ASCII
-            return Response(ST_BAD_REQUEST, request.request_id)
-        if not name:
+            name = decode_name(request.payload)
+        except ProtocolError:
             return Response(ST_BAD_REQUEST, request.request_id)
         try:
             file = self.fs.open_file(name)
@@ -626,16 +625,9 @@ class FileServer:
         return Response(ST_OK, request.request_id)
 
     def _do_list(self, request: Request) -> Response:
-        from ..words import string_to_words
-
         names = self.fs.list_files()
-        payload: List[int] = []
-        for name in names:
-            words = string_to_words(name)
-            payload.append(len(words))
-            payload.extend(words)
         return Response(ST_OK, request.request_id, result0=len(names),
-                        payload=tuple(payload))
+                        payload=encode_names(names))
 
     # ------------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ schedule produce byte-identical disk images and identical metrics
 snapshots (``tests/server/test_determinism.py`` proves it).
 
 >>> from repro.server.loadgen import build_system, LoadGenerator
->>> system = build_system(clients=2, seed=7)
+>>> system = build_system(clients=2)
 >>> result = LoadGenerator(system, file_bytes=600, read_rounds=1).run()
 >>> result.clients, result.requests > 0, result.errors
 (2, True, 0)
@@ -65,7 +65,6 @@ class ServedSystem:
 
 def build_system(
     clients: int,
-    seed: int = 1979,
     cached: bool = True,
     max_pending: int = 128,
     tiny: bool = False,
@@ -93,7 +92,6 @@ def build_system(
         host = f"ws{index:03d}"
         network.attach(host)
         stations.append(FileClient(network, host))
-    del seed  # reserved for future topology randomization; kept for API stability
     return ServedSystem(fs, network, server, stations)
 
 
@@ -285,8 +283,7 @@ def run_session_storm(
     (8, 0, 0)
     """
     if system is None:
-        system = build_system(clients=clients, seed=seed,
-                              max_pending=max_pending)
+        system = build_system(clients=clients, max_pending=max_pending)
     server = system.server
     stations = system.clients
     rng = random.Random(seed)

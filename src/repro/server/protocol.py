@@ -42,10 +42,11 @@ packet granularity.  See ``SERVER.md`` for the full specification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from ..net.network import MAX_PAYLOAD_WORDS, Packet, TYPE_CONTROL, TYPE_DATA
+from ..words import string_to_words, words_to_string
 
 #: Frame-kind discriminators (ASCII "FR" / "FS", both nonzero 16-bit words).
 MAGIC_REQUEST = 0x4652
@@ -148,6 +149,76 @@ class Response:
     @property
     def status_name(self) -> str:
         return ST_NAMES[self.status]
+
+
+def encode_name(name: str) -> Tuple[int, ...]:
+    """An OPEN payload: *name* as a BCPL string (length byte, then ASCII).
+
+    >>> encode_name("ab")
+    (609, 25088)
+    """
+    return tuple(string_to_words(name))
+
+
+def decode_name(words: Sequence[int]) -> str:
+    """The file name *words* carry; the inverse of :func:`encode_name`.
+
+    Raises :class:`~repro.errors.ProtocolError` unless *words* hold a
+    nonempty ASCII BCPL string whose length byte stays inside them.
+
+    >>> decode_name(encode_name("memo.txt"))
+    'memo.txt'
+    >>> decode_name((0x0541,))
+    Traceback (most recent call last):
+    ...
+    repro.errors.ProtocolError: bad name: corrupt BCPL string: length byte 5, only 1 bytes follow
+    """
+    try:
+        name = words_to_string(words)
+    except ValueError as exc:  # a length byte past the data, or non-ASCII
+        raise ProtocolError(f"bad name: {exc}") from None
+    if not name:
+        raise ProtocolError("empty name")
+    return name
+
+
+def encode_names(names: Iterable[str]) -> Tuple[int, ...]:
+    """A LIST answer's payload: for each name, its word count, then
+    :func:`encode_name`'s words.
+
+    >>> encode_names(["ab", "c"])
+    (2, 609, 25088, 1, 355)
+    """
+    payload: List[int] = []
+    for name in names:
+        words = encode_name(name)
+        payload.append(len(words))
+        payload.extend(words)
+    return tuple(payload)
+
+
+def decode_names(payload: Sequence[int]) -> List[str]:
+    """The names a LIST answer carries; the inverse of :func:`encode_names`.
+
+    Raises :class:`~repro.errors.ProtocolError` when a word count runs
+    past the payload or an entry is not a name.
+
+    >>> decode_names(encode_names(["ab", "c"]))
+    ['ab', 'c']
+    >>> decode_names((9, 609))
+    Traceback (most recent call last):
+    ...
+    repro.errors.ProtocolError: a 9-word name runs past the 2-word payload
+    """
+    names, index = [], 0
+    while index < len(payload):
+        end = index + 1 + payload[index]
+        if end > len(payload):
+            raise ProtocolError(f"a {payload[index]}-word name runs past "
+                                f"the {len(payload)}-word payload")
+        names.append(decode_name(payload[index + 1:end]))
+        index = end
+    return names
 
 
 def _encode(magic: int, words: List[int], payload: Tuple[int, ...],

@@ -75,8 +75,6 @@ from typing import Dict, List, Optional, Sequence, Set
 from ..clock import SimClock
 from ..errors import ProtocolError, ReproError, ServerError
 from ..net.network import Packet, PacketNetwork
-from ..obs import CounterAttr
-from ..words import string_to_words, words_to_string
 from .engine import FileServer
 from .protocol import (
     OP_CLOSE,
@@ -91,6 +89,9 @@ from .protocol import (
     ST_BAD_REQUEST,
     ST_BUSY,
     ST_OK,
+    decode_name,
+    decode_names,
+    encode_names,
     encode_request,
     encode_response,
 )
@@ -134,23 +135,6 @@ class _InFlight:
     scatter_packets: Dict[int, List[Packet]] = field(default_factory=dict)
     pending_shards: Set[int] = field(default_factory=set)
     names: Set[str] = field(default_factory=set)
-
-
-class RouterStats:
-    """The router's rebalance/rewrite tallies as a CounterAttr view.
-
-    Same idiom as ``DriveStats``: attribute reads and ``+=`` writes go
-    straight to counters in the router clock's registry, so the numbers
-    show up in ``obs.stats()`` / ``python -m repro stats`` without any
-    as-dict plumbing here.
-    """
-
-    rewrites = CounterAttr("router.rewrites")
-    rebalances = CounterAttr("router.rebalances")
-    shipped_names = CounterAttr("router.shipped_names")
-
-    def __init__(self, registry) -> None:
-        self.registry = registry
 
 
 class _ClientState:
@@ -268,8 +252,8 @@ class ShardRouter:
         self._c_stale = registry.counter("router.stale")
         self._c_errors = registry.counter("router.errors")
         self._c_shards_skipped = registry.counter("router.shards_skipped")
+        self._c_rewrites = registry.counter("router.rewrites")
         self._g_pending = registry.gauge("router.pending")
-        self.router_stats = RouterStats(registry)
         #: Scatter-gather fan-out sizes and per-request shard round trips
         #: (forward to final shard response, timestamped on the producing
         #: shard's link clock; the client-facing relay itself is charged
@@ -405,10 +389,8 @@ class ShardRouter:
 
     def _route_open(self, state: _ClientState, request: Request) -> None:
         try:
-            name = words_to_string(list(request.payload))
-        except ValueError:  # a length byte past the data, or non-ASCII
-            name = ""
-        if not name:
+            name = decode_name(request.payload)
+        except ProtocolError:
             self._respond_local(state, Response(ST_BAD_REQUEST,
                                                 request.request_id))
             return
@@ -555,7 +537,7 @@ class ShardRouter:
         """Translate a shard response into the client's handle space."""
         op = ctx.request.op
         if op in (OP_OPEN, OP_READ, OP_WRITE) and response.ok:
-            self.router_stats.rewrites += 1
+            self._c_rewrites.inc()
         if op == OP_OPEN and response.ok:
             vhandle = state.grant(shard, response.handle, ctx.name)
             return Response(ST_OK, response.request_id, handle=vhandle,
@@ -585,9 +567,15 @@ class ShardRouter:
         if shard not in ctx.pending_shards:
             self._c_stale.inc()
             return
+        try:
+            listed = decode_names(response.payload)
+        except ProtocolError:
+            # Not this shard's answer: count it and keep waiting.
+            self._c_errors.inc()
+            return
         ctx.pending_shards.discard(shard)
         self._outstanding[shard] -= 1
-        ctx.names.update(self._parse_names(response.payload))
+        ctx.names.update(listed)
         if ctx.pending_shards:
             return
         state.inflight.pop(request_id, None)
@@ -595,24 +583,10 @@ class ShardRouter:
         self._g_pending.set(self._pending)
         self._h_hop_us.observe(max(0, link.now_us - ctx.sent_us))
         names = merge_names([ctx.names])
-        payload: List[int] = []
-        for name in names:
-            words = string_to_words(name)
-            payload.append(len(words))
-            payload.extend(words)
         merged = Response(ST_OK, request_id, result0=len(names),
-                          payload=tuple(payload))
+                          payload=encode_names(names))
         self._relay(state, merged, link)
         self._c_relayed.inc()
-
-    @staticmethod
-    def _parse_names(payload) -> List[str]:
-        names, words, index = [], list(payload), 0
-        while index < len(words):
-            count = words[index]
-            names.append(words_to_string(words[index + 1: index + 1 + count]))
-            index += 1 + count
-        return names
 
     def _relay(self, state: _ClientState, response: Response, link: SimClock,
                remember: bool = True) -> None:
@@ -711,8 +685,11 @@ class ShardRouter:
             ship_names(source_fs, target_fs, names, plan.slot,
                        plan.source, plan.target)
         self.shard_map.apply(plan)
-        self.router_stats.rebalances += 1
-        self.router_stats.shipped_names += len(names)
+        # Created on first use, like ``router.promotions``: a cluster
+        # that never rebalances exports neither counter.
+        registry = self.obs.registry
+        registry.counter("router.rebalances").inc()
+        registry.counter("router.shipped_names").inc(len(names))
         self._rebalance = None
 
     # ------------------------------------------------------------------------

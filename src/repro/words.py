@@ -7,13 +7,13 @@ This module centralizes the word discipline: masking, double-word packing,
 byte packing (two bytes per word, big-endian within the word as on the Alto),
 and BCPL-style string coding.
 
-The packing and checksum hot loops run as *bulk operations*
-(``array('H')``/``int.from_bytes``-class primitives); only
-:func:`random_bytes` asks :mod:`repro.fastpath` for numpy, for large
-counts.  Each helper has one path: packing takes a bytes-like buffer and
-unpacking takes 16-bit int words, and anything else raises.  The original
-word-at-a-time forms survive in ``tests/equivalence/reference.py``, and
-``tests/equivalence/`` asserts fast == reference on arbitrary inputs;
+The packing, checksum and random-content hot loops run as *bulk
+operations* in C (``array('H')``, ``sum``, big-int shifts and the
+``latin-1`` codec), with no per-item Python loop and no optional
+dependency.  Each helper has one path: packing takes a bytes-like buffer
+and unpacking takes 16-bit int words, and anything else raises.  The
+original word-at-a-time forms survive in ``tests/equivalence/reference.py``,
+and ``tests/equivalence/`` asserts fast == reference on arbitrary inputs;
 see ARCHITECTURE.md, "Fast paths and the differential harness".
 """
 
@@ -23,18 +23,13 @@ import sys
 from array import array
 from typing import Iterable, List, Sequence
 
-from . import fastpath
-
 #: Host byte order: the wire/disk order is big-endian within each word, so
 #: a little-endian host byteswaps the C array in one C call.
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
-#: Below this many bytes :func:`random_bytes` scans its block in pure
-#: Python; from here on numpy (when available) is worth its per-call
-#: overhead.  The value is not semantically meaningful -- both branches
-#: are exact and equivalence-tested -- it only picks the faster of two
-#: identical answers.
-_NUMPY_MIN_ITEMS = 2048
+#: One 32-bit lane of :func:`random_bytes`' scan mask, little-endian:
+#: the candidate byte (bits 0-7) and the reject bit (bit 8).
+_DRAW_LANE = b"\xff\x01\x00\x00"
 
 WORD_BITS = 16
 WORD_MASK = 0xFFFF
@@ -188,44 +183,29 @@ def random_bytes(rng, count: int) -> bytes:
     ``randrange(256)`` is ``getrandbits(9)`` with rejection of values >=
     256 -- i.e. one 32-bit Mersenne Twister output per draw, accepted when
     its top bit is clear, yielding bits 23..30.  ``getrandbits(32 * n)``
-    consumes exactly *n* such outputs (least significant first), so a
-    block of ``need`` words can be drawn in one call and scanned: every
-    block yields at most ``need`` bytes, which the sequential process
-    would also have consumed the whole block to produce.  Same values,
-    same stream position, no per-byte Python call.
+    consumes exactly *n* such outputs, least significant first, so each
+    round draws one block of ``need`` outputs and scans it in C: shifted
+    down 23 bits and masked to 9 per 32-bit lane, every output becomes
+    its candidate byte plus the reject bit; read as UTF-32 code points,
+    the accepted draws are 0..255 and the rejected ones 256..511, which
+    ``encode("latin-1", "ignore")`` drops.  A block of ``need`` draws
+    yields at most ``need`` bytes, which the sequential process would
+    also have consumed the whole block to produce: same values, same
+    stream position, one path for every count.
 
     Reference twin: ``random_bytes_reference`` in
     ``tests/equivalence/reference.py``.
     """
-    if count < 128:
-        getrandbits = rng.getrandbits
-        out = bytearray(count)
-        for i in range(count):
-            r = getrandbits(9)
-            while r > 255:
-                r = getrandbits(9)
-            out[i] = r
-        return bytes(out)
-    np = fastpath.numpy() if count >= _NUMPY_MIN_ITEMS else None
-    out = bytearray()
+    mask = int.from_bytes(_DRAW_LANE * count, "little")  # wide enough for every round
+    chunks = []
     need = count
     while need > 0:
-        block = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        if np is not None:
-            arr = np.frombuffer(block, dtype="<u4")
-            accepted = ((arr >> 23) & 0xFF).astype(np.uint8)[(arr >> 31) == 0]
-            out += accepted.tobytes()
-            need = count - len(out)
-        else:
-            # Word i is block[4i:4i+4] little-endian: accept when the top
-            # bit (byte 3, bit 7) is clear; the value is bits 23..30.
-            append = out.append
-            for i in range(3, len(block), 4):
-                b3 = block[i]
-                if b3 < 128:
-                    append(((b3 & 0x7F) << 1) | (block[i - 1] >> 7))
-            need = count - len(out)
-    return bytes(out)
+        lanes = (rng.getrandbits(32 * need) >> 23) & mask
+        text = lanes.to_bytes(4 * need, "little").decode("utf-32-le")
+        accepted = text.encode("latin-1", "ignore")  # drops the rejected draws
+        chunks.append(accepted)
+        need -= len(accepted)
+    return b"".join(chunks)
 
 
 def checksum(words: Iterable[int]) -> int:

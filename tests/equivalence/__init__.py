@@ -16,6 +16,9 @@ Three layers:
   (mount -> write -> scavenge -> compact -> serve) against checked-in
   digests: the permanent regression tripwire.
 
-Every test here runs twice, with and without numpy (see ``conftest.py``),
-so both branches of every fast path are exercised in one suite run.
+Each fast path has one branch and needs no optional package.  Most tests
+here run twice, with numpy loaded and with ``import numpy`` failing (see
+``conftest.py``), and ``test_numpy_fallback.py`` runs a golden workload in
+a fresh process that cannot import numpy; ``test_packet_equivalence.py``
+also feeds numpy scalars to ``Packet`` where numpy happens to be installed.
 """

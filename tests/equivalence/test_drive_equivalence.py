@@ -26,10 +26,6 @@ from repro.errors import (
 from tests.equivalence.reference import make_reference_drive
 from repro.words import WORD_MASK
 
-#: The numpy_mode fixture just toggles a global flag -- identical for
-#: every generated example -- so the function-scoped-fixture check is moot.
-eq_settings = settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
-
 
 def make_pair(cylinders=6, fault_seed=None):
     """Two factory-fresh packs with their fast and reference drives."""

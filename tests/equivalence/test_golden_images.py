@@ -13,18 +13,21 @@ format change) must regenerate them consciously:
 
     REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest tests/equivalence/test_golden_images.py
 
-and the diff of golden_digests.json becomes part of the review.  Both numpy
-legs assert against the *same* pinned values -- the accelerated and pure
-branches may not disagree even in their last bit.
+and the diff of golden_digests.json becomes part of the review.  Every
+machine asserts against the *same* pinned values, with or without numpy
+installed: no code path imports it (see the last test here).
 """
 
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.disk import CachedDrive, DiskDrive, DiskImage, FaultPlan, tiny_test_disk
 from repro.errors import PowerFailure, ReproError
 from repro.fs import FileSystem
@@ -172,3 +175,18 @@ def test_workloads_are_deterministic(numpy_mode):
     first = workload_mount_write()
     second = workload_mount_write()
     assert first == second
+
+
+def test_golden_workload_leaves_numpy_unimported():
+    """A fresh process that runs a golden workload and draws 40,000 random
+    bytes never loads numpy, even where numpy is installed."""
+    code = ("import random, sys\n"
+            "from repro.words import random_bytes\n"
+            "from tests.equivalence.test_golden_images import workload_mount_write\n"
+            "workload_mount_write()\n"
+            "random_bytes(random.Random(1), 40_000)\n"
+            "sys.exit('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+    root = Path(__file__).resolve().parents[2]  # where ``tests`` imports from
+    status = subprocess.run([sys.executable, "-c", code], cwd=root, env=env).returncode
+    assert status == 0, "the workload or random_bytes imported numpy"

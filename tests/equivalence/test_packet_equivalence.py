@@ -15,8 +15,8 @@ from repro.net.network import MAX_PAYLOAD_WORDS, TYPE_DATA, NetworkError, Packet
 from repro.words import WORD_MASK, check_word
 
 try:
-    import numpy
-except ImportError:  # the numpy-absent leg: plain Python values only
+    import numpy  # a test-only dependency: its scalars are foreign ints
+except ImportError:  # not installed here: plain Python values only
     numpy = None
 
 

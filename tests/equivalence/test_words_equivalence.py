@@ -1,9 +1,8 @@
 """Fast == reference for the word-substrate primitives.
 
 Hypothesis drives arbitrary inputs through each bulk operation and its
-word-at-a-time twin from ``reference.py``; deterministic cases pin the
-sizes that straddle the numpy threshold (``_NUMPY_MIN_ITEMS``), where
-the bulk implementation switches strategies mid-function.
+word-at-a-time twin from ``reference.py``; deterministic cases pin edge
+sizes and the sizes the benchmark workloads draw.
 """
 
 import random
@@ -25,19 +24,21 @@ from repro.words import (
     random_bytes,
     words_to_bytes,
 )
-from repro.words import _NUMPY_MIN_ITEMS
 from repro.disk.drive import merge_check
 
-#: The numpy_mode fixture just toggles a global flag -- identical for
-#: every generated example -- so the function-scoped-fixture check is moot.
+#: The numpy_mode fixture is the same for every generated example, so
+#: the function-scoped-fixture check is moot.
 eq_settings = settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
 
 words_lists = st.lists(st.integers(min_value=0, max_value=WORD_MASK), max_size=600)
 
-#: Sizes that bracket every strategy switch inside the bulk paths.
-THRESHOLD_SIZES = [0, 1, 2, 3, 127, 128, 129,
-                   _NUMPY_MIN_ITEMS - 1, _NUMPY_MIN_ITEMS, _NUMPY_MIN_ITEMS + 1,
-                   2 * _NUMPY_MIN_ITEMS + 3]
+#: Deterministic sizes: empty and tiny; 10, which :func:`random_bytes`
+#: draws in exactly three rounds at seed 1979; 128 and 2048 and their
+#: neighbours (the old strategy switches); and 32,640 and 32,895, the
+#: smallest and largest upload the ``serve_mix`` benchmark workload
+#: draws.
+PINNED_SIZES = [0, 1, 2, 3, 10, 127, 128, 129, 2047, 2048, 2049, 4099,
+                32_640, 32_895]
 
 
 class TestChecksum:
@@ -48,13 +49,14 @@ class TestChecksum:
 
     def test_threshold_sizes(self, numpy_mode):
         rng = random.Random(7)
-        for n in THRESHOLD_SIZES:
+        for n in PINNED_SIZES:
             data = [rng.randrange(WORD_MASK + 1) for _ in range(n)]
             assert checksum(data) == checksum_reference(data)
 
     def test_all_word_mask(self, numpy_mode):
-        data = [WORD_MASK] * (_NUMPY_MIN_ITEMS + 5)
-        assert checksum(data) == checksum_reference(data)
+        for n in PINNED_SIZES:
+            data = [WORD_MASK] * n
+            assert checksum(data) == checksum_reference(data)
 
 
 class TestBytesToWords:
@@ -65,15 +67,15 @@ class TestBytesToWords:
 
     def test_threshold_sizes_odd_and_even(self, numpy_mode):
         rng = random.Random(11)
-        for n in THRESHOLD_SIZES:
+        for n in PINNED_SIZES:
             for extra in (0, 1):  # even and odd byte counts
                 data = bytes(rng.randrange(256) for _ in range(n + extra))
                 assert bytes_to_words(data, 0xAB) == bytes_to_words_reference(data, 0xAB)
 
-    @pytest.mark.parametrize("n", [2, 3, _NUMPY_MIN_ITEMS + 1])
+    @pytest.mark.parametrize("n", [2, 3, 2049])
     def test_non_buffer_input_rejected(self, numpy_mode, n):
         # Only a bytes-like buffer packs: a plain list of ints raises at
-        # any length, even or odd, on both sides of the numpy gate.
+        # any length, even or odd.
         with pytest.raises(TypeError):
             bytes_to_words([0x41] * n)
 
@@ -92,7 +94,7 @@ class TestWordsToBytes:
 
     def test_threshold_sizes(self, numpy_mode):
         rng = random.Random(13)
-        for n in THRESHOLD_SIZES:
+        for n in PINNED_SIZES:
             data = [rng.randrange(WORD_MASK + 1) for _ in range(n)]
             assert words_to_bytes(data) == words_to_bytes_reference(data)
             if n:  # odd truncation exercises the nbytes path
@@ -109,6 +111,12 @@ class TestWordsToBytes:
         with pytest.raises(TypeError):
             words_to_bytes(data[:at] + [float(bad)] + data[at:])
 
+    def test_float_words_rejected(self):
+        # At the size where packing once switched to numpy, which
+        # truncated 1.5 to 1 instead of raising.
+        with pytest.raises(TypeError):
+            words_to_bytes([1.5] * 2048)
+
     @pytest.mark.parametrize("nbytes", [-2, -100])
     def test_negative_nbytes_rejected_before_work(self, numpy_mode, nbytes):
         with pytest.raises(ValueError, match="nbytes must be -1"):
@@ -120,7 +128,7 @@ class TestWordsToBytes:
 class TestRandomBytes:
     """Stream-position equivalence: same draws, same leftover RNG state."""
 
-    @pytest.mark.parametrize("count", THRESHOLD_SIZES)
+    @pytest.mark.parametrize("count", PINNED_SIZES)
     def test_same_bytes_and_same_stream_position(self, numpy_mode, count):
         a, b = random.Random(1979), random.Random(1979)
         assert random_bytes(a, count) == random_bytes_reference(b, count)
@@ -129,7 +137,7 @@ class TestRandomBytes:
         assert a.getrandbits(64) == b.getrandbits(64)
 
     @eq_settings
-    @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(min_value=0, max_value=400))
+    @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(min_value=0, max_value=5000))
     def test_arbitrary_seeds(self, numpy_mode, seed, count):
         a, b = random.Random(seed), random.Random(seed)
         assert random_bytes(a, count) == random_bytes_reference(b, count)

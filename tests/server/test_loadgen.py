@@ -9,7 +9,7 @@ from repro.server.loadgen import LoadGenerator, build_system, percentile
 
 
 def run_load(mode="concurrent", clients=6, seed=5):
-    system = build_system(clients=clients, seed=seed, tiny=True)
+    system = build_system(clients=clients, tiny=True)
     generator = LoadGenerator(system, seed=seed, file_bytes=700, read_rounds=1)
     result = generator.run() if mode == "concurrent" else generator.run_sequential()
     return system, result
@@ -109,7 +109,7 @@ def test_check_quantile_agreement_rejects_a_drifted_histogram():
 
 
 def test_open_loop_below_capacity_completes_everything():
-    system = build_system(clients=4, seed=7, tiny=True)
+    system = build_system(clients=4, tiny=True)
     result = LoadGenerator(system, seed=7).run_open_loop(100, 0.5)
     assert result.errors == 0
     assert result.completed == result.offered > 0
@@ -119,7 +119,7 @@ def test_open_loop_below_capacity_completes_everything():
 
 def test_open_loop_is_deterministic_on_one_server():
     def run():
-        system = build_system(clients=4, seed=7, tiny=True)
+        system = build_system(clients=4, tiny=True)
         return LoadGenerator(system, seed=7).run_open_loop(100, 0.5)
 
     assert run().to_json() == run().to_json()

@@ -1,6 +1,7 @@
 """Wire-protocol tests: framing, reassembly, interleaving, malformed frames."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ProtocolError
 from repro.net.network import (
@@ -25,6 +26,10 @@ from repro.server.protocol import (
     Response,
     ST_BUSY,
     ST_OK,
+    decode_name,
+    decode_names,
+    encode_name,
+    encode_names,
     encode_request,
     encode_response,
 )
@@ -186,3 +191,41 @@ def test_oversized_frame_payload_rejected():
     with pytest.raises(ProtocolError):
         Request(OP_WRITE, request_id=1,
                 payload=tuple([0] * (MAX_FRAME_PAYLOAD_WORDS + 1)))
+
+
+# -- OPEN names and LIST name lists -------------------------------------------
+
+names = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                min_size=1, max_size=255)
+
+
+@given(st.lists(names, max_size=20))
+def test_name_lists_round_trip(listed):
+    assert decode_names(encode_names(listed)) == listed
+    for name in listed:
+        assert decode_name(encode_name(name)) == name
+
+
+@pytest.mark.parametrize("payload", [(), (0x0000,), (0x0541,), (0x01FF,)],
+                         ids=["no-words", "empty", "length-past-data", "non-ascii"])
+def test_a_bad_name_raises_protocol_error(payload):
+    with pytest.raises(ProtocolError):
+        decode_name(payload)
+
+
+# (3, 0x0141) would read as ["A"] if the count were not checked.
+@pytest.mark.parametrize("payload", [(3, 0x0141), (1,), (1, 0x0000), (1, 0x01FF)],
+                         ids=["count-past-payload", "count-without-name",
+                              "empty-name", "non-ascii"])
+def test_a_bad_name_list_raises_protocol_error(payload):
+    with pytest.raises(ProtocolError):
+        decode_names(payload)
+
+
+@given(st.lists(st.integers(0, 0xFFFF), max_size=40))
+def test_decoding_any_words_raises_only_protocol_error(words):
+    for decode in (decode_name, decode_names):
+        try:
+            decode(tuple(words))
+        except ProtocolError:
+            pass

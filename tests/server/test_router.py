@@ -22,6 +22,7 @@ from repro.server import (
     build_system,
     merge_names,
 )
+from repro.server.protocol import ST_OK, Response, encode_response
 from repro.server.router import ShardRouter
 
 
@@ -90,6 +91,30 @@ def test_list_scatter_gathers_the_union_of_all_shards():
     assert listed.count("SysDir") == 1
     assert listed.count("DiskDescriptor") == 1
     assert system.router.stats()["router.scatters"] == 1
+
+
+def test_a_malformed_shard_list_answer_is_counted_and_the_real_one_awaited():
+    system = make_cluster(shards=2)
+    [client] = system.clients
+    client.write_file("a.dat", b"a")     # the router now proxies this client
+    owner = system.shards[system.router.shard_map.shard_of("a.dat")]
+    request = client.build_list()
+    pending = client.submit(request)
+    # Queued at the client's proxy ahead of the shards' real answers, as
+    # from the shard that holds a.dat: a name-count word that runs past
+    # the payload.
+    bogus = Response(ST_OK, request.request_id, result0=1, payload=(9, 0x0541))
+    for packet in encode_response(bogus, owner.host,
+                                  f"{system.router.host}.{client.host}"):
+        system.network.send(packet)
+    for _ in range(400):
+        system.router.poll()
+        response = client._check_arrivals(pending)
+        if response is not None:
+            break
+    assert response.ok
+    assert response.payload == raw_transact(system, client, client.build_list()).payload
+    assert system.router.stats()["router.errors"] == 1
 
 
 def test_handles_are_virtualized_in_one_client_sequence():
@@ -210,7 +235,7 @@ def drive_workload(client):
 
 
 def test_one_shard_cluster_is_observationally_equivalent_to_pr5_server():
-    plain = build_system(clients=1, seed=11, tiny=True)
+    plain = build_system(clients=1, tiny=True)
     [plain_client] = plain.clients
     plain_client.pump = plain.server.poll
     cluster = make_cluster(clients=1, shards=1, seed=11)
@@ -261,6 +286,19 @@ def test_rebalance_ships_a_slot_and_serving_continues():
     for n in names:
         assert client.read_file(n) == contents[n]
     assert sorted(set(client.listdir())) == sorted(client.listdir())
+
+
+def test_one_rebalance_counts_once_cluster_wide():
+    system = make_cluster(shards=2)
+    [client] = system.clients
+    client.write_file("r0.dat", b"r0" * 40)
+    name, _, target = pick_file_and_target(system, ["r0.dat"])
+    system.router.start_rebalance(system.router.shard_map.slot_of(name), target)
+    system.router.poll()
+    assert not system.router.rebalancing
+    stats = system.stats()
+    assert stats["router.rebalances"] == 1
+    assert stats["router.shipped_names"] == 1
 
 
 def test_rebalance_waits_for_open_handles_and_pauses_new_opens():
