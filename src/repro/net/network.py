@@ -67,6 +67,36 @@ class Packet:
             if type(w) is not int or w < 0 or w > WORD_MASK:
                 check_word(w, "payload word")  # raises, or admits an int subclass
 
+    def relayed(self, source: str, destination: str,
+                at: Optional[int] = None, word: int = 0) -> "Packet":
+        """This packet sent on from *source* to *destination*, with payload
+        word *at* replaced by *word* when *at* is given.
+
+        Only *word* is checked: every other word was checked when this
+        packet was built, and a tuple payload cannot have changed since (a
+        list payload could have, so it is checked again).
+
+        >>> header = Packet("ws", "router", TYPE_CONTROL, (1, 2, 3))
+        >>> header.relayed("router", "shard", at=1, word=7)
+        Packet(source='router', destination='shard', ptype=3, payload=(1, 7, 3))
+        """
+        payload = self.payload
+        if type(payload) is not tuple:
+            return Packet(source, destination, self.ptype,
+                          tuple(payload)).relayed(source, destination, at, word)
+        if at is not None:
+            if type(word) is not int or word < 0 or word > WORD_MASK:
+                check_word(word, "payload word")
+            if not 0 <= at < len(payload):
+                raise NetworkError(f"no word {at} in a {len(payload)}-word payload")
+            payload = payload[:at] + (word,) + payload[at + 1:]
+        # Frozen fields are set the way the dataclass's own __init__ sets
+        # them, without the __post_init__ that would check every word.
+        copy = object.__new__(Packet)
+        copy.__dict__.update(source=source, destination=destination,
+                             ptype=self.ptype, payload=payload)
+        return copy
+
 
 class PacketNetwork:
     """Hosts with receive queues; delivery charges simulated wire time.

@@ -41,7 +41,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional, Tuple
 
-from ..errors import RequestFailed, RequestTimeout
+from ..errors import ProtocolError, RequestFailed, RequestTimeout
 from ..fs.file import FULL_PAGE
 from ..net.network import PacketNetwork
 from ..words import bytes_to_words, words_to_bytes
@@ -237,7 +237,13 @@ class FileClient:
             packet = self.network.receive(self.host)
             if packet is None:
                 return None
-            completed = self.assembler.feed(packet)
+            try:
+                completed = self.assembler.feed(packet)
+            except ProtocolError:
+                # Not an answer: count it and keep waiting.  Created on
+                # first use, so a run that sees none exports no counter.
+                self.obs.registry.counter("server.client.errors").inc()
+                continue
             if completed is None:
                 continue
             _, frame = completed

@@ -41,8 +41,8 @@ packet granularity.  See ``SERVER.md`` for the full specification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from ..net.network import MAX_PAYLOAD_WORDS, Packet, TYPE_CONTROL, TYPE_DATA
@@ -54,6 +54,9 @@ MAGIC_RESPONSE = 0x4653
 
 #: Fixed header words before the payload.
 HEADER_WORDS = 7
+
+#: The header word that holds the handle: the one word a relay rewrites.
+HANDLE_WORD = 3
 
 #: Request opcodes.
 OP_OPEN = 1
@@ -104,6 +107,10 @@ class Request:
     arg1: int = 0
     payload: Tuple[int, ...] = ()
 
+    #: The packets a :class:`FrameAssembler` built the frame from, for
+    #: :func:`relay`.  Not a field: no part of equality, and ``replace`` drops it.
+    packets: ClassVar[Tuple[Packet, ...]] = ()
+
     def __post_init__(self) -> None:
         if self.op not in OP_NAMES:
             raise ProtocolError(f"unknown opcode {self.op}")
@@ -134,6 +141,9 @@ class Response:
     result0: int = 0
     result1: int = 0
     payload: Tuple[int, ...] = ()
+
+    #: As :attr:`Request.packets`.
+    packets: ClassVar[Tuple[Packet, ...]] = ()
 
     def __post_init__(self) -> None:
         if self.status not in ST_NAMES:
@@ -261,6 +271,32 @@ def encode_response(response: Response, source: str, destination: str) -> List[P
                    response.payload, source, destination)
 
 
+def relay(frame, source: str, destination: str,
+          handle: Optional[int] = None) -> List[Packet]:
+    """Send *frame* on as the packets it arrived in, from *source* to
+    *destination*, with the header's handle word set to *handle* if given.
+
+    Only that word is checked again (:meth:`~repro.net.network.Packet.relayed`);
+    every other word was checked where the frame was first encoded.
+
+    >>> packets = encode_request(Request(OP_READ, request_id=4, handle=2,
+    ...                                  arg0=1, arg1=1), "ws", "router")
+    >>> _, frame = FrameAssembler().feed(packets[0])
+    >>> [packet] = relay(frame, "router", "shard", handle=9)
+    >>> packet == encode_request(Request(OP_READ, request_id=4, handle=9,
+    ...                                  arg0=1, arg1=1), "router", "shard")[0]
+    True
+    """
+    if not frame.packets:
+        raise ValueError("only a frame FrameAssembler built can be relayed")
+    header, *rest = frame.packets
+    if handle is None:
+        first = header.relayed(source, destination)
+    else:
+        first = header.relayed(source, destination, HANDLE_WORD, handle)
+    return [first] + [packet.relayed(source, destination) for packet in rest]
+
+
 def _decode_header(payload: Tuple[int, ...]):
     if len(payload) < HEADER_WORDS:
         raise ProtocolError(f"header packet has only {len(payload)} words, "
@@ -271,11 +307,15 @@ def _decode_header(payload: Tuple[int, ...]):
     return magic, payload[1:HEADER_WORDS], payload[HEADER_WORDS:]
 
 
-def _build(magic: int, header, payload: Tuple[int, ...]):
+def _build(magic: int, header, payload: Tuple[int, ...],
+           packets: Tuple[Packet, ...]):
     op_or_status, request_id, handle, a0, a1 = header
     if magic == MAGIC_REQUEST:
-        return Request(op_or_status, request_id, handle, a0, a1, payload)
-    return Response(op_or_status, request_id, handle, a0, a1, payload)
+        frame = Request(op_or_status, request_id, handle, a0, a1, payload)
+    else:
+        frame = Response(op_or_status, request_id, handle, a0, a1, payload)
+    object.__setattr__(frame, "packets", packets)
+    return frame
 
 
 @dataclass
@@ -283,7 +323,8 @@ class _Partial:
     magic: int
     header: Tuple[int, ...]
     expected: int
-    payload: List[int] = field(default_factory=list)
+    payload: List[int]
+    packets: List[Packet]
 
 
 class FrameAssembler:
@@ -327,8 +368,8 @@ class FrameAssembler:
                     f"frame announced {expected} payload words but the header "
                     f"packet already carries {len(first)}")
             if len(first) == expected:  # a one-packet frame
-                return source, _build(magic, header[:5], first)
-            partial = _Partial(magic, header, expected, list(first))
+                return source, _build(magic, header[:5], first, (packet,))
+            partial = _Partial(magic, header, expected, list(first), [packet])
             self._partials[source] = partial
         elif packet.ptype == TYPE_DATA:
             partial = self._partials.get(source)
@@ -336,6 +377,7 @@ class FrameAssembler:
                 self.stray += 1
                 return None
             partial.payload.extend(packet.payload)
+            partial.packets.append(packet)
             if len(partial.payload) > partial.expected:
                 del self._partials[source]
                 raise ProtocolError(
@@ -347,5 +389,6 @@ class FrameAssembler:
         if len(partial.payload) == partial.expected:
             del self._partials[source]
             return source, _build(partial.magic, partial.header[:5],
-                                  tuple(partial.payload))
+                                  tuple(partial.payload),
+                                  tuple(partial.packets))
         return None

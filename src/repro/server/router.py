@@ -8,13 +8,17 @@ slot.  Clients keep speaking the unmodified PR-5 wire protocol to the
 unmodified ``"fileserver"`` host name; sharding is invisible except as
 throughput.
 
-**Frame rewriting.**  The router forwards a client's frame from a
+**Frame relaying.**  The router forwards a client's frame from a
 per-client *proxy* host (``fileserver.ws000`` for client ``ws000``), so
 every shard sees one session -- with its own at-most-once replay cache --
 per real client.  Handles are virtualized: the client holds router-issued
 handles, the router maps them to ``(shard, shard handle)`` pairs and
 rewrites the handle word in both directions, so a client's handle
-sequence is identical whether the cluster has one shard or eight.
+sequence is identical whether the cluster has one shard or eight.  The
+router relays the packets it received (:func:`~repro.server.protocol.relay`),
+re-addressed, and writes -- and so checks -- only the header's handle
+word.  It encodes only the merged LIST answer and its own ``ST_BUSY``,
+``ST_BAD_HANDLE`` and ``ST_BAD_REQUEST`` answers.
 
 **Parallel simulated time.**  Each shard machine owns its own
 :class:`~repro.clock.SimClock` (bound to its host via
@@ -34,7 +38,8 @@ executed it, so the retry may be re-routed freshly).
 
 **LIST** scatter-gathers: the frame fans out to every shard and the
 name sets merge case-insensitively sorted and deduplicated -- the same
-deterministic order at every shard count.
+deterministic order at every shard count.  A shard answering other than
+``ST_OK`` ends the scatter with its answer.
 
 **Rebalancing** moves one slot at a time (:meth:`ShardRouter.start_rebalance`):
 the router pauses only that slot's names (new OPENs get ``ST_BUSY``),
@@ -92,8 +97,8 @@ from .protocol import (
     decode_name,
     decode_names,
     encode_names,
-    encode_request,
     encode_response,
+    relay,
 )
 from .rebalance import MANIFEST_NAME, Shipment, recover_shipment, ship_names
 from .session import MAX_HANDLE, REPLAY_CACHE_SIZE
@@ -407,22 +412,20 @@ class ShardRouter:
             self._respond_local(state, Response(ST_BAD_HANDLE,
                                                 request.request_id))
             return
-        forward = Request(request.op, request.request_id,
-                          handle=vhandle.handle, arg0=request.arg0,
-                          arg1=request.arg1, payload=request.payload)
         self._admit(state, request, vhandle.shard, name=vhandle.name,
-                    forward=forward)
+                    handle=vhandle.handle)
 
     def _admit(self, state: _ClientState, request: Request, shard: int,
                name: Optional[str] = None,
-               forward: Optional[Request] = None) -> None:
+               handle: Optional[int] = None) -> None:
+        """Forward *request* to *shard*, its handle word set to the shard's
+        *handle* when it names an open file."""
         if self._outstanding[shard] >= self.per_shard_window:
             self._c_rejected.inc()
             self._respond_local(state, Response(ST_BUSY, request.request_id),
                                 remember=False)
             return
-        packets = encode_request(forward if forward is not None else request,
-                                 state.proxy, self.shards[shard].host)
+        packets = relay(request, state.proxy, self.shards[shard].host, handle)
         ctx = _InFlight(request=request, shard=shard, name=name,
                         sent_us=self.clock.now_us, packets=packets)
         state.inflight[request.request_id] = ctx
@@ -445,7 +448,7 @@ class ShardRouter:
             self._h_scatter_fanout.observe(len(self.shards))
             ctx.pending_shards = set(range(len(self.shards)))
             for index, shard in enumerate(self.shards):
-                packets = encode_request(request, state.proxy, shard.host)
+                packets = relay(request, state.proxy, shard.host)
                 ctx.scatter_packets[index] = packets
                 self._outstanding[index] += 1
                 for packet in packets:
@@ -515,57 +518,51 @@ class ShardRouter:
 
     def _finish(self, state: _ClientState, ctx: _InFlight, shard: int,
                 response: Response) -> None:
-        request_id = ctx.request.request_id
         self._drop(state, ctx)
-        link = self.shards[shard].clock
         if response.status == ST_BUSY:
             # The shard never executed it: relay, forget, let the retry
             # be admitted (and routed) fresh.
             self._c_shard_busy.inc()
-            self._relay(state, Response(ST_BUSY, request_id), link,
+            self._relay(state, response.request_id,
+                        relay(response, self.host, state.client),
                         remember=False)
             return
         # The round trip through the shard, on the producing shard's link
         # clock (the router's own clock has not yet advanced to this
         # cycle's horizon when responses are collected).
+        link = self.shards[shard].clock
         self._h_hop_us.observe(max(0, link.now_us - ctx.sent_us))
-        self._relay(state, self._rewrite(state, ctx, shard, response), link)
+        handle = self._rewrite(state, ctx, shard, response)
+        self._relay(state, response.request_id,
+                    relay(response, self.host, state.client, handle))
         self._c_relayed.inc()
 
     def _rewrite(self, state: _ClientState, ctx: _InFlight, shard: int,
-                 response: Response) -> Response:
-        """Translate a shard response into the client's handle space."""
+                 response: Response) -> Optional[int]:
+        """The handle word of a shard response in the client's handle
+        space, or None when the shard's own word stands."""
+        if not response.ok:
+            return None
         op = ctx.request.op
-        if op in (OP_OPEN, OP_READ, OP_WRITE) and response.ok:
+        if op == OP_OPEN:
             self._c_rewrites.inc()
-        if op == OP_OPEN and response.ok:
-            vhandle = state.grant(shard, response.handle, ctx.name)
-            return Response(ST_OK, response.request_id, handle=vhandle,
-                            result0=response.result0,
-                            result1=response.result1,
-                            payload=response.payload)
-        if op in (OP_READ, OP_WRITE) and response.ok:
-            return Response(ST_OK, response.request_id,
-                            handle=ctx.request.handle,
-                            result0=response.result0,
-                            result1=response.result1,
-                            payload=response.payload)
-        if op == OP_CLOSE and response.ok:
+            return state.grant(shard, response.handle, ctx.name)
+        if op in (OP_READ, OP_WRITE):
+            self._c_rewrites.inc()
+            return ctx.request.handle
+        if op == OP_CLOSE:
             state.vhandles.pop(ctx.request.handle, None)
-        return response
+        return None
 
     def _gather(self, state: _ClientState, ctx: _InFlight, shard: int,
                 response: Response) -> None:
-        request_id = ctx.request.request_id
-        link = self.shards[shard].clock
-        if response.status == ST_BUSY:
-            self._c_shard_busy.inc()
-            self._drop(state, ctx)
-            self._relay(state, Response(ST_BUSY, request_id), link,
-                        remember=False)
-            return
-        if shard not in ctx.pending_shards:
+        if response.status != ST_BUSY and shard not in ctx.pending_shards:
             self._c_stale.inc()
+            return
+        if not response.ok:
+            # Busy or failed, one shard's answer ends the scatter: a
+            # listing without that shard's names would be wrong.
+            self._finish(state, ctx, shard, response)
             return
         try:
             listed = decode_names(response.payload)
@@ -578,20 +575,20 @@ class ShardRouter:
         ctx.names.update(listed)
         if ctx.pending_shards:
             return
-        state.inflight.pop(request_id, None)
-        self._pending -= 1
-        self._g_pending.set(self._pending)
+        self._drop(state, ctx)
+        link = self.shards[shard].clock
         self._h_hop_us.observe(max(0, link.now_us - ctx.sent_us))
         names = merge_names([ctx.names])
-        merged = Response(ST_OK, request_id, result0=len(names),
+        merged = Response(ST_OK, response.request_id, result0=len(names),
                           payload=encode_names(names))
-        self._relay(state, merged, link)
+        self._relay(state, response.request_id,
+                    encode_response(merged, self.host, state.client))
         self._c_relayed.inc()
 
-    def _relay(self, state: _ClientState, response: Response, link: SimClock,
-               remember: bool = True) -> None:
-        """Send a response to the client on the switch's **downlink**
-        (the front clock), and cache it for retries.
+    def _relay(self, state: _ClientState, request_id: int,
+               packets: List[Packet], remember: bool = True) -> None:
+        """Send a response's packets to the client on the switch's
+        **downlink** (the front clock), and cache them for retries.
 
         The shard's link already carried this response once, shard to
         proxy, on the shard's own clock; relaying it proxy-to-client is
@@ -600,15 +597,14 @@ class ShardRouter:
         to the shard again (as the PR-6 relay did) serialized every
         response's wire time twice on the shard clock and was the single
         largest term in the E15 capacity knee; moving it to the front
-        clock is what benchmark E17 measures.  *link* still timestamps
-        the hop histogram: the round trip is the shard's story.
+        clock is what benchmark E17 measures.  The shard's link clock
+        still timestamps the hop histogram (the caller observes it): the
+        round trip is the shard's story.
         """
-        del link  # the hop was observed by the caller; wire goes up front
-        packets = encode_response(response, self.host, state.client)
         for packet in packets:
             self.network.send(packet, clock=self.front_clock)
         if remember:
-            state.remember(response.request_id, packets)
+            state.remember(request_id, packets)
 
     def _respond_local(self, state: _ClientState, response: Response,
                        remember: bool = True) -> None:

@@ -1,6 +1,7 @@
 """Packet network tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clock import SimClock
 from repro.net import (
@@ -8,11 +9,13 @@ from repro.net import (
     NetworkError,
     Packet,
     PacketNetwork,
+    TYPE_CONTROL,
     TYPE_DATA,
     TYPE_END_OF_FILE,
     send_file,
 )
 from repro.words import words_to_bytes, words_to_string
+from tests.equivalence.test_packet_equivalence import bad, good
 
 
 @pytest.fixture
@@ -75,6 +78,42 @@ class TestPackets:
     def test_payload_word_range(self):
         with pytest.raises(ValueError):
             Packet("a", "b", TYPE_DATA, (0x10000,))
+
+
+def outcome(make):
+    """The packet *make* built, or the error it raised."""
+    try:
+        return make()
+    except Exception as exc:  # noqa: BLE001 - the class is the comparison
+        return type(exc), str(exc)
+
+
+class TestRelayed:
+    HEADER = Packet("ws", "router", TYPE_CONTROL, (0x4652, 2, 1, 5, 1, 1, 0))
+
+    @settings(deadline=None)
+    @given(word=st.one_of(good, bad), at=st.integers(0, 6))
+    def test_a_written_word_is_checked_as_the_constructor_checks_it(self, word, at):
+        words = self.HEADER.payload
+        spliced = words[:at] + (word,) + words[at + 1:]
+        expected = outcome(lambda: Packet("router", "shard", TYPE_CONTROL, spliced))
+        assert outcome(lambda: self.HEADER.relayed("router", "shard", at, word)) == expected
+
+    def test_readdressing_shares_the_checked_payload(self):
+        copy = self.HEADER.relayed("router", "shard")
+        assert copy == Packet("router", "shard", TYPE_CONTROL, self.HEADER.payload)
+        assert copy.payload is self.HEADER.payload
+
+    def test_a_list_payload_is_checked_again(self):
+        words = [1, 2, 3]
+        packet = Packet("a", "b", TYPE_DATA, words)
+        words[1] = 0x10000                   # changed after it was checked
+        with pytest.raises(ValueError, match="16 bits"):
+            packet.relayed("b", "c")
+
+    def test_a_word_past_the_payload_is_refused(self):
+        with pytest.raises(NetworkError, match="no word 7"):
+            self.HEADER.relayed("router", "shard", 7, 0)
 
 
 class TestSendFile:

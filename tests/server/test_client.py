@@ -5,8 +5,8 @@ import pytest
 from repro.disk import DiskDrive, DiskImage, tiny_test_disk
 from repro.errors import RequestTimeout
 from repro.fs import FileSystem
-from repro.net import PacketNetwork
-from repro.server import FileClient, FileServer
+from repro.net import TYPE_CONTROL, Packet, PacketNetwork
+from repro.server import FileClient, FileServer, build_system
 
 
 def make_pair(**client_kw):
@@ -41,6 +41,19 @@ def test_timeout_resends_the_same_request_id():
     assert response is not None and response.ok
     assert response.request_id == pending.request.request_id
     assert client.clock.obs.stats()["server.client.retries"] == 1
+
+
+def test_a_malformed_packet_is_counted_and_the_answer_still_awaited():
+    system = build_system(clients=1, tiny=True)
+    [client] = system.clients
+    client.pump = system.server.poll
+    listed = client.listdir()
+    assert "server.client.errors" not in system.stats()
+    # A header packet too short to hold a header, then one with a bad magic.
+    for payload in [(7,), (0xBEEF,) * 7]:
+        system.network.send(Packet("ghost", client.host, TYPE_CONTROL, payload))
+    assert client.listdir() == listed
+    assert system.stats()["server.client.errors"] == 2
 
 
 def test_lost_response_is_replayed_not_reexecuted():

@@ -88,7 +88,7 @@ def run_ops(system, ops):
     return visible
 
 
-@settings(max_examples=15, deadline=None)
+@settings(deadline=None)
 @given(ops=operations)
 def test_one_and_four_shard_clusters_agree_on_every_outcome(ops):
     single = build_cluster(clients=1, shards=1, seed=1979, tiny=True)

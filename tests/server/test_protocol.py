@@ -1,5 +1,7 @@
 """Wire-protocol tests: framing, reassembly, interleaving, malformed frames."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,7 @@ from repro.server.protocol import (
     MAX_FRAME_PAYLOAD_WORDS,
     OP_CLOSE,
     OP_LIST,
+    OP_NAMES,
     OP_OPEN,
     OP_READ,
     OP_WRITE,
@@ -25,6 +28,7 @@ from repro.server.protocol import (
     Request,
     Response,
     ST_BUSY,
+    ST_NAMES,
     ST_OK,
     decode_name,
     decode_names,
@@ -32,6 +36,7 @@ from repro.server.protocol import (
     encode_names,
     encode_request,
     encode_response,
+    relay,
 )
 
 
@@ -229,3 +234,45 @@ def test_decoding_any_words_raises_only_protocol_error(words):
             decode(tuple(words))
         except ProtocolError:
             pass
+
+
+# -- relaying -------------------------------------------------------------------
+
+
+words = st.integers(0, 0xFFFF)
+
+
+@st.composite
+def wire_frames(draw):
+    """A request or response whose payload spans 1-4 packets."""
+    packets = draw(st.integers(1, 4))
+    room = MAX_PAYLOAD_WORDS - HEADER_WORDS
+    fewest = 0 if packets == 1 else room + (packets - 2) * MAX_PAYLOAD_WORDS + 1
+    count = draw(st.integers(fewest, room + (packets - 1) * MAX_PAYLOAD_WORDS))
+    rng = draw(st.randoms(use_true_random=False))
+    payload = tuple(rng.randrange(0x10000) for _ in range(count))
+    request_id, handle, word4, word5 = draw(
+        st.tuples(st.integers(1, 0xFFFF), words, words, words))
+    if draw(st.booleans()):
+        return Request(draw(st.sampled_from(sorted(OP_NAMES))), request_id,
+                       handle, word4, word5, payload)
+    return Response(draw(st.sampled_from(sorted(ST_NAMES))), request_id,
+                    handle, word4, word5, payload)
+
+
+@given(frame=wire_frames(), handle=st.one_of(st.none(), words))
+def test_relaying_a_frame_equals_encoding_it_with_the_new_handle(frame, handle):
+    encode = encode_request if isinstance(frame, Request) else encode_response
+    [(_, received)] = assemble(encode(frame, "ws", "router"))
+    if handle is not None:
+        frame = replace(frame, handle=handle)
+    assert relay(received, "router", "shard", handle) == encode(frame, "router",
+                                                               "shard")
+
+
+def test_only_a_frame_off_the_wire_can_be_relayed():
+    frame = Request(OP_LIST, request_id=1)
+    with pytest.raises(ValueError, match="FrameAssembler"):
+        relay(frame, "router", "shard")
+    [(_, received)] = assemble(encode_request(frame, "ws", "router"))
+    assert received.packets and not replace(received).packets

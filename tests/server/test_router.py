@@ -7,11 +7,13 @@ unmodified ``"fileserver"`` host sees the same statuses, bytes, handle
 sequences, and LIST contents at any shard count.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro.errors import RequestFailed, ServerError
+from repro.errors import FileSystemError, RequestFailed, ServerError
+from repro.net.network import Packet
 from repro.server import (
     FileClient,
     FileServer,
@@ -22,7 +24,7 @@ from repro.server import (
     build_system,
     merge_names,
 )
-from repro.server.protocol import ST_OK, Response, encode_response
+from repro.server.protocol import ST_ERROR, ST_OK, Response, encode_response
 from repro.server.router import ShardRouter
 
 
@@ -39,7 +41,7 @@ def raw_transact(system, client, request, rounds=400):
     no retry -- so router-generated ST_BUSY is observable."""
     pending = client.submit(request)
     for _ in range(rounds):
-        system.router.poll()
+        system.server.poll()
         response = client._check_arrivals(pending)
         if response is not None:
             return response
@@ -115,6 +117,68 @@ def test_a_malformed_shard_list_answer_is_counted_and_the_real_one_awaited():
     assert response.ok
     assert response.payload == raw_transact(system, client, client.build_list()).payload
     assert system.router.stats()["router.errors"] == 1
+
+
+def test_a_failed_shard_list_answer_fails_the_listing_as_one_server_does(
+        monkeypatch):
+    """A shard whose directory cannot be listed answers ``ST_ERROR``; the
+    router must pass that on, not merge the other shards' names into an
+    ``ST_OK`` listing -- and a retry of the id must replay the failure."""
+    def unreadable():
+        raise FileSystemError("directory page unreadable")
+
+    def list_and_retry(system, fs):
+        [client] = system.clients
+        for name in ("a.txt", "b.txt", "c.txt", "d.txt"):
+            client.write_file(name, name.encode())
+        monkeypatch.setattr(fs, "list_files", unreadable)
+        request = client.build_list()
+        return [raw_transact(system, client, request).status
+                for _ in range(2)]
+
+    single = build_system(clients=1, tiny=True)
+    single.clients[0].pump = single.server.poll
+    cluster = make_cluster(shards=2)
+    assert (list_and_retry(cluster, cluster.shards[1].fs)
+            == list_and_retry(single, single.fs) == [ST_ERROR, ST_ERROR])
+    stats = cluster.router.stats()
+    assert stats["router.replayed"] == 1
+    assert cluster.router.pending == 0
+
+
+def test_a_routed_read_and_write_check_each_payload_word_once(monkeypatch):
+    """The router relays the packets it received: every payload word is
+    checked once, where its frame was first encoded, and the router
+    checks only the handle word it writes into each header packet."""
+    system = make_cluster(shards=2)
+    [client] = system.clients
+    client.write_file("page.dat", bytes(512))
+    handle, _ = client.open("page.dat")
+    shard = system.shards[system.router.shard_map.shard_of("page.dat")].host
+    proxy = f"{system.router.host}.{client.host}"
+    checked = Counter()          # words checked, by the host that sent them
+
+    def built(packet):
+        checked[packet.source] += len(packet.payload)
+        check(packet)
+
+    def relayed(packet, source, destination, at=None, word=0):
+        if at is not None:              # the one word a relay writes
+            checked[source] += 1
+        return relay(packet, source, destination, at, word)
+
+    check, relay = Packet.__post_init__, Packet.relayed
+    monkeypatch.setattr(Packet, "__post_init__", built)
+    monkeypatch.setattr(Packet, "relayed", relayed)
+    # One page is 256 payload words: with the 7 header words, a 2-packet
+    # frame; the other direction is a bare 7-word header.
+    client.transact(client.build_read(handle, 1, 1))
+    assert checked == {client.host: 7, proxy: 1, shard: 263,
+                       system.router.host: 1}
+    checked.clear()
+    client.transact(client.build_write(handle, 1, bytes(range(256)) * 2))
+    assert checked == {client.host: 263, proxy: 1, shard: 7,
+                       system.router.host: 1}
 
 
 def test_handles_are_virtualized_in_one_client_sequence():
