@@ -20,11 +20,14 @@ Three claims from the engine restructure, each pinned:
 * **QoS isolation.**  Four bulk hogs keep deep read backlogs while one
   interactive client does request/response.  Under the event engine's
   class rotation the interactive request is served at the head of each
-  cycle; under the PR-5 polling loop (kept alive as
-  :class:`~repro.server.polled.PolledFileServer`, which ignores QoS) it
-  queues behind a full pass of hog traffic.  The interactive p99 gap
+  cycle; under the PR-5 polling loop (kept alive as ``PolledFileServer``
+  in ``tests/server/polled.py``, which ignores QoS) it queues behind a
+  full pass of hog traffic.  The interactive p99 gap
   between the two engines is the isolation the weights buy.
 """
+
+import importlib.util
+from pathlib import Path
 
 from repro.disk import CachedDrive, DiskImage, tiny_test_disk
 from repro.fs import FileSystem
@@ -34,13 +37,23 @@ from repro.server import (
     FileClient,
     FileServer,
     FrameAssembler,
-    PolledFileServer,
     run_session_storm,
 )
 from repro.server.loadgen import percentile
 
 from bench_saturation import saturation_point
 from paper import report
+
+
+def polled_server():
+    """The QoS control arm: the PR-5 polling engine, which lives with the
+    tests as the event engine's differential reference."""
+    path = Path(__file__).resolve().parents[1] / "tests/server/polled.py"
+    spec = importlib.util.spec_from_file_location("polled", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PolledFileServer
+
 
 SEED = 1979
 
@@ -151,7 +164,7 @@ def test_knee_is_strictly_above_the_pr8_capacity():
 
 def test_qos_isolates_interactive_from_bulk_hogs():
     event_p50, event_p99, _ = qos_isolation(FileServer)
-    polled_p50, polled_p99, _ = qos_isolation(PolledFileServer)
+    polled_p50, polled_p99, _ = qos_isolation(polled_server())
     assert event_p99 < polled_p99, (
         f"QoS bought nothing: event p99 {event_p99}ms vs "
         f"polled p99 {polled_p99}ms")
@@ -200,7 +213,7 @@ def bench(profile: str = "full"):
     ))
 
     event_p50, event_p99, event_s = qos_isolation(FileServer, rounds)
-    polled_p50, polled_p99, polled_s = qos_isolation(PolledFileServer, rounds)
+    polled_p50, polled_p99, polled_s = qos_isolation(polled_server(), rounds)
     assert event_p99 < polled_p99, "QoS isolation failed"
     results.append(report(
         "E17",

@@ -6,13 +6,12 @@ request engine (:class:`~repro.server.engine.FileServer`) multiplexing
 many client sessions over a :class:`~repro.net.network.PacketNetwork`
 onto one :class:`~repro.fs.filesystem.FileSystem` -- sessions sleep until
 a packet, timer, or flush wakes them, are scheduled under weighted QoS
-classes (:mod:`~repro.server.qos`), and are admitted through a graduated
-curve (:class:`~repro.server.qos.AdmissionCurve`) rather than a single
-cliff.  Around the engine: a framed wire protocol with error codes
-(:mod:`~repro.server.protocol`), per-session state with at-most-once
-retry semantics (:mod:`~repro.server.session`), a client with timeout and
-exponential backoff (:class:`~repro.server.client.FileClient`), and a
-seeded load generator (:mod:`~repro.server.loadgen`) that can hold ten
+classes (:mod:`~repro.server.qos`), and are answered ``ST_BUSY`` once
+``max_pending`` requests wait.  Around the engine: a framed wire
+protocol with error codes (:mod:`~repro.server.protocol`), per-session
+state with at-most-once retry semantics (:mod:`~repro.server.session`),
+a client with timeout and exponential backoff
+(:class:`~repro.server.client.FileClient`), and a seeded load generator (:mod:`~repro.server.loadgen`) that can hold ten
 thousand concurrent sessions open (:func:`~repro.server.loadgen.run_session_storm`).
 
 See ``SERVER.md`` for the wire-protocol specification and
@@ -44,14 +43,12 @@ from .loadgen import (
     build_system,
     run_session_storm,
 )
-from .polled import PolledFileServer
 from .qos import (
     DEFAULT_QOS_WEIGHTS,
     QOS_BULK,
     QOS_CLASSES,
     QOS_INTERACTIVE,
     QOS_MAINTENANCE,
-    AdmissionCurve,
 )
 from .protocol import (
     FLAG_CREATE,
@@ -89,11 +86,10 @@ from .replica import (
     promote,
 )
 from .router import ShardRouter, merge_names
-from .session import OpenHandle, Session
+from .session import Session
 from .shardmap import RebalancePlan, ShardMap, hash_name
 
 __all__ = [
-    "AdmissionCurve",
     "ClusterSystem",
     "DEFAULT_MAX_PENDING",
     "DEFAULT_QOS_WEIGHTS",
@@ -112,9 +108,7 @@ __all__ = [
     "OP_OPEN",
     "OP_READ",
     "OP_WRITE",
-    "OpenHandle",
     "PendingRequest",
-    "PolledFileServer",
     "PromotionReport",
     "QOS_BULK",
     "QOS_CLASSES",

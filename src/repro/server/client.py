@@ -9,17 +9,15 @@ all of them deterministically:
   request id, which the server answers from its replay cache without
   re-executing;
 * the server answers **``ST_BUSY``** (admission queue full): the client
-  waits out an exponentially growing backoff before resending --
-  optionally de-synchronized by a deterministic seeded jitter
-  (``backoff_jitter``, off by default so pinned golden runs are
-  byte-identical);
+  waits out an exponentially growing backoff before resending, on the
+  exact geometric schedule ``backoff_us * backoff_factor ** n``;
 * a **stale response** arrives for an id the client gave up on: it is
   discarded by id matching.
 
-The waiting loop advances simulated time in ``poll_interval_us`` steps and
-calls the optional ``pump`` callable (normally ``server.poll``) so the
-server runs -- in this single-threaded simulation the client's wait loop
-*is* the machine's idle loop.
+The waiting loop (:meth:`FileClient.wait`) advances simulated time in
+``poll_interval_us`` steps and calls the optional ``pump`` callable
+(normally ``server.poll``) so the server runs -- in this single-threaded
+simulation the client's wait loop *is* the machine's idle loop.
 
 >>> from repro import DiskDrive, DiskImage, FileSystem, tiny_test_disk
 >>> from repro.net import PacketNetwork
@@ -38,7 +36,6 @@ b'hello'
 
 from __future__ import annotations
 
-import random
 from typing import Callable, List, Optional, Tuple
 
 from ..errors import ProtocolError, RequestFailed, RequestTimeout
@@ -113,8 +110,6 @@ class FileClient:
         backoff_factor: int = 2,
         poll_interval_us: int = DEFAULT_POLL_INTERVAL_US,
         read_batch_pages: int = MAX_BATCH_PAGES,
-        backoff_jitter: float = 0.0,
-        jitter_seed: int = 1979,
     ) -> None:
         self.network = network
         self.host = host
@@ -127,16 +122,6 @@ class FileClient:
         self.backoff_factor = backoff_factor
         self.poll_interval_us = poll_interval_us
         self.read_batch_pages = min(read_batch_pages, MAX_BATCH_PAGES)
-        if not 0.0 <= backoff_jitter <= 1.0:
-            raise ValueError("backoff_jitter must be in [0.0, 1.0]")
-        self.backoff_jitter = backoff_jitter
-        # Deterministic per-station jitter stream: seeded from (seed, host)
-        # so every run with the same seed replays byte-identically, yet two
-        # stations sharing a seed still de-synchronize from each other.
-        # None when jitter is off (the default), so the un-jittered resend
-        # schedule -- and every golden pinned to it -- is untouched.
-        self._jitter = (random.Random(f"{jitter_seed}:{host}")
-                        if backoff_jitter > 0.0 else None)
         self.assembler = FrameAssembler()
         self._next_id = 1
         self.obs = self.clock.obs
@@ -263,17 +248,7 @@ class FileClient:
         if immediately:
             self._resend(pending, now)
         else:
-            delay = pending.backoff_us
-            if self._jitter is not None:
-                # Subtractive ("decorrelated early") jitter: back off up to
-                # backoff_jitter earlier than the nominal delay, never later,
-                # so a herd of stations rejected by the same busy poll
-                # spreads out instead of re-colliding in lockstep.  The
-                # geometric growth of the *nominal* backoff is untouched.
-                spread = int(delay * self.backoff_jitter)
-                if spread:
-                    delay -= self._jitter.randrange(spread + 1)
-            pending.resend_at_us = now + delay
+            pending.resend_at_us = now + pending.backoff_us
             pending.backoff_us *= self.backoff_factor
 
     def _resend(self, pending: PendingRequest, now: int) -> None:
@@ -283,24 +258,29 @@ class FileClient:
         pending.last_sent_us = now
         pending.resend_at_us = None
 
-    def transact(self, request: Request) -> Response:
-        """Submit and wait: pump the server, advance time, retry, return.
-
-        Raises :class:`~repro.errors.RequestFailed` on any non-OK status
-        (after the busy/retry discipline has run its course).
-        """
-        pending = self.submit(request)
+    def wait(self, pending: PendingRequest) -> Response:
+        """Pump the server, :meth:`step`, and advance ``poll_interval_us``
+        until *pending* is answered; returns the answer, whatever its
+        status (``ST_BUSY`` aside, which the retry discipline absorbs)."""
         while True:
             if self.pump is not None:
                 self.pump()
             response = self.step(pending)
             if response is not None:
-                if not response.ok:
-                    raise RequestFailed(
-                        f"{request.op_name} failed: {response.status_name}",
-                        response)
                 return response
             self.clock.advance_us(self.poll_interval_us, "server.client.wait")
+
+    def transact(self, request: Request) -> Response:
+        """Submit and :meth:`wait`.
+
+        Raises :class:`~repro.errors.RequestFailed` on any non-OK status
+        (after the busy/retry discipline has run its course).
+        """
+        response = self.wait(self.submit(request))
+        if not response.ok:
+            raise RequestFailed(
+                f"{request.op_name} failed: {response.status_name}", response)
+        return response
 
     # ------------------------------------------------------------------------
     # High-level file operations

@@ -2,11 +2,11 @@
 
 :class:`FileServer` is a deterministic, simulated-time, **event-driven**
 server.  ``poll()`` is one cycle of its event loop: drain the wire and
-wake the sessions packets arrived for, admit each frame under the
-:class:`~repro.server.qos.AdmissionCurve` (rejecting sheds with
-``ST_BUSY`` -- backpressure the client's retry/backoff absorbs), run the
-**ready queue** -- only sessions with admitted work are visited, in QoS
-class rotation with per-class request allowances -- then finish with
+wake the sessions packets arrived for, admit each frame while fewer than
+``max_pending`` requests wait (a full queue answers ``ST_BUSY`` --
+backpressure the client's retry/backoff absorbs), run the **ready
+queue** -- only sessions with admitted work are visited, in QoS class
+rotation with per-class request allowances -- then finish with
 **one** write-back flush covering every write the cycle performed and
 the timers of the :class:`~repro.server.events.EventQueue` (maintenance
 slices, and anything else scheduled against the simulated clock).
@@ -15,12 +15,11 @@ Sessions with nothing queued **sleep**: they cost nothing per cycle, so
 one server holds ten thousand concurrent sessions and each poll's work
 is proportional to the *ready* set, not the session count (benchmark
 E17).  The single-flush batching is still where multiplexed serving
-beats sequential serving (see ``benchmarks/bench_server.py``), and the
-default configuration -- every client ``interactive``, cliff admission
--- services requests in exactly the order the PR-5 round-robin loop did
-(:class:`~repro.server.polled.PolledFileServer` keeps that loop alive as
-the differential reference; ``tests/server/test_engine_equivalence.py``
-proves the equivalence).
+beats sequential serving (see ``benchmarks/bench_server.py``), and with
+every client ``interactive`` (the default) it services requests in
+exactly the order the PR-5 round-robin loop did (``tests/server/polled.py``
+keeps that loop alive as the differential reference;
+``tests/server/test_engine_equivalence.py`` proves the equivalence).
 
 Everything is observable: each request runs under a ``server.request``
 span, and the engine keeps counters/gauges in the machine's metrics
@@ -44,7 +43,6 @@ b"an afternoon's user code"
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
@@ -83,12 +81,8 @@ from .protocol import (
     encode_names,
     encode_response,
 )
-from .qos import (
-    DEFAULT_QOS_WEIGHTS,
-    QOS_CLASSES,
-    QOS_INTERACTIVE,
-    AdmissionCurve,
-)
+from .qos import DEFAULT_QOS_WEIGHTS, QOS_CLASSES, QOS_INTERACTIVE
+from .session import Session
 
 #: Default bound on admitted-but-unserviced requests across all clients.
 DEFAULT_MAX_PENDING = 64
@@ -109,11 +103,11 @@ class FileServer:
     The server is passive: it runs only when :meth:`poll` is called, which
     keeps every run deterministic -- the interleaving is exactly the
     caller's schedule.  Scheduling is by QoS class: each visit to a class
-    may serve ``weight * quantum`` requests, round-robin over that class's
-    ready sessions in first-admission order.  With every client in the
-    default ``interactive`` class this degenerates to the PR-5 behaviour
-    exactly: ``quantum`` requests per client per turn, strict alternation
-    under load.
+    may serve ``weight`` requests, one per session wakeup, round-robin over
+    that class's ready sessions in first-admission order.  With every
+    client in the default ``interactive`` class this degenerates to the
+    PR-5 behaviour exactly: one request per client per turn, strict
+    alternation under load.
     """
 
     def __init__(
@@ -122,29 +116,20 @@ class FileServer:
         network: PacketNetwork,
         host: str = "fileserver",
         max_pending: int = DEFAULT_MAX_PENDING,
-        quantum: int = 1,
-        admission: Optional[AdmissionCurve] = None,
-        admission_seed: int = 1979,
     ) -> None:
         self.fs = fs
         self.network = network
         self.host = host
+        #: Admitted-but-unserviced requests past which a frame is answered
+        #: ``ST_BUSY``, whatever its client's class.
         self.max_pending = max_pending
-        self.quantum = quantum
-        #: The admission policy; defaults to the hard cliff at
-        #: ``max_pending`` (byte-identical to the PR-5 engine).
-        self.admission = (admission if admission is not None
-                          else AdmissionCurve.cliff(max_pending))
         self.clock = fs.drive.clock
         self.obs = self.clock.obs
         self.assembler = FrameAssembler()
         #: Timers keyed by the simulated clock, fired at the end of every
         #: poll cycle (the maintenance slice rides here).
         self.timers = EventQueue(self.clock)
-        from .session import Session
-
-        self._session_type = Session
-        self.sessions: Dict[str, "Session"] = {}
+        self.sessions: Dict[str, Session] = {}
         #: Per-client FIFOs of admitted work; a client has an entry only
         #: while it has queued requests (otherwise its session sleeps).
         self._queues: Dict[str, Deque[Tuple[Request, int]]] = {}
@@ -160,13 +145,11 @@ class FileServer:
         self._qos: Dict[str, str] = {}
         self._pending = 0
         self._in_cycle = False
-        self._rng = random.Random(f"admission:{admission_seed}:{host}")
         self._maintenance = None
         self._maint_event = None
         registry = self.obs.registry
         self._c_requests = registry.counter("server.requests")
         self._c_rejected = registry.counter("server.rejected")
-        self._c_shaped = registry.counter("server.shaped")
         self._c_replayed = registry.counter("server.replayed")
         self._c_errors = registry.counter("server.errors")
         self._c_flushes = registry.counter("server.flushes")
@@ -193,8 +176,7 @@ class FileServer:
         """Assign *client* to a QoS class (default ``interactive``).
 
         Takes effect immediately: queued work moves to the new class's
-        ready set, and the next admission decision uses the new class's
-        watermarks.
+        ready set.
 
         >>> from repro import DiskDrive, DiskImage, FileSystem, tiny_test_disk
         >>> from repro.net import PacketNetwork
@@ -213,12 +195,9 @@ class FileServer:
         if old != qos and client in self._ready[old]:
             self._ready[old].discard(client)
             self._ready[qos].add(client)
-        session = self.sessions.get(client)
-        if session is not None:
-            session.qos = qos
 
     def qos_of(self, client: str) -> str:
-        """The QoS class *client* is admitted and scheduled under."""
+        """The QoS class *client* is scheduled under."""
         return self._qos.get(client, QOS_INTERACTIVE)
 
     @property
@@ -252,8 +231,8 @@ class FileServer:
     def poll(self, budget: Optional[int] = None) -> int:
         """Run one event-loop cycle; returns the number of requests served.
 
-        Ingest (wake sessions packets arrived for) -> admit under the
-        curve -> run the ready queue (up to *budget* requests) -> one
+        Ingest (wake sessions packets arrived for) -> admit or answer
+        ``ST_BUSY`` -> run the ready queue (up to *budget* requests) -> one
         batched flush -> fire due timers.  Requests left unserviced by a
         budget stay queued for the next cycle, and the class/session
         cursors persist so a budgeted backlog drains fairly.
@@ -296,7 +275,7 @@ class FileServer:
                     or len(self.timers))
 
     def _ingest(self) -> None:
-        """Drain the receive queue; admit complete frames or shed busy."""
+        """Drain the receive queue; admit complete frames or answer busy."""
         while True:
             packet = self.network.receive(self.host)
             if packet is None:
@@ -317,18 +296,13 @@ class FileServer:
                 # nothing to answer, and whatever it held is reaped.
                 self._evict(source)
                 continue
-            qos = self._qos.get(source, QOS_INTERACTIVE)
-            if not self.admission.admit(self._pending, qos, self._rng):
+            if self._pending >= self.max_pending:
                 self._c_rejected.inc()
-                low, high = self.admission.watermarks.get(
-                    qos, self.admission.watermarks[QOS_INTERACTIVE])
-                if self._pending < high:
-                    self._c_shaped.inc()
                 self._respond(source, Response(ST_BUSY, frame.request_id))
                 continue
-            self._enqueue(source, frame, qos)
+            self._enqueue(source, frame)
 
-    def _enqueue(self, client: str, request: Request, qos: str) -> None:
+    def _enqueue(self, client: str, request: Request) -> None:
         """Admit one request; wakes the client's session if it slept."""
         queue = self._queues.get(client)
         if queue is None:
@@ -336,7 +310,7 @@ class FileServer:
             if client not in self._client_seq:
                 self._client_seq[client] = self._next_client_seq
                 self._next_client_seq += 1
-            self._ready[qos].add(client)
+            self._ready[self.qos_of(client)].add(client)
         queue.append((request, self.clock.now_us))
         self._pending += 1
         self._g_depth.set(self._pending)
@@ -370,11 +344,11 @@ class FileServer:
         """Serve the ready queue: class rotation, weighted allowances.
 
         Visits QoS classes round-robin (cursor persists across polls);
-        each visit serves up to ``weight * quantum`` requests from that
-        class's ready sessions in first-admission order, ``quantum`` per
-        session wakeup.  Cursors reset when a class drains, so a poll
-        that empties the backlog leaves the schedule exactly where the
-        polled engine's fixed scan would start it.
+        each visit serves up to ``weight`` requests from that class's
+        ready sessions in first-admission order, one per session wakeup.
+        Cursors reset when a class drains, so a poll that empties the
+        backlog leaves the schedule exactly where the polled engine's
+        fixed scan would start it.
         """
         served = 0
         wrote = False
@@ -416,8 +390,8 @@ class FileServer:
     def _serve_class(self, cls: str, ranked: List[str],
                      position: Dict[str, int], budget: Optional[int],
                      served_so_far: int) -> Tuple[int, bool]:
-        """One class visit: up to ``weight * quantum`` requests."""
-        allowance = DEFAULT_QOS_WEIGHTS[cls] * self.quantum
+        """One class visit: up to ``weight`` requests."""
+        allowance = DEFAULT_QOS_WEIGHTS[cls]
         ready = self._ready[cls]
         served = 0
         wrote = False
@@ -437,14 +411,9 @@ class FileServer:
                 self._evict(client)
                 continue
             self._c_wakeups.inc()
-            queue = self._queues[client]
-            turns = min(self.quantum, len(queue), allowance - served)
-            if budget is not None:
-                turns = min(turns, budget - served_so_far - served)
-            for _ in range(turns):
-                request, admitted_us = self._take(client, cls, queue)
-                wrote |= self._service(client, request, admitted_us)
-                served += 1
+            request, admitted_us = self._take(client, cls, self._queues[client])
+            wrote |= self._service(client, request, admitted_us)
+            served += 1
             self._cursor[cls] = self._client_seq[client]
             if not ready:
                 self._cursor[cls] = -1
@@ -469,8 +438,7 @@ class FileServer:
         """Execute one admitted request; returns True when it wrote."""
         session = self.sessions.get(client)
         if session is None:
-            session = self.sessions[client] = self._session_type(
-                client, qos=self._qos.get(client, QOS_INTERACTIVE))
+            session = self.sessions[client] = Session(client)
             self._c_sessions.inc()
         cached = session.replay(request.request_id)
         if cached is not None:
@@ -501,7 +469,6 @@ class FileServer:
             if response.status != ST_OK:
                 span.annotate(status=ST_NAMES[response.status])
             self._c_requests.inc()
-            session.requests_served += 1
             packets = self._respond(client, response)
             session.remember(request.request_id, packets)
             end_us = self.clock.now_us
@@ -556,20 +523,20 @@ class FileServer:
                         result0=size >> 16, result1=size & 0xFFFF)
 
     def _do_read(self, session, request: Request) -> Response:
-        handle = session.resolve(request.handle)
-        if handle is None:
+        file = session.resolve(request.handle)
+        if file is None:
             return Response(ST_BAD_HANDLE, request.request_id)
         first, count = request.arg0, request.arg1
         if first < 1 or not 1 <= count <= MAX_BATCH_PAGES:
             return Response(ST_BAD_REQUEST, request.request_id)
-        last = handle.file.last_page_number
+        last = file.last_page_number
         if first > last:
             return Response(ST_OK, request.request_id, handle=request.handle)
         pages = min(count, last - first + 1)
         payload: List[int] = []
         tail_bytes = 0
         for page in range(first, first + pages):
-            contents = handle.file.read_page(page)
+            contents = file.read_page(page)
             payload.extend(contents.value)
             tail_bytes = contents.label.length
         self._c_pages_read.inc(pages)
@@ -578,14 +545,13 @@ class FileServer:
                         payload=tuple(payload))
 
     def _do_write(self, session, request: Request) -> Tuple[Response, bool]:
-        handle = session.resolve(request.handle)
-        if handle is None:
+        file = session.resolve(request.handle)
+        if file is None:
             return Response(ST_BAD_HANDLE, request.request_id), False
         page, nbytes = request.arg0, request.arg1
         words = list(request.payload)
         if page < 1 or nbytes > FULL_PAGE or len(words) * 2 < nbytes:
             return Response(ST_BAD_REQUEST, request.request_id), False
-        file = handle.file
         last = file.last_page_number
         try:
             if nbytes == FULL_PAGE:

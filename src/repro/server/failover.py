@@ -211,22 +211,6 @@ def _page_chunks(data: bytes) -> List[Tuple[int, bytes]]:
     return chunks
 
 
-def _await(client: FileClient, pending: PendingRequest):
-    """Pump-and-wait like ``FileClient.transact``, keeping *pending* ours
-    (the drill reuses its packets as the at-most-once probe)."""
-    while True:
-        if client.pump is not None:
-            client.pump()
-        response = client.step(pending)
-        if response is not None:
-            if not response.ok:
-                raise RequestFailed(
-                    f"{pending.request.op_name} failed: "
-                    f"{response.status_name}", response)
-            return response
-        client.clock.advance_us(client.poll_interval_us, "server.client.wait")
-
-
 # ----------------------------------------------------------------------------
 # The drill
 # ----------------------------------------------------------------------------
@@ -260,9 +244,13 @@ def failover_drill(
         for name, data in lab.files:
             handle, _ = client.open(name, create=True)
             for page, chunk in _page_chunks(data):
-                request = client.build_write(handle, page, chunk)
-                pending = client.submit(request)
-                _await(client, pending)
+                # Submit and wait rather than transact: the drill keeps
+                # the pending request, whose packets are the probe.
+                pending = client.submit(client.build_write(handle, page, chunk))
+                response = client.wait(pending)
+                if not response.ok:
+                    raise RequestFailed(
+                        f"WRITE failed: {response.status_name}", response)
                 acked[(name, page)] = chunk
                 probe = pending
             client.close(handle)
@@ -290,20 +278,13 @@ def failover_drill(
         # page writes make re-execution of unacknowledged work safe),
         # then finish the remaining files.
         for name, data in lab.files[progress:]:
-            _upload(client, name, data)
+            client.write_file(name, data)
     elif crash_at is not None:
         report.note(f"crash at part-write {crash_at} never fired")
 
     _verify_readback(lab, report)
     _verify_pack(lab, report)
     return report
-
-
-def _upload(client: FileClient, name: str, data: bytes) -> None:
-    handle, _ = client.open(name, create=True)
-    for page, chunk in _page_chunks(data):
-        _await(client, client.submit(client.build_write(handle, page, chunk)))
-    client.close(handle)
 
 
 def _verify_acked(fs: FileSystem, acked: Dict[Tuple[str, int], bytes],

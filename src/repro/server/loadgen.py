@@ -257,7 +257,6 @@ def run_session_storm(
     shared_files: int = 32,
     seed: int = 1979,
     max_pending: int = 128,
-    read_wave: bool = True,
     system: Optional[ServedSystem] = None,
 ) -> SessionStormResult:
     """Hold *clients* concurrent sessions open against one server.
@@ -265,13 +264,12 @@ def run_session_storm(
     The Diablo 31 pack has nowhere near ten thousand files' worth of
     sectors, so the storm shares ``shared_files`` read-only files among
     all stations: every station OPENs one (creating its server session
-    and holding the handle for the rest of the run), then -- unless
-    ``read_wave=False`` -- READs one page through it.  Stations arrive in
-    waves smaller than the admission window, so the storm exercises
-    session-table and ready-queue scale, not rejection; with the
-    event-driven engine the nine-thousand-odd sessions that are *not* in
-    a wave sleep and cost each poll nothing (watch ``server.wakeups``
-    against ``clients * polls``).
+    and holding the handle for the rest of the run), then READs one page
+    through it.  Stations arrive in waves smaller than the admission
+    window, so the storm exercises session-table and ready-queue scale,
+    not rejection; with the event-driven engine the nine-thousand-odd
+    sessions that are *not* in a wave sleep and cost each poll nothing
+    (watch ``server.wakeups`` against ``clients * polls``).
 
     Pass a prebuilt *system* to reuse a topology (its station count then
     wins over *clients*):
@@ -343,12 +341,11 @@ def run_session_storm(
     sessions = len(server.sessions)
 
     # READ wave: every held handle proves it still serves.
-    if read_wave:
-        for base in range(0, len(stations), wave):
-            group = stations[base:base + wave]
-            drive({station: station.submit(
-                       station.build_read(handles[station], 1, 1))
-                   for station in group})
+    for base in range(0, len(stations), wave):
+        group = stations[base:base + wave]
+        drive({station: station.submit(
+                   station.build_read(handles[station], 1, 1))
+               for station in group})
 
     stats = system.stats()
     elapsed_us = system.clock.now_us - started_us
@@ -394,8 +391,7 @@ def check_quantile_agreement(sorted_us: List[int], hist, fraction: float) -> flo
 
 
 def client_script(client: FileClient, name: str, data: bytes,
-                  read_rounds: int, with_list: bool
-                  ) -> Generator[Request, Response, None]:
+                  read_rounds: int) -> Generator[Request, Response, None]:
     """The per-client workload as a request generator.
 
     Yields requests, receives responses -- the driver decides when each
@@ -424,8 +420,7 @@ def client_script(client: FileClient, name: str, data: bytes,
             response = yield client.build_read(handle, page, want)
             page += max(1, response.result0)
         yield client.build_close(handle)
-    if with_list:
-        yield client.build_list()
+    yield client.build_list()
 
 
 class LoadGenerator:
@@ -437,16 +432,14 @@ class LoadGenerator:
         seed: int = 1979,
         file_bytes: int = 2048,
         read_rounds: int = 2,
-        with_list: bool = True,
     ) -> None:
         self.system = system
         self.seed = seed
         self.file_bytes = file_bytes
         self.read_rounds = read_rounds
-        self.with_list = with_list
         #: Client-observed latency, also kept as a registry histogram so
         #: the list-based percentiles and the bucketed quantiles report
-        #: side by side (and are cross-checked in :meth:`_result`).
+        #: side by side (and are cross-checked in :meth:`_quantiles`).
         self._h_latency = system.clock.obs.registry.histogram(
             "loadgen.request_us")
 
@@ -458,33 +451,43 @@ class LoadGenerator:
             data = random_bytes(rng, size)
             scripts.append((client,
                             client_script(client, f"load{index:03d}.dat", data,
-                                          self.read_rounds, self.with_list),
+                                          self.read_rounds),
                             size))
         return scripts
+
+    def _quantiles(self, latencies_us: List[int]) -> Dict[str, float]:
+        """p50 and p99 in ms, from the raw list and from the
+        ``loadgen.request_us`` histogram, as result fields.
+
+        On a fresh run the histogram holds exactly these samples, so its
+        quantiles must bracket the true nearest-rank values
+        (:func:`check_quantile_agreement`).
+        """
+        sorted_us = sorted(latencies_us)
+        fresh = self._h_latency.count == len(sorted_us)
+        fields = {}
+        for name, fraction in (("p50", 0.50), ("p99", 0.99)):
+            if fresh:
+                hist_us = check_quantile_agreement(sorted_us, self._h_latency,
+                                                   fraction)
+            else:
+                hist_us = self._h_latency.quantile(fraction)
+            fields[f"{name}_ms"] = round(
+                percentile(sorted_us, fraction) / 1000.0, 3)
+            fields[f"{name}_hist_ms"] = round(hist_us / 1000.0, 3)
+        return fields
 
     def _result(self, mode: str, requests: int, errors: int,
                 latencies_us: List[int], elapsed_us: int,
                 bytes_written: int) -> LoadResult:
         stats = self.system.stats()
-        latencies_ms = sorted(us / 1000.0 for us in latencies_us)
         elapsed_s = elapsed_us / 1_000_000.0
-        sorted_us = sorted(latencies_us)
-        if self._h_latency.count == len(sorted_us):
-            # A fresh run: the histogram holds exactly these samples, so
-            # its quantiles must bracket the true nearest-rank values.
-            p50_hist = check_quantile_agreement(sorted_us, self._h_latency, 0.50)
-            p99_hist = check_quantile_agreement(sorted_us, self._h_latency, 0.99)
-        else:
-            p50_hist = self._h_latency.quantile(0.50)
-            p99_hist = self._h_latency.quantile(0.99)
         return LoadResult(
             mode=mode,
             clients=len(self.system.clients),
             requests=requests,
             elapsed_s=round(elapsed_s, 6),
             requests_per_sec=round(requests / elapsed_s, 3) if elapsed_us else 0.0,
-            p50_ms=round(percentile(latencies_ms, 0.50), 3),
-            p99_ms=round(percentile(latencies_ms, 0.99), 3),
             retries=int(stats.get("server.client.retries", 0)),
             busy_retries=int(stats.get("server.client.busy_retries", 0)),
             rejected=int(stats.get("server.rejected", 0)),
@@ -492,9 +495,8 @@ class LoadGenerator:
             errors=errors,
             bytes_written=bytes_written,
             bytes_read=int(stats.get("server.pages_read", 0)) * 512,
-            p50_hist_ms=round(p50_hist / 1000.0, 3),
-            p99_hist_ms=round(p99_hist / 1000.0, 3),
-            latencies_ms=latencies_ms,
+            latencies_ms=sorted(us / 1000.0 for us in latencies_us),
+            **self._quantiles(latencies_us),
         )
 
     def run(self, progress: Optional[Callable[[int], None]] = None) -> LoadResult:
@@ -651,13 +653,6 @@ class LoadGenerator:
                 system.clock.advance_us(step_us, "server.client.wait")
         elapsed_us = system.clock.now_us - started_us
         elapsed_s = elapsed_us / 1_000_000.0
-        sorted_us = sorted(latencies)
-        if self._h_latency.count == len(sorted_us):
-            p50_us = check_quantile_agreement(sorted_us, self._h_latency, 0.50)
-            p99_us = check_quantile_agreement(sorted_us, self._h_latency, 0.99)
-        else:
-            p50_us = self._h_latency.quantile(0.50)
-            p99_us = self._h_latency.quantile(0.99)
         return OpenLoopResult(
             offered_rps=rate_rps,
             duration_s=duration_s,
@@ -666,12 +661,7 @@ class LoadGenerator:
             errors=errors,
             elapsed_s=round(elapsed_s, 6),
             achieved_rps=round(completed / elapsed_s, 3) if elapsed_us else 0.0,
-            p50_ms=round(percentile(sorted(us / 1000.0 for us in latencies),
-                                    0.50), 3),
-            p99_ms=round(percentile(sorted(us / 1000.0 for us in latencies),
-                                    0.99), 3),
-            p50_hist_ms=round(p50_us / 1000.0, 3),
-            p99_hist_ms=round(p99_us / 1000.0, 3),
+            **self._quantiles(latencies),
         )
 
     def run_sequential(self) -> LoadResult:
@@ -691,13 +681,7 @@ class LoadGenerator:
                 except StopIteration:
                     break
                 pending = client.submit(request)
-                while True:
-                    system.server.poll()
-                    response = client.step(pending)
-                    if response is not None:
-                        break
-                    system.clock.advance_us(client.poll_interval_us,
-                                            "server.client.wait")
+                response = client.wait(pending)
                 latency_us = system.clock.now_us - pending.first_sent_us
                 latencies.append(latency_us)
                 self._h_latency.observe(latency_us)

@@ -101,7 +101,7 @@ from .protocol import (
     relay,
 )
 from .rebalance import MANIFEST_NAME, Shipment, recover_shipment, ship_names
-from .session import MAX_HANDLE, REPLAY_CACHE_SIZE
+from .session import Session
 from .shardmap import RebalancePlan, ShardMap
 
 #: Default bound on requests in flight through the router, all shards.
@@ -142,28 +142,16 @@ class _InFlight:
     names: Set[str] = field(default_factory=set)
 
 
-class _ClientState:
-    """The router's per-client half: proxy identity, handles, replay cache."""
+class _ClientState(Session):
+    """The router's per-client half: a session whose handles are
+    :class:`_VirtualHandle` entries, plus the proxy host it forwards from
+    and its requests in flight."""
 
     def __init__(self, client: str, proxy: str) -> None:
-        self.client = client
+        super().__init__(client)
         self.proxy = proxy
         self.assembler = FrameAssembler()
-        self.vhandles: Dict[int, _VirtualHandle] = {}
-        self._next_vhandle = 1
-        self.replay: "OrderedDict[int, List[Packet]]" = OrderedDict()
         self.inflight: "OrderedDict[int, _InFlight]" = OrderedDict()
-
-    def grant(self, shard: int, handle: int, name: str) -> int:
-        vhandle = self._next_vhandle
-        self._next_vhandle = vhandle % MAX_HANDLE + 1
-        self.vhandles[vhandle] = _VirtualHandle(shard, handle, name)
-        return vhandle
-
-    def remember(self, request_id: int, packets: List[Packet]) -> None:
-        self.replay[request_id] = packets
-        while len(self.replay) > REPLAY_CACHE_SIZE:
-            self.replay.popitem(last=False)
 
 
 def merge_names(name_sets) -> List[str]:
@@ -359,7 +347,7 @@ class ShardRouter:
     def _route(self, client: str, request: Request) -> None:
         state = self._state(client)
         request_id = request.request_id
-        cached = state.replay.get(request_id)
+        cached = state.replay(request_id)
         if cached is not None:
             # The at-most-once answer survives rebalancing: the cache is
             # the router's own, keyed by client and id, not by shard.
@@ -407,7 +395,7 @@ class ShardRouter:
         self._admit(state, request, self.shard_map.shard_of(name), name=name)
 
     def _route_handle_op(self, state: _ClientState, request: Request) -> None:
-        vhandle = state.vhandles.get(request.handle)
+        vhandle = state.resolve(request.handle)
         if vhandle is None:
             self._respond_local(state, Response(ST_BAD_HANDLE,
                                                 request.request_id))
@@ -546,12 +534,13 @@ class ShardRouter:
         op = ctx.request.op
         if op == OP_OPEN:
             self._c_rewrites.inc()
-            return state.grant(shard, response.handle, ctx.name)
+            return state.grant(
+                _VirtualHandle(shard, response.handle, ctx.name))
         if op in (OP_READ, OP_WRITE):
             self._c_rewrites.inc()
             return ctx.request.handle
         if op == OP_CLOSE:
-            state.vhandles.pop(ctx.request.handle, None)
+            state.release(ctx.request.handle)
         return None
 
     def _gather(self, state: _ClientState, ctx: _InFlight, shard: int,
@@ -659,7 +648,7 @@ class ShardRouter:
 
     def _slot_drained(self, slot: int) -> bool:
         for state in self._states.values():
-            for vhandle in state.vhandles.values():
+            for vhandle in state.handles.values():
                 if self.shard_map.slot_of(vhandle.name) == slot:
                     return False
             for ctx in state.inflight.values():
@@ -718,10 +707,10 @@ class ShardRouter:
                               and index in ctx.pending_shards))]
             for rid in doomed:
                 self._drop(state, state.inflight[rid])
-            revoked = [vh for vh, vhandle in state.vhandles.items()
+            revoked = [vh for vh, vhandle in state.handles.items()
                        if vhandle.shard == index]
             for vh in revoked:
-                del state.vhandles[vh]
+                state.release(vh)
         self._outstanding[index] = 0
         self.obs.registry.counter("router.promotions").inc()
 

@@ -4,20 +4,14 @@ The server keeps one :class:`Session` per client host.  A session owns the
 client's open-file handles and caches the encoded response of recent
 requests keyed by request id -- a retried request id is answered from the
 cache without re-executing, which is what makes client retries safe for
-non-idempotent operations like page appends.
-
-Under the event-driven engine a session also carries its QoS class (the
-scheduling and admission bucket -- see :mod:`repro.server.qos`); a
-session with nothing queued sleeps and costs the engine nothing per poll
-cycle.
+non-idempotent operations like page appends.  The shard router keeps one
+per client too, its handles naming ``(shard, shard handle)`` pairs.
 
 >>> from repro.server.session import Session
 >>> session = Session("workstation")
->>> session.qos
-'interactive'
->>> handle = session.grant(object())
->>> handle, session.resolve(handle) is None
-(1, False)
+>>> handle = session.grant("memo.txt")
+>>> handle, session.resolve(handle)
+(1, 'memo.txt')
 >>> _ = session.release(handle)
 >>> session.resolve(handle) is None
 True
@@ -26,7 +20,6 @@ True
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import List, Optional
 
 #: Cached replies kept per session; a retry storm deeper than this falls
@@ -35,13 +28,6 @@ REPLAY_CACHE_SIZE = 16
 
 #: Handles cycle within a 16-bit word (the frame's handle field).
 MAX_HANDLE = 0xFFFF
-
-
-@dataclass
-class OpenHandle:
-    """One open file within a session."""
-
-    file: object                 #: the :class:`~repro.fs.file.AltoFile`
 
 
 class Session:
@@ -53,26 +39,26 @@ class Session:
     has no half-open states because every request is a complete frame.
     """
 
-    def __init__(self, client: str, qos: str = "interactive") -> None:
+    def __init__(self, client: str) -> None:
         self.client = client
-        #: The QoS class this session is scheduled and admitted under.
-        self.qos = qos
-        self.handles: "OrderedDict[int, OpenHandle]" = OrderedDict()
+        #: Open handles and what each was granted for (the server's
+        #: :class:`~repro.fs.file.AltoFile`, the router's shard handle).
+        self.handles: "OrderedDict[int, object]" = OrderedDict()
         self._next_handle = 1
         self._replies: "OrderedDict[int, List]" = OrderedDict()
-        self.requests_served = 0
 
     # -- handles --------------------------------------------------------------
 
-    def grant(self, file) -> int:
-        """Allocate a handle for *file*; handles are session-scoped."""
+    def grant(self, target) -> int:
+        """Allocate a handle for *target*; handles are session-scoped."""
         handle = self._next_handle
         self._next_handle = handle % MAX_HANDLE + 1
-        self.handles[handle] = OpenHandle(file)
+        self.handles[handle] = target
         return handle
 
-    def resolve(self, handle: int) -> Optional[OpenHandle]:
-        """The open handle, or None (the ``ST_BAD_HANDLE`` path)."""
+    def resolve(self, handle: int):
+        """What *handle* was granted for, or None (the ``ST_BAD_HANDLE``
+        path)."""
         return self.handles.get(handle)
 
     def release(self, handle: int) -> bool:
@@ -92,5 +78,4 @@ class Session:
             self._replies.popitem(last=False)
 
     def __repr__(self) -> str:
-        return (f"Session({self.client!r}, handles={len(self.handles)}, "
-                f"served={self.requests_served})")
+        return f"Session({self.client!r}, handles={len(self.handles)})"

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.disk import DiskDrive, DiskImage, tiny_test_disk
-from repro.errors import RequestTimeout
+from repro.errors import RequestFailed, RequestTimeout
 from repro.fs import FileSystem
 from repro.net import TYPE_CONTROL, Packet, PacketNetwork
-from repro.server import FileClient, FileServer, build_system
+from repro.server import ST_BAD_HANDLE, FileClient, FileServer, build_system
 
 
 def make_pair(**client_kw):
@@ -41,6 +41,16 @@ def test_timeout_resends_the_same_request_id():
     assert response is not None and response.ok
     assert response.request_id == pending.request.request_id
     assert client.clock.obs.stats()["server.client.retries"] == 1
+
+
+def test_wait_returns_a_failed_answer_that_transact_raises():
+    network, server, client = make_pair()
+    client.pump = server.poll
+    response = client.wait(client.submit(client.build_close(7)))
+    assert response.status == ST_BAD_HANDLE
+    with pytest.raises(RequestFailed) as excinfo:
+        client.transact(client.build_close(7))
+    assert excinfo.value.status == ST_BAD_HANDLE
 
 
 def test_a_malformed_packet_is_counted_and_the_answer_still_awaited():

@@ -1,12 +1,9 @@
-"""Deterministic backoff jitter: opt-in, seeded, off by default.
+"""The busy backoff schedule: exact and geometric.
 
 The retry discipline is pinned by golden runs (E12/E13/E15 and every
-serve benchmark), so jitter must change *nothing* unless asked for --
-and when asked for, it must be a pure function of ``(jitter_seed,
-host)`` so the same run replays byte-identically.
+serve benchmark), so a resend after ``ST_BUSY`` must fall exactly
+``backoff_us * backoff_factor ** n`` after the busy answer.
 """
-
-import pytest
 
 from repro.net import PacketNetwork
 from repro.server import FileClient
@@ -33,33 +30,5 @@ def schedule(client, rounds=6, now=1_000):
 
 def test_jitter_is_off_by_default_and_schedule_is_exact():
     client = make_client()
-    assert client._jitter is None
     # The pinned geometric schedule: backoff_us doubling each round.
     assert schedule(client) == [5_000 * 2 ** i for i in range(6)]
-
-
-def test_jitter_never_delays_and_stays_within_the_band():
-    client = make_client(backoff_jitter=0.5)
-    nominal = [5_000 * 2 ** i for i in range(6)]
-    for delay, base in zip(schedule(client), nominal):
-        assert base // 2 <= delay <= base       # early, never late
-    # The geometric growth of the nominal backoff is untouched.
-    assert client.backoff_us == 5_000
-
-
-def test_jitter_is_deterministic_per_seed_and_host():
-    a = schedule(make_client(backoff_jitter=0.5, jitter_seed=42))
-    b = schedule(make_client(backoff_jitter=0.5, jitter_seed=42))
-    assert a == b                                # replayable
-    other_host = schedule(make_client("ws2", backoff_jitter=0.5,
-                                      jitter_seed=42))
-    other_seed = schedule(make_client(backoff_jitter=0.5, jitter_seed=43))
-    assert a != other_host                       # stations de-synchronize
-    assert a != other_seed
-
-
-def test_jitter_bounds_are_validated():
-    with pytest.raises(ValueError):
-        make_client(backoff_jitter=1.5)
-    with pytest.raises(ValueError):
-        make_client(backoff_jitter=-0.1)

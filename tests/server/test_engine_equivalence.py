@@ -1,8 +1,9 @@
 """The engine-restructure safety net: event-driven == polled, observably.
 
-The event-driven engine replaced the PR-5 round-robin polling loop.  In
-the default configuration (every client interactive, cliff admission)
-the two must be **observationally equivalent**: the same op sequence
+The event-driven engine replaced the PR-5 round-robin polling loop
+(kept as ``PolledFileServer`` in ``tests/server/polled.py``).  With every
+client in the default interactive class the two must be
+**observationally equivalent**: the same op sequence
 produces the same response packets in the same order, the same pack
 bytes, and the same simulated microseconds.  Hypothesis drives random
 small multi-client op sequences -- including invalid handles, page gaps,
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 from repro.disk import CachedDrive, DiskImage, tiny_test_disk
 from repro.fs import FileSystem
 from repro.net import PacketNetwork
-from repro.server import FileClient, FileServer, PolledFileServer
+from repro.server import FileClient, FileServer
+from tests.server.polled import PolledFileServer
 
 N_CLIENTS = 3
 HOSTS = tuple(f"ws{n}" for n in range(N_CLIENTS))
@@ -89,6 +91,13 @@ def test_event_engine_is_observationally_equal_to_polled(script):
     assert event[0] == polled[0], "response transcripts diverge"
     assert event[1] == polled[1], "pack bytes diverge"
     assert event[2] == polled[2], "simulated clocks diverge"
+
+
+def test_polled_reference_serves_a_file_on_its_own():
+    _, _, server, (station, *_) = build(PolledFileServer)
+    station.pump = server.poll
+    station.write_file("memo.txt", b"the reference answer")
+    assert station.read_file("memo.txt") == b"the reference answer"
 
 
 def test_full_workload_matches_byte_for_byte():

@@ -1,9 +1,10 @@
-"""QoS scheduling, graduated admission, and eviction on the live engine.
+"""QoS scheduling, admission, and eviction on the live engine.
 
-The weighted ready-queue discipline and the detach/evict path are pinned
-here with examples; the starvation-freedom guarantee -- every admitted
-request completes within a bounded number of polls no matter how the
-budget and the competing traffic interleave -- is a hypothesis property.
+The weighted ready-queue discipline, the one admission rule every class
+shares, and the detach/evict path are pinned here with examples; the
+starvation-freedom guarantee -- every admitted request completes within
+a bounded number of polls no matter how the budget and the competing
+traffic interleave -- is a hypothesis property.
 """
 
 import pytest
@@ -12,11 +13,11 @@ from repro.disk import CachedDrive, DiskDrive, DiskImage, tiny_test_disk
 from repro.fs import FileSystem
 from repro.net import PacketNetwork
 from repro.server import (
-    AdmissionCurve,
     FileClient,
     FileServer,
     QOS_BULK,
     QOS_CLASSES,
+    QOS_INTERACTIVE,
     QOS_MAINTENANCE,
     ST_BUSY,
     ST_OK,
@@ -87,51 +88,26 @@ def test_unbudgeted_poll_drains_every_class():
     assert server.pending == 0 and server.ready_sessions == 0
 
 
-# -- graduated admission ---------------------------------------------------------
+# -- admission ------------------------------------------------------------------
 
 
-def test_graduated_curve_sheds_probabilistically_in_the_band():
-    _, server, (a,) = make_served(
-        clients=("a",), max_pending=16,
-        admission=AdmissionCurve.graduated(16))
-    queue_bad_reads(a, 32)
-    server.poll(budget=0)                               # admit only
-    stats = server.stats()
-    admitted = server.pending
-    rejected = stats.get("server.rejected", 0)
-    assert admitted + rejected == 32
-    # The hard stop at the high watermark still holds...
-    assert admitted <= 16
-    # ...and some of the rejections happened inside the band, before the
-    # old cliff would have fired -- those are counted as shaping.
-    assert 1 <= stats.get("server.shaped", 0) <= rejected
-
-
-def test_graduated_shedding_is_deterministic_per_seed():
-    def admitted_pattern(seed):
-        _, server, (a,) = make_served(
-            clients=("a",), max_pending=16,
-            admission=AdmissionCurve.graduated(16), admission_seed=seed)
-        pendings = queue_bad_reads(a, 32)
+def test_every_class_is_admitted_below_max_pending_and_busy_at_it():
+    classes = {"i": QOS_INTERACTIVE, "b": QOS_BULK, "m": QOS_MAINTENANCE}
+    for host, qos in classes.items():
+        _, server, (filler, client) = make_served(clients=("f", host),
+                                                  max_pending=4)
+        server.set_qos(host, qos)
+        queue_bad_reads(filler, 3)
+        server.poll(budget=0)                           # depth 3: one slot left
+        admitted = queue_bad_reads(client, 1)[0]
         server.poll(budget=0)
-        # Drain the raw wire: rejected requests have an ST_BUSY response
-        # waiting, admitted ones have nothing yet (budget=0 served none).
-        from repro.server import FrameAssembler
-
-        assembler = FrameAssembler()
-        arrived = {}
-        while True:
-            packet = server.network.receive("a")
-            if packet is None:
-                break
-            completed = assembler.feed(packet)
-            if completed is not None:
-                _, frame = completed
-                arrived[frame.request_id] = frame.status
-        return tuple(arrived.get(p.request.request_id) for p in pendings)
-
-    assert admitted_pattern(7) == admitted_pattern(7)
-    assert ST_BUSY in admitted_pattern(7)
+        assert server.pending == 4, qos
+        assert client._check_arrivals(admitted) is None, qos  # queued
+        rejected = queue_bad_reads(client, 1)[0]
+        server.poll(budget=0)                           # depth 4: full
+        assert server.pending == 4, qos
+        assert client._check_arrivals(rejected).status == ST_BUSY, qos
+        assert server.stats()["server.rejected"] == 1, qos
 
 
 def test_cliff_default_never_draws_and_never_shapes():
@@ -141,7 +117,6 @@ def test_cliff_default_never_draws_and_never_shapes():
     stats = server.stats()
     assert server.pending == 4
     assert stats["server.rejected"] == 4
-    assert stats.get("server.shaped", 0) == 0           # at/above high: no band
 
 
 # -- eviction on detach -----------------------------------------------------------

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from repro.errors import FileNotFound
+from repro.errors import FileNotFound, RequestFailed
+from repro.server import FileServer, Response, ST_ERROR
 from repro.server.client import FileClient
 from repro.server.failover import (
     WORKLOAD_FILES,
@@ -99,6 +100,16 @@ def test_a_programming_error_in_the_read_back_raises(monkeypatch):
     monkeypatch.setattr(FileClient, "read_file", broken)
     with pytest.raises(TypeError):
         failover_drill()
+
+
+def test_a_refused_write_is_not_an_ack_and_fails_the_drill(monkeypatch):
+    def refuse(server, session, request):
+        return Response(ST_ERROR, request.request_id), False
+
+    monkeypatch.setattr(FileServer, "_do_write", refuse)
+    with pytest.raises(RequestFailed) as excinfo:
+        failover_drill()
+    assert excinfo.value.status == ST_ERROR
 
 
 def test_sweep_rejects_out_of_range_points():

@@ -34,6 +34,6 @@ def test_session_storm_ten_thousand_clients():
     assert storm.rejected == 0, "waves sized under the admission window"
     assert storm.evicted == 0
     # Event-driven scaling: wakeups track served requests (one per
-    # request at quantum=1, plus the setup uploads), NOT clients x polls.
+    # request, plus the setup uploads), NOT clients x polls.
     assert storm.requests == 20_000
     assert storm.wakeups < storm.requests * 2
