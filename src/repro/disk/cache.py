@@ -44,7 +44,7 @@ free (the buffer dies with the machine; only the platter survives).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clock import SimClock
 from ..obs import CounterAttr, MetricsRegistry
@@ -68,14 +68,18 @@ CACHE = "disk.cache"
 
 
 class CacheEntry:
-    """One cached sector: whatever parts have been seen, plus dirt and pins."""
+    """One cached sector: whatever parts have been seen, plus dirt and pins.
+
+    The header and label are the entry's own lists; the value is an
+    immutable tuple, the platter's own while the entry is clean.
+    """
 
     __slots__ = ("header", "label", "value", "dirty", "pins")
 
     def __init__(self) -> None:
         self.header: Optional[List[int]] = None
         self.label: Optional[List[int]] = None
-        self.value: Optional[List[int]] = None
+        self.value: Optional[Tuple[int, ...]] = None
         self.dirty = False
         self.pins = 0
 
@@ -237,7 +241,7 @@ class CachedDrive(DiskDrive):
         data = parts[-1][2]
         if len(data) != VALUE_WORDS:
             raise ValueError(f"value write buffer must be {VALUE_WORDS} words")
-        entry.value = list(data)
+        entry.value = tuple(data)
         if not entry.dirty:
             entry.dirty = True
         self.scheduler.enqueue(address)
@@ -442,29 +446,28 @@ class CachedDrive(DiskDrive):
         return False
 
     def _install(self, address: int, parts: Sequence, result: TransferResult) -> None:
-        """Refresh the cache from a completed disk command: READ/CHECK
-        parts from the transfer result, written parts from the platter."""
+        """Refresh the cache from a completed disk command: the value part
+        as the platter's own tuple (a READ or CHECK just matched it, a
+        WRITE just stored it), a header or label as a fresh list -- from
+        the transfer result when read or checked, from the platter when
+        written (the entry must not alias the sector's lists)."""
         entry = self._insert(address)
+        sector = self.image.sector(address)
         wrote = False
         for part, action, _data in parts:
             if action is Action.WRITE:
                 wrote = True
-                setattr(entry, part, self._platter_words(address, part))
-            else:
+            if part == "value":
+                entry.value = sector.value
+            elif action is not Action.WRITE:
                 setattr(entry, part, list(getattr(result, part)))
+            elif part == "label":
+                entry.label = list(sector.label_words())
+            else:
+                entry.header = list(sector.header_words())
         if wrote:
             entry.dirty = False
             self.scheduler.discard(address)
-
-    def _platter_words(self, address: int, part: str) -> List[int]:
-        """A fresh copy of a part's packed words straight from the platter
-        (the cache entry owns its lists, so it must not alias the sector's)."""
-        sector = self.image.sector(address)
-        if part == "header":
-            return list(sector.header_words())
-        if part == "label":
-            return list(sector.label_words())
-        return list(sector.value)
 
     # ------------------------------------------------------------------------
     # The current-value hook (see DiskDrive.current_value)

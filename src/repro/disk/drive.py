@@ -55,31 +55,33 @@ def merge_check(expected, disk_words):
     ``tests/equivalence/reference.py`` (the word-at-a-time twin the
     equivalence suite pins this against): returns
     ``(effective, None)`` on success, ``(None, (index, want, have))`` at
-    the first non-wildcard mismatch.
+    the first non-wildcard mismatch.  *disk_words* may be a list (a
+    header or label) or a tuple (a value); the effective buffer is always
+    a fresh list.
 
-    The dominant case -- a label check against exactly what the platter
-    holds -- is one C-level list comparison; a wildcard match is one
+    The dominant case -- a check against exactly what the platter holds
+    -- is one C-level list comparison; a wildcard match is one
     comprehension.  Only a mismatch (the failure path) scans word by word.
     """
+    disk = list(disk_words)  # the effective buffer on an exact match
     if type(expected) is not list:
         expected = list(expected)
-    if expected == disk_words:
-        return list(disk_words), None
+    if expected == disk:
+        return disk, None
     if 0 in expected:
         # On success every non-zero word matched, so the merge equals the
         # disk prefix.
         merged = [have if want == 0 else want
-                  for want, have in zip(expected, disk_words)]
-        if merged == (disk_words if len(merged) == len(disk_words)
-                      else list(disk_words[: len(merged)])):
+                  for want, have in zip(expected, disk)]
+        if merged == (disk if len(merged) == len(disk) else disk[: len(merged)]):
             return merged, None
-    for i, (want, have) in enumerate(zip(expected, disk_words)):
+    for i, (want, have) in enumerate(zip(expected, disk)):
         if want != have and want != 0:
             return None, (i, want, have)
     # No non-wildcard mismatch, yet no match above: the buffers differ in
-    # length (or type).  Mirror the reference's zip semantics (effective
-    # covers the common prefix).
-    return list(disk_words[: len(expected)]), None
+    # length.  Mirror the reference's zip semantics (effective covers the
+    # common prefix).
+    return disk[: len(expected)], None
 
 
 def _parts_summary(parts) -> str:
@@ -98,7 +100,7 @@ class PartCommand:
     """One part's action and (for CHECK/WRITE) its memory buffer."""
 
     action: Action = Action.NONE
-    data: Optional[List[int]] = None
+    data: Optional[Sequence[int]] = None
 
     def __post_init__(self) -> None:
         if self.action in (Action.CHECK, Action.WRITE) and self.data is None:
@@ -371,11 +373,12 @@ class DiskDrive:
 
     # -- helpers ------------------------------------------------------------
 
-    def _get_part(self, sector: Sector, part: str) -> List[int]:
+    def _get_part(self, sector: Sector, part: str) -> Sequence[int]:
         """The part's packed words, straight from the sector's storage.
 
-        The returned list is the sector's own (callers copy before
-        mutating; READ and CHECK results are built as fresh lists).
+        The returned list (header, label) or tuple (value) is the sector's
+        own: callers never mutate it, and READ and CHECK results are built
+        as fresh lists.
         Reference twin: ``make_reference_drive`` in
         ``tests/equivalence/reference.py``, which re-packs through the
         object views on every access.
@@ -407,15 +410,14 @@ class DiskDrive:
     def _write_part(self, sector: Sector, address: int, part: str, data: Sequence[int]) -> None:
         if len(data) != _PART_SIZES[part]:
             raise ValueError(f"{part} write buffer must be {_PART_SIZES[part]} words")
-        data = list(data)
         if self.fault_injector is not None:
-            # The injector may hand back a list it also keeps; re-copy so
-            # the sector never aliases anything outside the platter.
-            data = list(self.fault_injector.filter_write(self, address, part, data))
+            data = self.fault_injector.filter_write(self, address, part, data)
+        # The platter never aliases a caller's buffer: a header or label
+        # lands as a fresh list, a value as an immutable tuple.
         if part == "header":
-            sector.set_header_words(data)
+            sector.set_header_words(list(data))
         elif part == "label":
-            sector.set_label_words(data)
+            sector.set_label_words(list(data))
         else:
             sector.value = data
         if self.journal_tap is not None:

@@ -53,8 +53,9 @@ class FaultInjector:
         # Currently a hook point only; media errors are raised by the drive
         # itself from ``image.bad_media``.
 
-    def filter_write(self, drive, address: int, part: str, data: List[int]) -> List[int]:
-        """Called for every part write; may tear it.
+    def filter_write(self, drive, address: int, part: str, data: Sequence[int]) -> Sequence[int]:
+        """Called for every part write with the caller's words, which it
+        must not modify; may tear the write.
 
         A torn write models a power failure once the write has begun: the
         hardware contract says the write "must continue through the rest of
@@ -128,9 +129,11 @@ class FaultInjector:
         """Corrupt part of a sector's data words (detected by higher-level
         checksums where present; labels are unaffected)."""
         sector = self.image.sector(address)
-        size = len(sector.value)
+        words = list(sector.value)
+        size = len(words)
         for _ in range(nwords):
-            sector.value[self.rng.randrange(size)] = self.rng.randrange(WORD_MASK + 1)
+            words[self.rng.randrange(size)] = self.rng.randrange(WORD_MASK + 1)
+        sector.value = words
 
     def swap_sectors(self, a: int, b: int) -> None:
         """Exchange the label+value of two sectors, leaving headers in place.
@@ -303,7 +306,9 @@ class FaultPlan(FaultInjector):
             words[word_index] ^= mask & WORD_MASK
             sector.label = Label.unpack(words)
         elif part == "value":
-            sector.value[word_index] ^= mask & WORD_MASK
+            words = list(sector.value)
+            words[word_index] ^= mask & WORD_MASK
+            sector.value = words
         else:
             raise ValueError(f"unknown part {part!r}")
 
@@ -366,7 +371,7 @@ class FaultPlan(FaultInjector):
                         f"transient {action} failure in {part} at address {address}"
                     )
 
-    def filter_write(self, drive, address: int, part: str, data: List[int]) -> List[int]:
+    def filter_write(self, drive, address: int, part: str, data: Sequence[int]) -> Sequence[int]:
         """Tear the scheduled write: a new-words prefix lands, then garbage.
 
         The interrupted part never got its checksum laid down, so it is

@@ -23,9 +23,9 @@ import hashlib
 from typing import Dict, Iterator, List, Optional
 
 from ..errors import AddressOutOfRange
-from ..words import ones_words, words_to_bytes
+from ..words import words_to_bytes
 from .geometry import DiskShape, diablo31
-from .sector import Label, Sector, VALUE_WORDS
+from .sector import FREE_VALUE, Label, Sector
 
 
 class ChangeLog:
@@ -140,7 +140,8 @@ class DiskImage:
     # -- whole-pack operations --------------------------------------------------
 
     def snapshot(self) -> "DiskImage":
-        """A deep copy of the pack, for crash/restore experiments."""
+        """An independent copy of the pack, for crash/restore experiments
+        (the value tuples are shared: a write replaces, never edits, one)."""
         clone = DiskImage.__new__(DiskImage)
         clone.shape = self.shape
         clone.pack_id = self.pack_id
@@ -167,7 +168,7 @@ class DiskImage:
         # only the header's address word varies, so the constant parts
         # are packed once.
         fresh_tail = (words_to_bytes(Label.free().pack())
-                      + words_to_bytes(ones_words(VALUE_WORDS)))
+                      + words_to_bytes(FREE_VALUE))
         pack_id = self._fresh_pack_id
         for address, sector in enumerate(self._sectors):
             if sector is None:

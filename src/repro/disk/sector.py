@@ -13,14 +13,13 @@ identity of the page, against which every hint is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from ..words import (
     PAGE_DATA_WORDS,
     WORD_MASK,
     check_word,
     from_double_word,
-    ones_words,
     to_double_word,
     zero_words,
 )
@@ -30,6 +29,10 @@ from .geometry import NIL
 HEADER_WORDS = 2
 LABEL_WORDS = 7
 VALUE_WORDS = PAGE_DATA_WORDS
+
+#: The all-ones value of a fresh or freed sector ("ones ... into label and
+#: value", section 3.3), one tuple that every such sector shares.
+FREE_VALUE: Tuple[int, ...] = (WORD_MASK,) * VALUE_WORDS
 
 #: Serial number of a free page: freeing writes "ones ... into label and
 #: value" (section 3.3), so the all-ones serial means free.
@@ -261,24 +264,52 @@ class Sector:
     address and its image's :class:`~repro.disk.image.ChangeLog`, and each
     of the four setters below logs the address there: they are the only
     routes to a sector's header and label, so the log is complete whoever
-    the writer is.  The value is a plain word list that can change in
-    place; it is not logged.
+    the writer is.
+
+    The value is an immutable tuple of words that only a write replaces,
+    as on the oxide, where the 256 data words change only when the head
+    writes them.  Assigning any word sequence stores it as a tuple, so a
+    snapshot, a cache entry or a checker shares the platter's tuple rather
+    than copying it, and sees an unchanged value by identity.  Values are
+    not logged.
+
+    >>> sector = Sector.fresh(pack_id=1, address=7)
+    >>> type(sector.value), len(sector.value), sector.value is FREE_VALUE
+    (<class 'tuple'>, 256, True)
+    >>> sector.copy().value is sector.value
+    True
+    >>> sector.value[0] = 0
+    Traceback (most recent call last):
+      ...
+    TypeError: 'tuple' object does not support item assignment
+    >>> sector.value = [0] * 256          # a write replaces the whole value
+    >>> type(sector.value)
+    <class 'tuple'>
     """
 
-    __slots__ = ("_header_obj", "_header_words", "_label_obj", "_label_words", "value",
+    __slots__ = ("_header_obj", "_header_words", "_label_obj", "_label_words", "_value",
                  "_log", "_address")
 
-    def __init__(self, header: Header, label: Label = None, value: List[int] = None) -> None:
+    def __init__(self, header: Header, label: Label = None, value: Sequence[int] = None) -> None:
         self._header_obj = header
         self._header_words = None
         self._label_obj = label if label is not None else _FREE_LABEL
         self._label_words = None
         self._log = self._address = None
         if value is None:
-            value = ones_words(VALUE_WORDS)
+            value = FREE_VALUE
         elif len(value) != VALUE_WORDS:
             raise ValueError(f"sector value needs {VALUE_WORDS} words, got {len(value)}")
-        self.value = value
+        self._value = tuple(value)
+
+    @property
+    def value(self) -> Tuple[int, ...]:
+        """The data words, as stored (see the class docstring)."""
+        return self._value
+
+    @value.setter
+    def value(self, words: Sequence[int]) -> None:
+        self._value = tuple(words)
 
     # -- object views (cached) -----------------------------------------------
 
@@ -357,14 +388,15 @@ class Sector:
     # -- copying ---------------------------------------------------------------
 
     def copy(self, log=None, address: int = None) -> "Sector":
-        """A deep copy (value words fresh; frozen objects shared), logging
-        its header and label changes at *address* in *log* when given."""
+        """A copy (header and label words fresh; the value tuple and frozen
+        objects shared), logging its header and label changes at *address*
+        in *log* when given."""
         clone = Sector.__new__(Sector)
         clone._header_obj = self._header_obj
         clone._header_words = list(self._header_words) if self._header_words is not None else None
         clone._label_obj = self._label_obj
         clone._label_words = list(self._label_words) if self._label_words is not None else None
-        clone.value = list(self.value)
+        clone._value = self._value
         clone._log = log
         clone._address = address
         return clone
@@ -391,7 +423,7 @@ class Sector:
             sector._header_words = None
         sector._label_obj = _FREE_LABEL
         sector._label_words = None
-        sector.value = [WORD_MASK] * VALUE_WORDS
+        sector._value = FREE_VALUE
         return sector
 
     def __repr__(self) -> str:

@@ -25,9 +25,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..disk.drive import Action, DiskDrive, PartCommand
 from ..disk.geometry import NIL
-from ..disk.sector import Header, Label, VALUE_WORDS
+from ..disk.sector import FREE_VALUE, Header, Label
 from ..errors import FileFormatError
-from ..words import ones_words
 from .descriptor import BOOT_PAGE_ADDRESS, DESCRIPTOR_LEADER_ADDRESS
 from .leader import LeaderPage
 from .names import PAGE_NUMBER_BIAS
@@ -280,7 +279,7 @@ class Compactor:
         self.drive.transfer(
             address,
             label=PartCommand(Action.WRITE, Label.free().pack()),
-            value=PartCommand(Action.WRITE, ones_words(VALUE_WORDS)),
+            value=PartCommand(Action.WRITE, FREE_VALUE),
         )
 
     # ------------------------------------------------------------------------

@@ -40,11 +40,13 @@ index *is* the full check.  The index contract:
   ``Sector.label`` views.  Both are frozen and interned by their words
   (``Header.unpack``, ``Label.unpack``), so a rewrite of the same words
   usually yields the very object the index last read and implies nothing.
-* **Copied:** the few values the check parses -- each file's leader page,
-  and every page of a directory or of a file whose leader sits at the
-  descriptor's address.  A value is a mutable word list that can change
-  in place and is not logged, so the copy is compared word for word on
-  every call.
+* **Values compared by identity:** the few values the check parses --
+  each file's leader page, and every page of a directory or of a file
+  whose leader sits at the descriptor's address.  Values are not logged,
+  but a ``Sector.value`` is an immutable tuple that only a write
+  replaces, so the index keeps each watched tuple and a call tests it by
+  identity; only a replaced tuple is compared word for word, and one
+  that holds the same words is kept in its place.
 
 A call that raises leaves its index fresh, so the next call is a full
 check.
@@ -137,7 +139,8 @@ class _File:
         self.issues: List[Issue] = []
         self.first = 0  # lowest address holding any page: full-pass order
         self.leader: Optional[int] = None  # page 0's header address
-        self.values: Dict[int, List[int]] = {}  # watched address -> copy
+        #: Watched address -> the value tuple the check last parsed there.
+        self.values: Dict[int, Tuple[int, ...]] = {}
         #: A directory's ``(name, fid, hint)`` entries, or its
         #: ``bad-directory`` issue; None for other files and headless ones.
         self.entries = None
@@ -189,10 +192,14 @@ class PackIndex:
         headers, labels, files = self.headers, self.labels, self.files
         dirty = set()  # file keys to re-derive
         for key, file in files.items():
-            for address, copy in file.values.items():
-                if sectors[address].value != copy:
-                    dirty.add(key)
-                    break
+            values = file.values
+            for address, seen in values.items():
+                value = sectors[address].value
+                if value is not seen:
+                    if value != seen:
+                        dirty.add(key)
+                        break
+                    values[address] = value  # rewritten with the same words
 
         # -- pass 1: labels, address by address ------------------------------------
         changed = []  # logged addresses whose header or label view differs
@@ -330,7 +337,7 @@ class PackIndex:
         directory = bool(key[0] & DIRECTORY_SERIAL_FLAG)
         watched = (bucket if directory or file.leader == DESCRIPTOR_LEADER_ADDRESS
                    else [0] if leader is not None else [])
-        file.values = {file.pages[pn][0]: list(bucket[pn].value) for pn in watched}
+        file.values = {file.pages[pn][0]: bucket[pn].value for pn in watched}
         file.entries = None
         if directory and leader is not None:
             try:

@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..disk.sector import Label, VALUE_WORDS
+from ..disk.sector import FREE_VALUE, Label
 from ..errors import (
     BadSectorError,
     CheckError,
@@ -64,7 +64,6 @@ from ..errors import (
     ReadRetriesExhausted,
     SectorChecksumError,
 )
-from ..words import ones_words
 from .descriptor import BOOT_PAGE_ADDRESS, DESCRIPTOR_LEADER_ADDRESS
 from .fsck import PackIndex, check_image
 from .names import FileId, FullName, page_number_from_label, parseable_label
@@ -302,7 +301,7 @@ class OnlineMaintenance:
         check the exact words we read, then rewrite free + ones)."""
         try:
             self.drive.check_label_then_rewrite(
-                address, label, Label.free(), ones_words(VALUE_WORDS)
+                address, label, Label.free(), FREE_VALUE
             )
         except (CheckError, BadSectorError, ReadRetriesExhausted):
             return  # changed under us or unwritable; the next pass retries

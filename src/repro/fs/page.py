@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 from ..disk.drive import DiskDrive
 from ..disk.geometry import NIL
-from ..disk.sector import Label, value_words
+from ..disk.sector import FREE_VALUE, Label, value_words
 from ..errors import AddressOutOfRange, HintFailed, LabelCheckError, PageNotFree
 from .names import FileId, FullName, page_number_from_label
 
@@ -134,12 +134,9 @@ class PageIO:
         the label is the right one.  Then ones are written into label and
         value" (section 3.3)."""
         self._require_hint(name)
-        from ..disk.sector import VALUE_WORDS
-        from ..words import ones_words
-
         try:
             self.drive.check_label_then_rewrite(
-                name.address, name.check_label(), Label.free(), ones_words(VALUE_WORDS)
+                name.address, name.check_label(), Label.free(), FREE_VALUE
             )
         except (LabelCheckError, AddressOutOfRange) as exc:
             raise HintFailed(f"page {name} is not at its hinted address") from exc

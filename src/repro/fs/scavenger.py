@@ -26,11 +26,11 @@ simulated clock so the end-to-end time is comparable with the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..disk.drive import Action, DiskDrive, PartCommand
 from ..disk.geometry import NIL
-from ..disk.sector import Header, Label, SERIAL_BAD, SERIAL_FREE, VALUE_WORDS
+from ..disk.sector import FREE_VALUE, Header, Label, SERIAL_BAD, SERIAL_FREE, VALUE_WORDS
 from ..errors import (
     BadSectorError,
     DirectoryError,
@@ -39,7 +39,7 @@ from ..errors import (
     HintFailed,
     SectorChecksumError,
 )
-from ..words import bytes_to_words, ones_words, words_to_bytes, zero_words
+from ..words import bytes_to_words, words_to_bytes, zero_words
 from .allocator import PageAllocator
 from .descriptor import (
     BOOT_PAGE_ADDRESS,
@@ -244,7 +244,7 @@ class Scavenger:
         self.report.table_fits_in_memory = 3 * shape.total_sectors() <= MEMORY_WORDS
         # Free the garbage labels now (each costs the free revolution).
         for address, swept_words in garbage:
-            self._rewrite_raw(address, swept_words, Label.free(), ones_words(VALUE_WORDS))
+            self._rewrite_raw(address, swept_words, Label.free(), FREE_VALUE)
             self._free.add(address)
             self.report.garbage_labels_freed += 1
 
@@ -415,7 +415,7 @@ class Scavenger:
             address,
             Header(self.drive.image.pack_id, address),
             Label.free(),
-            ones_words(VALUE_WORDS),
+            FREE_VALUE,
         )
         self._free.add(address)
         self.report.torn_sectors_reclaimed += 1
@@ -429,7 +429,7 @@ class Scavenger:
             next_link=page.next_link,
             prev_link=page.prev_link,
         )
-        self._rewrite_raw(page.address, old.pack(), Label.free(), ones_words(VALUE_WORDS))
+        self._rewrite_raw(page.address, old.pack(), Label.free(), FREE_VALUE)
         self._free.add(page.address)
 
     def _rewrite_raw(
@@ -437,7 +437,7 @@ class Scavenger:
         address: int,
         expected_words: List[int],
         new_label: Label,
-        new_value: Optional[List[int]] = None,
+        new_value: Optional[Sequence[int]] = None,
     ) -> None:
         """Check a label against the exact words we swept, then rewrite it
         (and optionally the value).  Two passes: the free/repair revolution."""
@@ -446,7 +446,7 @@ class Scavenger:
         self.drive.transfer(
             address,
             label=PartCommand(Action.WRITE, new_label.pack()),
-            value=PartCommand(Action.WRITE, list(value)),
+            value=PartCommand(Action.WRITE, value),
         )
 
     # ------------------------------------------------------------------------
@@ -468,7 +468,7 @@ class Scavenger:
         for address in self.report.bad_sectors:
             try:
                 self.drive.transfer(address, label=PartCommand(Action.WRITE, Label.bad().pack()),
-                                    value=PartCommand(Action.WRITE, ones_words(VALUE_WORDS)))
+                                    value=PartCommand(Action.WRITE, FREE_VALUE))
             except BadSectorError:
                 pass
 

@@ -82,7 +82,7 @@ from .protocol import (
     encode_response,
 )
 from .qos import DEFAULT_QOS_WEIGHTS, QOS_CLASSES, QOS_INTERACTIVE
-from .session import Session
+from .session import MAX_HANDLE, Session
 
 #: Default bound on admitted-but-unserviced requests across all clients.
 DEFAULT_MAX_PENDING = 64
@@ -511,6 +511,9 @@ class FileServer:
             name = decode_name(request.payload)
         except ProtocolError:
             return Response(ST_BAD_REQUEST, request.request_id)
+        if len(session.handles) >= MAX_HANDLE:
+            self._c_errors.inc()  # no handle left to grant: open nothing
+            return Response(ST_ERROR, request.request_id)
         try:
             file = self.fs.open_file(name)
         except (FileNotFound, DirectoryError):

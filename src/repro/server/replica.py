@@ -171,13 +171,12 @@ def apply_record(image: DiskImage, address: int, part: str,
     how a torn part recovers).
     """
     sector = image.sector(address)
-    data = list(words)
     if part == "header":
-        sector.set_header_words(data)
+        sector.set_header_words(list(words))
     elif part == "label":
-        sector.set_label_words(data)
+        sector.set_label_words(list(words))
     elif part == "value":
-        sector.value = data
+        sector.value = words
     else:
         raise ValueError(f"unknown journal part {part!r}")
     image.checksum_bad.discard((address, part))

@@ -93,6 +93,7 @@ from .protocol import (
     ST_BAD_HANDLE,
     ST_BAD_REQUEST,
     ST_BUSY,
+    ST_ERROR,
     ST_OK,
     decode_name,
     decode_names,
@@ -101,7 +102,7 @@ from .protocol import (
     relay,
 )
 from .rebalance import MANIFEST_NAME, Shipment, recover_shipment, ship_names
-from .session import Session
+from .session import MAX_HANDLE, Session
 from .shardmap import RebalancePlan, ShardMap
 
 #: Default bound on requests in flight through the router, all shards.
@@ -386,6 +387,13 @@ class ShardRouter:
         except ProtocolError:
             self._respond_local(state, Response(ST_BAD_REQUEST,
                                                 request.request_id))
+            return
+        opening = sum(1 for ctx in state.inflight.values() if ctx.request.op == OP_OPEN)
+        if len(state.handles) + opening >= MAX_HANDLE:
+            # Every handle is held or promised to an OPEN in flight: the
+            # shard's answer would find none to grant, so forward nothing.
+            self._c_errors.inc()
+            self._respond_local(state, Response(ST_ERROR, request.request_id))
             return
         if self._paused(name):
             self._c_paused.inc()

@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Optional
 
+from ..errors import ServerError
+
 #: Cached replies kept per session; a retry storm deeper than this falls
 #: back to re-execution, so the cache is sized above the client's retry cap.
 REPLAY_CACHE_SIZE = 16
@@ -50,8 +52,18 @@ class Session:
     # -- handles --------------------------------------------------------------
 
     def grant(self, target) -> int:
-        """Allocate a handle for *target*; handles are session-scoped."""
+        """Allocate a handle for *target*; handles are session-scoped.
+
+        The counter wraps within the handle word and skips every handle
+        still open, so a long-held handle is never granted twice.  With
+        all ``MAX_HANDLE`` open it raises :class:`~repro.errors.ServerError`;
+        the server and the router answer such an OPEN ``ST_ERROR`` first.
+        """
+        if len(self.handles) >= MAX_HANDLE:
+            raise ServerError(f"{self.client} holds all {MAX_HANDLE} handles")
         handle = self._next_handle
+        while handle in self.handles:
+            handle = handle % MAX_HANDLE + 1
         self._next_handle = handle % MAX_HANDLE + 1
         self.handles[handle] = target
         return handle

@@ -43,7 +43,7 @@ class TestCleanCrash:
         # Write 1 (header) landed; write 2 (label) and after did not.
         assert image.sector(5).header.pack_id == 7
         assert image.sector(5).label.is_free
-        assert image.sector(5).value == ones_words(VALUE_WORDS)  # untouched
+        assert image.sector(5).value == tuple(ones_words(VALUE_WORDS))  # untouched
         assert fault_plan.crashed
 
     def test_machine_stays_down_until_revived(self, planned_drive, fault_plan):
@@ -134,7 +134,7 @@ class TestTornWrite:
         # New identity on disk, old data: the exact inconsistency the
         # scavenger's label discipline is designed to survive.
         assert image.sector(4).label.pack() == new_label.pack()
-        assert image.sector(4).value == old_value
+        assert image.sector(4).value == tuple(old_value)
 
 
 class TestTracePoints:
@@ -145,7 +145,7 @@ class TestTracePoints:
             full_write(planned_drive, 2)
         # Second command's header and label landed, value did not.
         assert planned_drive.image.sector(2).header.pack_id == 7
-        assert planned_drive.image.sector(2).value == ones_words(VALUE_WORDS)
+        assert planned_drive.image.sector(2).value == tuple(ones_words(VALUE_WORDS))
 
     def test_point_counts(self, planned_drive, fault_plan):
         full_write(planned_drive, 1)

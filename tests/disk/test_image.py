@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from repro.disk import DiskImage, Header, Label, Sector, tiny_test_disk
+from repro.disk.sector import VALUE_WORDS
 from repro.errors import AddressOutOfRange
 
 
@@ -29,7 +30,7 @@ class TestAccess:
 
     def test_set_sector(self, image):
         sector = Sector.fresh(image.pack_id, 3)
-        sector.value[0] = 42
+        sector.value = [42] * VALUE_WORDS
         image.set_sector(3, sector)
         assert image.sector(3).value[0] == 42
 
@@ -37,7 +38,7 @@ class TestAccess:
 class TestSnapshots:
     def test_snapshot_is_independent(self, image):
         snap = image.snapshot()
-        image.sector(0).value[0] = 123
+        image.sector(0).value = [123] * VALUE_WORDS
         assert snap.sector(0).value[0] == 0xFFFF
 
     def test_restore(self, image):
@@ -61,7 +62,7 @@ class TestChangeLog:
         image.sector(5).header = Header(image.pack_id, 5)
         image.sector(7).set_label_words(Label.bad().pack())
         image.sector(9).set_header_words([image.pack_id, 9])
-        image.sector(11).value[0] = 0  # values are not logged
+        image.sector(11).value = [0] * VALUE_WORDS  # values are not logged
         assert image.changes.since(stamp) == [9, 7, 5, 3]
 
     def test_readers_share_the_log_without_consuming_it(self, image):

@@ -99,13 +99,13 @@ class TestSector:
     def test_fresh_sector_is_free(self):
         sector = Sector.fresh(pack_id=1, address=10)
         assert sector.label.is_free
-        assert sector.value == [0xFFFF] * VALUE_WORDS
+        assert sector.value == (0xFFFF,) * VALUE_WORDS
         assert sector.header == Header(1, 10)
 
     def test_copy_is_deep_for_value(self):
         sector = Sector.fresh(1, 0)
         clone = sector.copy()
-        clone.value[0] = 0
+        clone.value = [0] * VALUE_WORDS  # a write replaces the shared tuple
         assert sector.value[0] == 0xFFFF
 
     def test_wrong_value_size_rejected(self):

@@ -145,22 +145,34 @@ class TestRandomBytes:
 
 
 class TestMergeCheck:
-    words_256 = st.lists(st.integers(min_value=0, max_value=WORD_MASK), min_size=7, max_size=7)
+    """A label check compares against the platter's 7-word list, a value
+    check against its 256-word tuple: both sizes, both disk types."""
+
+    sizes = st.sampled_from([7, 256])
+
+    @staticmethod
+    def draw_buffer(data, size, as_tuple=False):
+        words = data.draw(st.lists(st.integers(min_value=0, max_value=WORD_MASK),
+                                   min_size=size, max_size=size))
+        return tuple(words) if as_tuple else words
 
     @eq_settings
-    @given(words_256, words_256)
-    def test_arbitrary(self, numpy_mode, expected, disk_words):
+    @given(sizes, st.booleans(), st.data())
+    def test_arbitrary(self, numpy_mode, size, as_tuple, data):
+        expected = self.draw_buffer(data, size)
+        disk_words = self.draw_buffer(data, size, as_tuple)
         assert merge_check(expected, disk_words) == merge_check_reference(expected, disk_words)
 
     @eq_settings
-    @given(words_256, st.data())
-    def test_wildcards_and_forced_match(self, numpy_mode, disk_words, data):
+    @given(sizes, st.booleans(), st.data())
+    def test_wildcards_and_forced_match(self, numpy_mode, size, as_tuple, data):
         # Build an expected buffer that matches except where wildcarded,
         # with an optional planted mismatch: all three regimes in one case.
+        disk_words = self.draw_buffer(data, size, as_tuple)
         expected = list(disk_words)
-        for i in data.draw(st.sets(st.integers(min_value=0, max_value=6))):
+        for i in data.draw(st.sets(st.integers(min_value=0, max_value=size - 1))):
             expected[i] = 0  # wildcard
-        mismatch_at = data.draw(st.none() | st.integers(min_value=0, max_value=6))
+        mismatch_at = data.draw(st.none() | st.integers(min_value=0, max_value=size - 1))
         if mismatch_at is not None and expected[mismatch_at] != 0:
             expected[mismatch_at] = (disk_words[mismatch_at] ^ 1) or 1
         assert merge_check(expected, disk_words) == merge_check_reference(expected, disk_words)
@@ -168,3 +180,7 @@ class TestMergeCheck:
     def test_exact_equality_fast_path(self, numpy_mode):
         words = [1, 2, 3, 4, 5, 6, 7]
         assert merge_check(words, list(words)) == merge_check_reference(words, words)
+        value = tuple(range(256))
+        effective, mismatch = merge_check(list(value), value)
+        assert (effective, mismatch) == merge_check_reference(list(value), value)
+        assert type(effective) is list

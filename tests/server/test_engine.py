@@ -18,9 +18,11 @@ from repro.server import (
     ST_BAD_PAGE,
     ST_BAD_REQUEST,
     ST_BUSY,
+    ST_ERROR,
     ST_NOT_FOUND,
     ST_OK,
 )
+from repro.server.session import MAX_HANDLE
 
 
 def make_served(clients=("ws",), cached=False, **server_kw):
@@ -57,6 +59,19 @@ def test_open_reports_size_and_close_releases():
     with pytest.raises(RequestFailed) as excinfo:
         client.transact(client.build_close(handle))
     assert excinfo.value.status == ST_BAD_HANDLE
+
+
+def test_open_with_every_handle_held_is_an_error_and_opens_nothing():
+    fs, server, [client] = make_served()
+    client.write_file("held.txt", b"x")
+    server.sessions[client.host].handles.update(
+        dict.fromkeys(range(1, MAX_HANDLE + 1), "held"))
+    errors = server.stats()["server.errors"]
+    with pytest.raises(RequestFailed) as excinfo:
+        client.open("new.txt", create=True)
+    assert excinfo.value.status == ST_ERROR
+    assert server.stats()["server.errors"] == errors + 1
+    assert "new.txt" not in fs.list_files()
 
 
 def test_list_returns_served_names():

@@ -103,9 +103,16 @@ def test_standby_reassembles_across_chunks_and_acks():
         assert net.send(Packet("primary", standby.host, TYPE_DATA, payload))
     assert standby.poll() == 1
     assert standby.applied_seq == 1
-    assert standby.image.sector(6).value == list(range(256))
+    assert standby.image.sector(6).value == tuple(range(256))
     ack = net.receive("primary")
     assert ack is not None and ack.payload == (0, 1)
+
+
+def test_bootstrap_shares_the_primary_value_tuples():
+    _net, fs, standby, _server = build_pair()
+    primary = fs.drive.image
+    assert all(standby.image.sector(address).value is primary.sector(address).value
+               for address in range(len(primary)))
 
 
 def test_standby_drops_out_of_order_chunks():

@@ -26,6 +26,7 @@ from repro.server import (
 )
 from repro.server.protocol import ST_ERROR, ST_OK, Response, encode_response
 from repro.server.router import ShardRouter
+from repro.server.session import MAX_HANDLE
 
 
 def make_cluster(clients=1, shards=2, seed=1979, **kw):
@@ -234,6 +235,28 @@ def test_closed_vhandle_is_rejected_without_forwarding():
         client.transact(client.build_close(handle))
     assert excinfo.value.status == ST_BAD_HANDLE
     assert system.router.stats()["router.forwarded"] == forwarded
+
+
+def test_open_with_every_handle_held_or_promised_fails_at_the_router():
+    system = make_cluster(shards=2)
+    [client] = system.clients
+    client.write_file("f.dat", b"data")
+    system.router._states[client.host].handles.update(
+        dict.fromkeys(range(1, MAX_HANDLE), "held"))  # all but the last
+    before = system.router.stats()
+    # Two OPENs in flight at once: the first is promised the last handle,
+    # so the second is refused without being forwarded.
+    first, second = [client.submit(client.build_open("f.dat")) for _ in range(2)]
+    assert client.wait(second).status == ST_ERROR
+    opened = client.wait(first)
+    assert (opened.status, opened.handle) == (ST_OK, MAX_HANDLE)
+    # With every handle held, an OPEN is refused outright.
+    with pytest.raises(RequestFailed) as excinfo:
+        client.open("f.dat")
+    assert excinfo.value.status == ST_ERROR
+    after = system.router.stats()
+    assert after["router.errors"] == before["router.errors"] + 2
+    assert after["router.forwarded"] == before["router.forwarded"] + 1
 
 
 # -- backpressure -------------------------------------------------------------

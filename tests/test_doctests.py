@@ -1,7 +1,8 @@
-"""Run the docstring examples of ``repro.net`` and ``repro.server``.
+"""Run the docstring examples of ``repro.net``, ``repro.server`` and
+``repro.disk``.
 
 CI's docs job runs ``pytest --doctest-modules src/repro/net
-src/repro/server`` directly; this test keeps the same examples green under
+src/repro/server src/repro/disk`` directly; this test keeps the same examples green under
 the plain test run, so a stale docstring fails close to the change that
 broke it.
 """
@@ -12,12 +13,13 @@ import pkgutil
 
 import pytest
 
+import repro.disk
 import repro.net
 import repro.server
 
 
 def doctest_modules():
-    for package in (repro.net, repro.server):
+    for package in (repro.net, repro.server, repro.disk):
         yield package.__name__
         for info in pkgutil.iter_modules(package.__path__):
             yield f"{package.__name__}.{info.name}"
@@ -30,7 +32,7 @@ def test_module_doctests(module_name):
     assert results.failed == 0, f"{results.failed} doctest failure(s) in {module_name}"
 
 
-@pytest.mark.parametrize("package", [repro.net, repro.server])
+@pytest.mark.parametrize("package", [repro.net, repro.server, repro.disk])
 def test_every_public_name_has_a_docstring(package):
     """The audit itself: everything exported by the package documents itself."""
     missing = []
