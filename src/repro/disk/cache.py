@@ -148,6 +148,12 @@ class CachedDrive(DiskDrive):
         self._drain_hist = self.cache_stats.registry.histogram(
             "disk.cache.drain_sectors")
         self._entries: "OrderedDict[int, CacheEntry]" = OrderedDict()
+        # The hit path's counters, held (as DiskDrive._c_* are): the same
+        # registry counters cache_stats reads, without its per-bump lookup.
+        registry = self.cache_stats.registry
+        self._c_hits = registry.counter("disk.cache.hits")
+        self._c_misses = registry.counter("disk.cache.misses")
+        self._c_deferred_writes = registry.counter("disk.cache.deferred_writes")
 
     # ------------------------------------------------------------------------
     # The command choke point
@@ -245,11 +251,8 @@ class CachedDrive(DiskDrive):
         if not entry.dirty:
             entry.dirty = True
         self.scheduler.enqueue(address)
-        self.cache_stats.deferred_writes += 1
-        self.cache_stats.hits += 1
-        with self.clock.obs.span("disk.cache.hit", "disk",
-                                 address=address, op="write"):
-            self.clock.advance_us(CACHE_HIT_US, CACHE)
+        self._c_deferred_writes.inc()
+        self._hit(address, "write")
         return result
 
     # ------------------------------------------------------------------------
@@ -258,16 +261,14 @@ class CachedDrive(DiskDrive):
 
     def _read(self, address: int, parts: Sequence) -> TransferResult:
         entry = self._entries.get(address)
-        checksum_bad = self.image.checksum_bad
-        servable = (
-            entry is not None
-            and all(getattr(entry, part) is not None for part, _a, _d in parts)
-            and address not in self.image.bad_media
-            and not any((address, part) in checksum_bad for part, _a, _d in parts)
-        )
-        if not servable:
-            self.cache_stats.misses += 1
+        if entry is None or address in self.image.bad_media:
+            self._c_misses.inc()
             return self._pass_through(address, parts)
+        checksum_bad = self.image.checksum_bad
+        for part, _action, _data in parts:
+            if getattr(entry, part) is None or (address, part) in checksum_bad:
+                self._c_misses.inc()
+                return self._pass_through(address, parts)
         self._require_uncrashed()
         self._touch(address)
         result = TransferResult()
@@ -282,14 +283,21 @@ class CachedDrive(DiskDrive):
                     if entry.dirty:
                         raise
                     self._drop(address)
-                    self.cache_stats.misses += 1
+                    self._c_misses.inc()
                     return self._pass_through(address, parts)
                 setattr(result, part, effective)
-        self.cache_stats.hits += 1
-        with self.clock.obs.span("disk.cache.hit", "disk",
-                                 address=address, op="read"):
-            self.clock.advance_us(CACHE_HIT_US, CACHE)
+        self._hit(address, "read")
         return result
+
+    def _hit(self, address: int, op: str) -> None:
+        """Count a command served from memory and charge its time."""
+        self._c_hits.inc()
+        obs = self.clock.obs
+        if obs.tracing:
+            with obs.span("disk.cache.hit", "disk", address=address, op=op):
+                self.clock.advance_us(CACHE_HIT_US, CACHE)
+            return
+        self.clock.advance_us(CACHE_HIT_US, CACHE)
 
     # ------------------------------------------------------------------------
     # Flushing (write-back through the elevator)

@@ -18,7 +18,7 @@ True
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..clock import SimClock
@@ -40,7 +40,7 @@ TYPE_CONTROL = 3
 MAX_PAYLOAD_WORDS = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
     """One packet: addressing, a type word, and a word payload.
 
@@ -59,6 +59,17 @@ class Packet:
     destination: str
     ptype: int
     payload: Tuple[int, ...] = ()
+
+    def __init__(self, source: str, destination: str, ptype: int,
+                 payload: Tuple[int, ...] = ()) -> None:
+        # The dataclass's own __init__, with each field stored by its slot's
+        # setter, bound once below, instead of a frozen-class
+        # ``object.__setattr__`` call.
+        _set_source(self, source)
+        _set_destination(self, destination)
+        _set_ptype(self, ptype)
+        _set_payload(self, payload)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.payload) > MAX_PAYLOAD_WORDS:
@@ -90,12 +101,18 @@ class Packet:
             if not 0 <= at < len(payload):
                 raise NetworkError(f"no word {at} in a {len(payload)}-word payload")
             payload = payload[:at] + (word,) + payload[at + 1:]
-        # Frozen fields are set the way the dataclass's own __init__ sets
-        # them, without the __post_init__ that would check every word.
-        copy = object.__new__(Packet)
-        copy.__dict__.update(source=source, destination=destination,
-                             ptype=self.ptype, payload=payload)
+        # As __init__, without the __post_init__ that would check every word.
+        copy = _new(Packet)
+        _set_source(copy, source)
+        _set_destination(copy, destination)
+        _set_ptype(copy, self.ptype)
+        _set_payload(copy, payload)
         return copy
+
+
+_new = object.__new__
+_set_source, _set_destination, _set_ptype, _set_payload = (
+    Packet.__dict__[name].__set__ for name in Packet.__slots__)
 
 
 class PacketNetwork:

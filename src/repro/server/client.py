@@ -318,6 +318,11 @@ class FileClient:
             pages = response.result0
             if pages == 0:
                 break
+            if pages > want or len(response.payload) < pages * PAGE_WORDS:
+                self.obs.registry.counter("server.client.errors").inc()
+                raise ProtocolError(
+                    f"READ of {want} pages from page {page} answered "
+                    f"{pages} pages in {len(response.payload)} words")
             words = list(response.payload)
             for index in range(pages):
                 page_words = words[index * PAGE_WORDS: (index + 1) * PAGE_WORDS]

@@ -57,6 +57,7 @@ from ..errors import (
 )
 from ..fs.file import FULL_PAGE
 from ..net.network import Packet, PacketNetwork
+from ..obs import NULL_SPAN
 from .events import EventQueue
 from .protocol import (
     FLAG_CREATE,
@@ -446,36 +447,45 @@ class FileServer:
             self._resend(client, request.request_id, cached)
             return False
         start_us = self.clock.now_us
-        trace_id = f"{client}#{request.request_id}"
-        tracer = self.obs.tracer
-        if tracer.enabled:
+        obs = self.obs
+        if obs.tracing:
             # The time this request sat admitted-but-unserviced.  Queue
             # waits overlap (every queued request waits at once), so they
             # are async intervals, not nested spans.
-            tracer.complete("server.queue", admitted_us, start_us,
-                            category="server", kind="async",
-                            args={"trace_id": trace_id, "client": client})
+            trace_id = f"{client}#{request.request_id}"
+            obs.tracer.complete("server.queue", admitted_us, start_us,
+                                category="server", kind="async",
+                                args={"trace_id": trace_id, "client": client})
+            self.clock.advance_us(SERVICE_CPU_US, "server.cpu")
+            with obs.span("server.request", "server", op=request.op_name,
+                          client=client, rid=request.request_id,
+                          trace_id=trace_id) as span:
+                return self._answer(session, client, request, admitted_us,
+                                    start_us, span)
         self.clock.advance_us(SERVICE_CPU_US, "server.cpu")
-        with self.obs.span("server.request", "server", op=request.op_name,
-                           client=client, rid=request.request_id,
-                           trace_id=trace_id) as span:
-            wrote = False
-            try:
-                response, wrote = self._dispatch(session, request)
-            except (DiskFull, FileSystemError) as exc:
-                self._c_errors.inc()
-                response = Response(ST_ERROR, request.request_id)
-                span.annotate(error=type(exc).__name__)
-            if response.status != ST_OK:
-                span.annotate(status=ST_NAMES[response.status])
-            self._c_requests.inc()
-            packets = self._respond(client, response)
-            session.remember(request.request_id, packets)
-            end_us = self.clock.now_us
-            self._h_queue_us.observe(start_us - admitted_us)
-            self._h_service_us.observe(end_us - start_us)
-            self._h_request_us.observe(end_us - admitted_us)
-            return wrote
+        return self._answer(session, client, request, admitted_us, start_us,
+                            NULL_SPAN)
+
+    def _answer(self, session, client: str, request: Request,
+                admitted_us: int, start_us: int, span) -> bool:
+        """The body of :meth:`_service` (span-wrapped when tracing)."""
+        wrote = False
+        try:
+            response, wrote = self._dispatch(session, request)
+        except (DiskFull, FileSystemError) as exc:
+            self._c_errors.inc()
+            response = Response(ST_ERROR, request.request_id)
+            span.annotate(error=type(exc).__name__)
+        if response.status != ST_OK:
+            span.annotate(status=ST_NAMES[response.status])
+        self._c_requests.inc()
+        packets = self._respond(client, response)
+        session.remember(request.request_id, packets)
+        end_us = self.clock.now_us
+        self._h_queue_us.observe(start_us - admitted_us)
+        self._h_service_us.observe(end_us - start_us)
+        self._h_request_us.observe(end_us - admitted_us)
+        return wrote
 
     def _respond(self, client: str, response: Response) -> List[Packet]:
         packets = encode_response(response, self.host, client)

@@ -42,7 +42,7 @@ packet granularity.  See ``SERVER.md`` for the full specification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from ..net.network import MAX_PAYLOAD_WORDS, Packet, TYPE_CONTROL, TYPE_DATA
@@ -92,8 +92,17 @@ MAX_BATCH_PAGES = 8
 MAX_FRAME_PAYLOAD_WORDS = 0xFFFF
 
 
-@dataclass(frozen=True)
-class Request:
+class _Frame:
+    """What a request and a response frame share besides their fields."""
+
+    #: The packets a :class:`FrameAssembler` built the frame from, for
+    #: :func:`relay`; ``()`` for a frame built any other way.  Not a field:
+    #: no part of equality, and ``replace`` drops it.
+    __slots__ = ("packets",)
+
+
+@dataclass(frozen=True, slots=True)
+class Request(_Frame):
     """One decoded request frame.
 
     >>> Request(OP_READ, request_id=3, handle=1, arg0=1, arg1=4).op == OP_READ
@@ -107,26 +116,33 @@ class Request:
     arg1: int = 0
     payload: Tuple[int, ...] = ()
 
-    #: The packets a :class:`FrameAssembler` built the frame from, for
-    #: :func:`relay`.  Not a field: no part of equality, and ``replace`` drops it.
-    packets: ClassVar[Tuple[Packet, ...]] = ()
-
-    def __post_init__(self) -> None:
-        if self.op not in OP_NAMES:
-            raise ProtocolError(f"unknown opcode {self.op}")
-        if not 1 <= self.request_id <= 0xFFFF:
-            raise ProtocolError(f"request id must be 1..65535, got {self.request_id}")
-        if len(self.payload) > MAX_FRAME_PAYLOAD_WORDS:
-            raise ProtocolError(f"payload of {len(self.payload)} words exceeds "
+    def __init__(self, op: int, request_id: int, handle: int = 0,
+                 arg0: int = 0, arg1: int = 0,
+                 payload: Tuple[int, ...] = ()) -> None:
+        # The dataclass's own __init__ and its checks, each field stored by
+        # its slot's setter (see Packet.__init__).
+        if op not in OP_NAMES:
+            raise ProtocolError(f"unknown opcode {op}")
+        if not 1 <= request_id <= 0xFFFF:
+            raise ProtocolError(f"request id must be 1..65535, got {request_id}")
+        if len(payload) > MAX_FRAME_PAYLOAD_WORDS:
+            raise ProtocolError(f"payload of {len(payload)} words exceeds "
                                 f"{MAX_FRAME_PAYLOAD_WORDS}")
+        _set_op(self, op)
+        _set_request_id(self, request_id)
+        _set_handle(self, handle)
+        _set_arg0(self, arg0)
+        _set_arg1(self, arg1)
+        _set_request_payload(self, payload)
+        _set_packets(self, ())
 
     @property
     def op_name(self) -> str:
         return OP_NAMES[self.op]
 
 
-@dataclass(frozen=True)
-class Response:
+@dataclass(frozen=True, slots=True)
+class Response(_Frame):
     """One decoded response frame.
 
     >>> Response(ST_OK, request_id=3).ok
@@ -142,15 +158,21 @@ class Response:
     result1: int = 0
     payload: Tuple[int, ...] = ()
 
-    #: As :attr:`Request.packets`.
-    packets: ClassVar[Tuple[Packet, ...]] = ()
-
-    def __post_init__(self) -> None:
-        if self.status not in ST_NAMES:
-            raise ProtocolError(f"unknown status {self.status}")
-        if len(self.payload) > MAX_FRAME_PAYLOAD_WORDS:
-            raise ProtocolError(f"payload of {len(self.payload)} words exceeds "
+    def __init__(self, status: int, request_id: int, handle: int = 0,
+                 result0: int = 0, result1: int = 0,
+                 payload: Tuple[int, ...] = ()) -> None:
+        if status not in ST_NAMES:
+            raise ProtocolError(f"unknown status {status}")
+        if len(payload) > MAX_FRAME_PAYLOAD_WORDS:
+            raise ProtocolError(f"payload of {len(payload)} words exceeds "
                                 f"{MAX_FRAME_PAYLOAD_WORDS}")
+        _set_status(self, status)
+        _set_response_id(self, request_id)
+        _set_response_handle(self, handle)
+        _set_result0(self, result0)
+        _set_result1(self, result1)
+        _set_response_payload(self, payload)
+        _set_packets(self, ())
 
     @property
     def ok(self) -> bool:
@@ -159,6 +181,15 @@ class Response:
     @property
     def status_name(self) -> str:
         return ST_NAMES[self.status]
+
+
+_set_packets = _Frame.packets.__set__
+(_set_op, _set_request_id, _set_handle, _set_arg0, _set_arg1,
+ _set_request_payload) = (Request.__dict__[name].__set__
+                          for name in Request.__slots__)
+(_set_status, _set_response_id, _set_response_handle, _set_result0,
+ _set_result1, _set_response_payload) = (Response.__dict__[name].__set__
+                                         for name in Response.__slots__)
 
 
 def encode_name(name: str) -> Tuple[int, ...]:
@@ -297,34 +328,17 @@ def relay(frame, source: str, destination: str,
     return [first] + [packet.relayed(source, destination) for packet in rest]
 
 
-def _decode_header(payload: Tuple[int, ...]):
-    if len(payload) < HEADER_WORDS:
-        raise ProtocolError(f"header packet has only {len(payload)} words, "
-                            f"need {HEADER_WORDS}")
-    magic = payload[0]
-    if magic not in (MAGIC_REQUEST, MAGIC_RESPONSE):
-        raise ProtocolError(f"bad frame magic {magic:#x}")
-    return magic, payload[1:HEADER_WORDS], payload[HEADER_WORDS:]
-
-
-def _build(magic: int, header, payload: Tuple[int, ...],
+def _build(words: Tuple[int, ...], payload: Tuple[int, ...],
            packets: Tuple[Packet, ...]):
-    op_or_status, request_id, handle, a0, a1 = header
-    if magic == MAGIC_REQUEST:
-        frame = Request(op_or_status, request_id, handle, a0, a1, payload)
+    """The frame whose header packet carries *words*."""
+    if words[0] == MAGIC_REQUEST:
+        frame = Request(words[1], words[2], words[3], words[4], words[5],
+                        payload)
     else:
-        frame = Response(op_or_status, request_id, handle, a0, a1, payload)
-    object.__setattr__(frame, "packets", packets)
+        frame = Response(words[1], words[2], words[3], words[4], words[5],
+                         payload)
+    _set_packets(frame, packets)
     return frame
-
-
-@dataclass
-class _Partial:
-    magic: int
-    header: Tuple[int, ...]
-    expected: int
-    payload: List[int]
-    packets: List[Packet]
 
 
 class FrameAssembler:
@@ -348,7 +362,9 @@ class FrameAssembler:
     """
 
     def __init__(self) -> None:
-        self._partials: Dict[str, _Partial] = {}
+        #: Per source host, the packets of its frame so far and the payload
+        #: words still owed.
+        self._partials: Dict[str, Tuple[List[Packet], int]] = {}
         #: Frames discarded because a new header arrived mid-frame.
         self.abandoned = 0
         #: Packets ignored because they belong to no frame.
@@ -357,38 +373,55 @@ class FrameAssembler:
     def feed(self, packet: Packet) -> Optional[Tuple[str, object]]:
         """Consume one packet; return ``(source, frame)`` when one completes."""
         source = packet.source
-        if packet.ptype == TYPE_CONTROL:
-            if source in self._partials:
+        ptype = packet.ptype
+        partials = self._partials
+        if ptype == TYPE_CONTROL:
+            if source in partials:
                 self.abandoned += 1
-                del self._partials[source]
-            magic, header, first = _decode_header(packet.payload)
-            expected = header[-1]  # word 6: the announced payload length
-            if len(first) > expected:
+                del partials[source]
+            words = packet.payload
+            if len(words) < HEADER_WORDS:
+                raise ProtocolError(f"header packet has only {len(words)} "
+                                    f"words, need {HEADER_WORDS}")
+            if words[0] not in (MAGIC_REQUEST, MAGIC_RESPONSE):
+                raise ProtocolError(f"bad frame magic {words[0]:#x}")
+            expected = words[6]  # the announced payload length
+            carried = len(words) - HEADER_WORDS
+            if carried > expected:
                 raise ProtocolError(
                     f"frame announced {expected} payload words but the header "
-                    f"packet already carries {len(first)}")
-            if len(first) == expected:  # a one-packet frame
-                return source, _build(magic, header[:5], first, (packet,))
-            partial = _Partial(magic, header, expected, list(first), [packet])
-            self._partials[source] = partial
-        elif packet.ptype == TYPE_DATA:
-            partial = self._partials.get(source)
-            if partial is None:
-                self.stray += 1
-                return None
-            partial.payload.extend(packet.payload)
-            partial.packets.append(packet)
-            if len(partial.payload) > partial.expected:
-                del self._partials[source]
-                raise ProtocolError(
-                    f"frame from {source!r} overran its announced "
-                    f"{partial.expected} payload words")
-        else:
+                    f"packet already carries {carried}")
+            if carried == expected:  # a one-packet frame
+                return source, _build(words, words[HEADER_WORDS:], (packet,))
+            partials[source] = ([packet], expected - carried)
+            return None
+        partial = partials.get(source) if ptype == TYPE_DATA else None
+        if partial is None:  # not a continuation of a frame in progress
             self.stray += 1
             return None
-        if len(partial.payload) == partial.expected:
-            del self._partials[source]
-            return source, _build(partial.magic, partial.header[:5],
-                                  tuple(partial.payload),
-                                  tuple(partial.packets))
-        return None
+        packets, owed = partial
+        owed -= len(packet.payload)
+        if owed < 0:
+            del partials[source]
+            raise ProtocolError(
+                f"frame from {source!r} overran its announced "
+                f"{packets[0].payload[6]} payload words")
+        packets.append(packet)
+        if owed:
+            partials[source] = (packets, owed)
+            return None
+        del partials[source]
+        # Complete: the header packet's words past the header, then each
+        # continuation's.  Two parts join as one tuple concatenation (a
+        # list payload, which a Packet admits, joins as a tuple too); more
+        # are gathered in one list, as pairwise joins would copy a long
+        # frame's words once per packet.
+        words = packets[0].payload
+        if len(packets) == 2:
+            payload = tuple(words[HEADER_WORDS:]) + tuple(packet.payload)
+        else:
+            joined = list(words[HEADER_WORDS:])
+            for continuation in packets[1:]:
+                joined.extend(continuation.payload)
+            payload = tuple(joined)
+        return source, _build(words, payload, tuple(packets))

@@ -371,15 +371,24 @@ class ShardRouter:
             self._respond_local(state, Response(ST_BUSY, request_id),
                                 remember=False)
             return
-        with self.obs.span("router.route", "router", op=request.op_name,
-                           client=client, rid=request_id,
-                           trace_id=f"{client}#{request_id}"):
-            if request.op == OP_LIST:
-                self._route_scatter(state, request)
-            elif request.op == OP_OPEN:
-                self._route_open(state, request)
-            else:
-                self._route_handle_op(state, request)
+        obs = self.obs
+        if obs.tracing:
+            with obs.span("router.route", "router", op=request.op_name,
+                          client=client, rid=request_id,
+                          trace_id=f"{client}#{request_id}"):
+                self._route_new(state, request)
+            return
+        self._route_new(state, request)
+
+    def _route_new(self, state: _ClientState, request: Request) -> None:
+        """Send an admitted new request on by its op (span-wrapped in
+        :meth:`_route` when tracing)."""
+        if request.op == OP_LIST:
+            self._route_scatter(state, request)
+        elif request.op == OP_OPEN:
+            self._route_open(state, request)
+        else:
+            self._route_handle_op(state, request)
 
     def _route_open(self, state: _ClientState, request: Request) -> None:
         try:

@@ -128,16 +128,24 @@ class TestClusterSession:
 
     def test_traced_cluster_actually_traced(self):
         """Guard against the vacuous pass: the traced cluster run must
-        record the new request-telemetry spans on every lane."""
+        record the new request-telemetry spans on every lane.  These span
+        sites build nothing unless tracing is on, so each traced branch is
+        required here: a cache hit span on the shards, and a trace_id on
+        every request span, which is what stitches the lanes together."""
         on = cluster_session(trace=True)
-        router_names = {e.name for e in on.clock.obs.tracer.events}
+        router_events = list(on.clock.obs.tracer.events)
+        router_names = {e.name for e in router_events}
         assert "router.route" in router_names
         assert any(name.startswith("client.") for name in router_names)
-        shard_names = set()
-        for shard in on.shards:
-            shard_names |= {e.name for e in shard.clock.obs.tracer.events}
+        shard_events = [e for shard in on.shards
+                        for e in shard.clock.obs.tracer.events]
+        shard_names = {e.name for e in shard_events}
         assert "server.request" in shard_names
         assert "server.queue" in shard_names
+        assert "disk.cache.hit" in shard_names
+        requests = [e for e in router_events + shard_events
+                    if e.name in ("server.request", "router.route")]
+        assert all(e.args and e.args.get("trace_id") for e in requests)
 
 
 class TestMetricsAreFree:

@@ -1,12 +1,15 @@
 """Client retry-machinery tests: timeout, resend, backoff, loss recovery."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.disk import DiskDrive, DiskImage, tiny_test_disk
-from repro.errors import RequestFailed, RequestTimeout
+from repro.errors import ProtocolError, RequestFailed, RequestTimeout
 from repro.fs import FileSystem
 from repro.net import TYPE_CONTROL, Packet, PacketNetwork
 from repro.server import ST_BAD_HANDLE, FileClient, FileServer, build_system
+from repro.server.client import PAGE_WORDS
 
 
 def make_pair(**client_kw):
@@ -144,3 +147,26 @@ def test_read_batching_uses_few_requests():
     assert client.read_file("big.dat") == data
     requests = client.clock.obs.stats()["server.client.requests"] - stats_before
     assert requests == 3                                # open + 1 batched read + close
+
+
+@pytest.mark.parametrize("answer", [
+    lambda response: replace(response, payload=()),
+    lambda response: replace(response, result0=response.result0 + 1,
+                             payload=response.payload + (0,) * PAGE_WORDS),
+], ids=["fewer words than its pages", "more pages than asked"])
+def test_a_read_answer_that_breaks_its_page_count_is_a_protocol_error(
+        monkeypatch, answer):
+    """An ST_OK READ answer must carry a full page of words for each page
+    it claims, and claim no more pages than were asked: anything else is
+    counted and raised as a ProtocolError, not a bare ValueError from the
+    byte conversion, nor silently read past."""
+    network, server, client = make_pair()
+    client.pump = server.poll
+    client.write_file("pages.dat", bytes(range(256)) * 3)      # 2 pages
+    read = FileServer._do_read
+    monkeypatch.setattr(FileServer, "_do_read",
+                        lambda self, session, request:
+                        answer(read(self, session, request)))
+    with pytest.raises(ProtocolError):
+        client.read_file("pages.dat")
+    assert client.clock.obs.stats()["server.client.errors"] == 1
