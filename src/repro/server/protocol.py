@@ -412,16 +412,10 @@ class FrameAssembler:
             return None
         del partials[source]
         # Complete: the header packet's words past the header, then each
-        # continuation's.  Two parts join as one tuple concatenation (a
-        # list payload, which a Packet admits, joins as a tuple too); more
-        # are gathered in one list, as pairwise joins would copy a long
-        # frame's words once per packet.
+        # continuation's, gathered in one list, as pairwise joins would
+        # copy a long frame's words once per packet.
         words = packets[0].payload
-        if len(packets) == 2:
-            payload = tuple(words[HEADER_WORDS:]) + tuple(packet.payload)
-        else:
-            joined = list(words[HEADER_WORDS:])
-            for continuation in packets[1:]:
-                joined.extend(continuation.payload)
-            payload = tuple(joined)
-        return source, _build(words, payload, tuple(packets))
+        joined = list(words[HEADER_WORDS:])
+        for continuation in packets[1:]:
+            joined.extend(continuation.payload)
+        return source, _build(words, tuple(joined), tuple(packets))

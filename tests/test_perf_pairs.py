@@ -66,3 +66,27 @@ def test_failed_operations_lower_the_ok_ratio_gate():
     assert report["end_to_end"]["head"]["ok_ratio"] == 0.95
     assert [failure.split(":")[0] for failure in report["failures"]] == \
         ["w ok_ratio"]
+
+
+def test_a_failed_repetition_on_a_later_input_set_gates_only_its_ok_ratio():
+    # A repetition whose measured phase raised reports failed operations
+    # and no simulated metrics.
+    measured = pairs([1.0] * 4, [1.0] * 4)
+    measured[2]["head"].update(failed=5, sim={})
+    report = tool.compare("w", measured, GATES)
+    head = report["end_to_end"]["head"]
+    assert head["ok_ratio"] == pytest.approx(395 / 400)
+    assert head["sim_req_p99_ms"] == 10.0
+    assert [failure.split(":")[0] for failure in report["failures"]] == \
+        ["w ok_ratio"]
+    assert report["sim_agree"] == 3
+
+
+def test_a_side_with_no_simulated_metrics_is_gated_on_its_ok_ratio():
+    measured = pairs([1.0] * 2, [1.0] * 2)
+    for pair in measured:
+        pair["head"].update(failed=100, sim={})
+    report = tool.compare("w", measured, GATES)
+    assert "sim_req_p99_ms" not in report["end_to_end"]["head"]
+    assert [failure.split(":")[0] for failure in report["failures"]] == \
+        ["w ok_ratio"]

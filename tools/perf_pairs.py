@@ -5,8 +5,8 @@
         --workload read_open --seed 1 --rounds 2 --output pairs.json
 
 Each pair runs ``perfbench/rep.py`` on one input set once in the base
-checkout and once in the head checkout (by default, the one holding this
-script), at the same time, one process per CPU.  Which side starts first
+checkout and once in the head checkout, the one holding this script, at
+the same time, one process per CPU.  Which side starts first
 alternates from pair to pair, and from round to round for the same input
 set.  A seed's ``8N`` .. ``8N+7`` input sets are taken in turn,
 ``--rounds`` times over.
@@ -20,8 +20,9 @@ numbers on purpose.
 
 The exit status is 1 when the median of an end-to-end metric in
 ``BENCHMARK.json`` is worse on the head than on the base by more than
-that metric's bound, 2 when a repetition fails or the arguments are
-wrong, and 0 otherwise.
+that metric's bound (a repetition whose measured phase raised reports
+failed operations, which lower ``ok_ratio``), 2 when a repetition's
+process fails or the arguments are wrong, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -99,15 +100,20 @@ def ok_ratio(reps: List[dict]) -> float:
 
 def end_to_end(reps: List[dict]) -> Dict[str, float]:
     """The end-to-end figures of one side, as perfbench/run.py reports
-    them: medians over repetitions, and the simulated ones over input sets."""
+    them: medians over repetitions, and the simulated ones over input sets.
+
+    A repetition whose measured phase raised has no simulated metrics,
+    so they are taken from each input set's first repetition that has
+    them, and a side with none reports none."""
     values = {name: statistics.median(rep[name] for rep in reps)
               for name in MEASURED}
     values["ok_ratio"] = ok_ratio(reps)
     first = {}
     for rep in reps:
-        first.setdefault(rep["seed"], rep)
-    sims = [rep["sim"] for rep in first.values()]
-    for name in sims[0]:
+        if rep["sim"]:
+            first.setdefault(rep["seed"], rep["sim"])
+    sims = list(first.values())
+    for name in (sims[0] if sims else ()):
         values[name] = statistics.median(sim[name] for sim in sims)
     return values
 
@@ -179,8 +185,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True,
                         help="checkout to compare against")
-    parser.add_argument("--head", type=Path, default=HEAD,
-                        help="checkout under test (default: this one)")
     parser.add_argument("--workload", action="append", required=True,
                         help="a perfbench workload; repeat for several")
     parser.add_argument("--seed", type=int, required=True)
@@ -188,20 +192,18 @@ def main(argv=None) -> int:
                         help="times through the seed's input sets")
     parser.add_argument("--output", type=Path, help="write the report as JSON")
     args = parser.parse_args(argv)
-    for root in (args.base, args.head):
-        if not (root / "perfbench" / "rep.py").is_file():
-            parser.error(f"{root} holds no perfbench/rep.py")
+    if not (args.base / "perfbench" / "rep.py").is_file():
+        parser.error(f"{args.base} holds no perfbench/rep.py")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    gates = json.loads((args.head / "BENCHMARK.json").read_text())["end_to_end"]
+    gates = json.loads((HEAD / "BENCHMARK.json").read_text())["end_to_end"]
 
     reports = []
     try:
         for workload in args.workload:
             # Which side starts first alternates from pair to pair, and
             # from round to round for the same input set.
-            pairs = [run_pair(args.base.resolve(), args.head.resolve(),
-                              workload,
+            pairs = [run_pair(args.base.resolve(), HEAD, workload,
                               args.seed * INPUT_SETS + index % INPUT_SETS,
                               head_first=(index + index // INPUT_SETS) % 2 == 1)
                      for index in range(INPUT_SETS * args.rounds)]
