@@ -43,8 +43,9 @@ def measure():
         fs.allocator.release(fs.page_io, FullName(fid, pn, address))
     free_revs = watch.category_delta_us(ROTATION) / rotation_us / PAGES
 
-    checks = drive.stats.label_checks
-    failures = drive.stats.label_check_failures
+    stats = drive.stats()
+    checks = stats["disk.drive.label_checks"]
+    failures = stats["disk.drive.label_check_failures"]
     return alloc_revs, write_revs, free_revs, checks, failures
 
 

@@ -79,14 +79,14 @@ def test_failed_guesses_never_corrupt(benchmark):
         base = file.leader_address()
         drive = fs.drive
         blocked = 0
-        before = drive.stats.value_writes
+        before = drive.stats()["disk.drive.value_writes"]
         for pn in range(1, file.last_page_number + 1):
             guess = base + pn
             try:
                 fs.page_io.write(FullName(file.fid, pn, guess), [0xDEAD] * 256)
             except HintFailed:
                 blocked += 1
-        stray_writes = drive.stats.value_writes - before
+        stray_writes = drive.stats()["disk.drive.value_writes"] - before
         return blocked, stray_writes, file.last_page_number
 
     blocked, writes, pages = benchmark.pedantic(measure_writes, rounds=1, iterations=1)

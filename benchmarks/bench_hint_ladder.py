@@ -31,7 +31,7 @@ def timed_read(fs, hint, known=None):
     clock = fs.drive.clock
     t0 = clock.now_ms
     ladder.read_page("target.dat", hint, known=known)
-    return clock.now_ms - t0, ladder.stats
+    return clock.now_ms - t0, ladder.stats()
 
 
 def measure_all():
@@ -53,7 +53,7 @@ def measure_all():
     free = next(s.header.address for s in image.sectors() if s.label.is_free)
     injector.swap_sectors(file.leader_address(), free)
     results["scavenge"], stats = timed_read(fs, good.with_address(5))
-    assert stats.successes["scavenge"] == 1
+    assert stats["fs.ladder.rung.scavenge"] == 1
     return results
 
 
@@ -107,7 +107,7 @@ def test_direct_access_beats_chain_scan(benchmark):
         t0 = clock.now_ms
         ladder.read_page("target.dat", good.with_address(5))
         walk_ms = clock.now_ms - t0
-        return direct_ms, walk_ms, ladder.stats.link_follows
+        return direct_ms, walk_ms, ladder.stats()["fs.ladder.link_follows"]
 
     direct_ms, walk_ms, follows = benchmark.pedantic(measure, rounds=1, iterations=1)
     benchmark.extra_info["direct_ms"] = direct_ms

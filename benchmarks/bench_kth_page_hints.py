@@ -41,7 +41,8 @@ def measure():
             ladder.read_page("long.dat", stale, known=file.full_name(), kth=kth)
         elapsed = clock.now_ms - t0
         label = k if k is not None else "none"
-        results[label] = (ladder.stats.link_follows / len(TARGET_PAGES), elapsed / len(TARGET_PAGES))
+        follows = ladder.stats()["fs.ladder.link_follows"]
+        results[label] = (follows / len(TARGET_PAGES), elapsed / len(TARGET_PAGES))
     return results
 
 

@@ -60,7 +60,7 @@ class Editor:
     def start(self) -> str:
         """Open every auxiliary file from the state-file hints alone --
         no directory lookups.  On any hint failure, reinstall and retry."""
-        commands_before = self.fs.drive.stats.commands
+        commands_before = self.fs.drive.stats()["disk.drive.commands"]
         try:
             state = self.fs.open_file(STATE_FILE)
             words = bytes_to_words(state.read_data())
@@ -79,7 +79,7 @@ class Editor:
         except (FileNotFound, HintFailed):
             self.install()
             path = "reinstall"
-        self.startup_commands = self.fs.drive.stats.commands - commands_before
+        self.startup_commands = self.fs.drive.stats()["disk.drive.commands"] - commands_before
         return path
 
     # -- editing --------------------------------------------------------------------

@@ -61,7 +61,7 @@ def main() -> None:
     print("--- after recovery:", repr(read_string(stream)))
     stream.close()
     print(f"--- total simulated time: {drive.clock.now_s:.1f}s "
-          f"({drive.stats.commands} disk commands)")
+          f"({drive.stats()['disk.drive.commands']} disk commands)")
 
 
 if __name__ == "__main__":

@@ -533,7 +533,7 @@ def main(argv=None) -> int:
         output = os.run_executive(script)
         print(output)
         print(f"[simulated time: {drive.clock.now_s:.1f}s, "
-              f"{drive.stats.commands} disk commands]")
+              f"{drive.stats()['disk.drive.commands']} disk commands]")
         if args.trace:
             _write_repl_trace(args.trace, drive)
         return 0

@@ -7,7 +7,7 @@ value independently), the 0-wildcard check semantics, and a seek/rotation
 timing model calibrated to the Diablo Model 31.
 """
 
-from .cache import CACHE_HIT_US, DEFAULT_CACHE_SECTORS, CachedDrive, CacheStats
+from .cache import CACHE_HIT_US, DEFAULT_CACHE_SECTORS, CachedDrive
 from .drive import MAX_READ_RETRIES, Action, DiskDrive, PartCommand, TransferResult
 from .faults import FaultInjector, FaultPlan
 from .geometry import NIL, DiskShape, diablo31, diablo44, tiny_test_disk
@@ -27,19 +27,17 @@ from .sector import (
 from .timing import ROTATION, SEEK, TRANSFER, ArmTimer
 from .trace import TRACE_POINTS, DiskTrace, TraceRecord, check_point, point_name
 
-from .scheduler import RequestScheduler, SchedulerStats
+from .scheduler import RequestScheduler
 
 __all__ = [
     "Action",
     "ArmTimer",
     "CACHE_HIT_US",
     "CachedDrive",
-    "CacheStats",
     "DEFAULT_CACHE_SECTORS",
     "DIRECTORY_SERIAL_FLAG",
     "DiskDrive",
     "RequestScheduler",
-    "SchedulerStats",
     "DiskImage",
     "DiskShape",
     "DiskTrace",

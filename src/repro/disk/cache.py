@@ -44,10 +44,9 @@ free (the buffer dies with the machine; only the platter survives).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..clock import SimClock
-from ..obs import CounterAttr, MetricsRegistry
 from ..errors import CheckError, PowerFailure
 from .drive import MAX_READ_RETRIES, Action, DiskDrive, TransferResult
 from .image import DiskImage
@@ -84,52 +83,16 @@ class CacheEntry:
         self.pins = 0
 
 
-class CacheStats:
-    """Hit/miss/flush counters (benchmarks report these).
-
-    A thin view over ``disk.cache.*`` counters in a per-cache
-    :class:`~repro.obs.MetricsRegistry`, rolled up into the clock-level
-    registry so ``python -m repro stats`` sees them alongside everything
-    else.
-    """
-
-    _FIELDS = ("hits", "misses", "deferred_writes", "write_through",
-               "flushes", "evictions", "invalidations", "cancelled_writes",
-               "overflows")
-
-    hits = CounterAttr("disk.cache.hits")
-    misses = CounterAttr("disk.cache.misses")
-    deferred_writes = CounterAttr("disk.cache.deferred_writes")
-    write_through = CounterAttr("disk.cache.write_through")  # structural pass-downs
-    flushes = CounterAttr("disk.cache.flushes")
-    evictions = CounterAttr("disk.cache.evictions")
-    invalidations = CounterAttr("disk.cache.invalidations")
-    cancelled_writes = CounterAttr("disk.cache.cancelled_writes")  # superseded
-    overflows = CounterAttr("disk.cache.overflows")  # pins forced past capacity
-
-    def __init__(self, parent: Optional[MetricsRegistry] = None) -> None:
-        self.registry = MetricsRegistry(parent=parent)
-        for field in self._FIELDS:
-            self.registry.counter(type(self).__dict__[field].metric)
-
-    def hit_rate(self) -> float:
-        served = self.hits + self.misses
-        return self.hits / served if served else 0.0
-
-    def snapshot(self) -> dict:
-        out = {field: getattr(self, field) for field in self._FIELDS}
-        out["hit_rate"] = self.hit_rate()
-        return out
-
-
 class CachedDrive(DiskDrive):
     """A drive with an LRU write-back sector cache and an elevator queue.
 
     Drop-in for :class:`~repro.disk.drive.DiskDrive`: the whole per-part
-    command interface works unchanged, ``stats`` still counts real disk
-    commands only, and with ``cache_sectors=0`` every command passes
-    through untouched.  ``flush()`` drains the dirty queue in elevator
-    order; :meth:`repro.fs.filesystem.FileSystem.sync` calls it.
+    command interface works unchanged, and with ``cache_sectors=0`` every
+    command passes through untouched.  ``flush()`` drains the dirty queue
+    in elevator order; :meth:`repro.fs.filesystem.FileSystem.sync` calls it.
+    :meth:`stats` holds the cache's ``disk.cache.*`` and the elevator's
+    ``disk.sched.*`` metrics beside ``disk.drive.*``, which still counts
+    real disk commands only.
     """
 
     def __init__(
@@ -142,18 +105,19 @@ class CachedDrive(DiskDrive):
     ) -> None:
         super().__init__(image, clock, fault_injector, max_read_retries)
         self.cache_sectors = cache_sectors
-        self.cache_stats = CacheStats(parent=self.clock.obs.registry)
-        self.scheduler = RequestScheduler(
-            image.shape, parent_registry=self.clock.obs.registry)
-        self._drain_hist = self.cache_stats.registry.histogram(
-            "disk.cache.drain_sectors")
+        registry = self.registry
+        self.scheduler = RequestScheduler(image.shape, registry=registry)
         self._entries: "OrderedDict[int, CacheEntry]" = OrderedDict()
-        # The hit path's counters, held (as DiskDrive._c_* are): the same
-        # registry counters cache_stats reads, without its per-bump lookup.
-        registry = self.cache_stats.registry
         self._c_hits = registry.counter("disk.cache.hits")
         self._c_misses = registry.counter("disk.cache.misses")
         self._c_deferred_writes = registry.counter("disk.cache.deferred_writes")
+        self._c_write_through = registry.counter("disk.cache.write_through")
+        self._c_flushes = registry.counter("disk.cache.flushes")
+        self._c_evictions = registry.counter("disk.cache.evictions")
+        self._c_invalidations = registry.counter("disk.cache.invalidations")
+        self._c_cancelled_writes = registry.counter("disk.cache.cancelled_writes")
+        self._c_overflows = registry.counter("disk.cache.overflows")
+        self._drain_hist = registry.histogram("disk.cache.drain_sectors")
 
     # ------------------------------------------------------------------------
     # The command choke point
@@ -195,8 +159,8 @@ class CachedDrive(DiskDrive):
         if entry is not None and entry.dirty:
             entry.dirty = False
             self.scheduler.discard(address)
-            self.cache_stats.cancelled_writes += 1
-        self.cache_stats.write_through += 1
+            self._c_cancelled_writes.inc()
+        self._c_write_through.inc()
         return self._pass_through(address, parts)
 
     def _pass_through(self, address: int, parts: Sequence) -> TransferResult:
@@ -334,7 +298,7 @@ class CachedDrive(DiskDrive):
         ))
         entry.dirty = False
         self.scheduler.mark_serviced(address)
-        self.cache_stats.flushes += 1
+        self._c_flushes.inc()
 
     def dirty_addresses(self) -> List[int]:
         return self.scheduler.pending()
@@ -364,14 +328,14 @@ class CachedDrive(DiskDrive):
         cached copy is suspected stale (a hint-failure retry path).
         """
         if self._drop(address):
-            self.cache_stats.invalidations += 1
+            self._c_invalidations.inc()
 
     def invalidate_all(self) -> None:
         """Drop everything, *including unflushed writes* -- what a power
         failure does.  Live callers wanting durability flush first (see
         :meth:`flush_and_invalidate`).  Pin counts survive as empty
         placeholders: pinning is a residency promise, not cached data."""
-        self.cache_stats.invalidations += len(self._entries)
+        self._c_invalidations.inc(len(self._entries))
         pinned = {a: e.pins for a, e in self._entries.items() if e.pins > 0}
         self._entries.clear()
         for address, pins in pinned.items():
@@ -393,13 +357,6 @@ class CachedDrive(DiskDrive):
 
     def cached_sectors(self) -> int:
         return len(self._entries)
-
-    def cache_counters(self) -> Dict[str, object]:
-        """Cache + scheduler counters in one dict (for benchmarks/JSON)."""
-        out = {f"cache_{k}": v for k, v in self.cache_stats.snapshot().items()}
-        out.update({f"queue_{k}": v for k, v in self.scheduler.stats.snapshot().items()})
-        out["cached_sectors"] = len(self._entries)
-        return out
 
     # ------------------------------------------------------------------------
     # Internals
@@ -448,9 +405,9 @@ class CachedDrive(DiskDrive):
                     self.flush_address(address)
                 del self._entries[address]
                 self.scheduler.discard(address)
-                self.cache_stats.evictions += 1
+                self._c_evictions.inc()
                 return True
-        self.cache_stats.overflows += 1
+        self._c_overflows.inc()
         return False
 
     def _install(self, address: int, parts: Sequence, result: TransferResult) -> None:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..clock import SimClock
-from ..obs import CounterAttr, MetricsRegistry
+from ..obs import MetricsRegistry
 from ..errors import (
     BadSectorError,
     CheckError,
@@ -141,37 +141,6 @@ class TransferResult:
         return Header.unpack(self.header)
 
 
-class DriveStats:
-    """Operation counts kept by the drive (benchmarks decompose costs here).
-
-    A thin view over ``disk.drive.*`` counters in a per-drive
-    :class:`~repro.obs.MetricsRegistry`; increments roll up into the
-    clock-level registry at ``clock.obs.registry``, so drives sharing a
-    clock sum there while each drive's own numbers stay separate.
-    """
-
-    _FIELDS = ("commands", "label_checks", "label_check_failures",
-               "label_writes", "value_reads", "value_writes",
-               "transient_read_errors", "read_retries")
-
-    commands = CounterAttr("disk.drive.commands")
-    label_checks = CounterAttr("disk.drive.label_checks")
-    label_check_failures = CounterAttr("disk.drive.label_check_failures")
-    label_writes = CounterAttr("disk.drive.label_writes")
-    value_reads = CounterAttr("disk.drive.value_reads")
-    value_writes = CounterAttr("disk.drive.value_writes")
-    transient_read_errors = CounterAttr("disk.drive.transient_read_errors")
-    read_retries = CounterAttr("disk.drive.read_retries")
-
-    def __init__(self, parent: Optional[MetricsRegistry] = None) -> None:
-        self.registry = MetricsRegistry(parent=parent)
-        for field in self._FIELDS:
-            self.registry.counter(type(self).__dict__[field].metric)
-
-    def snapshot(self) -> dict:
-        return {field: getattr(self, field) for field in self._FIELDS}
-
-
 class DiskDrive:
     """One spindle holding one pack, exposing the per-part command interface."""
 
@@ -185,7 +154,6 @@ class DiskDrive:
         self.image = image
         self.clock = clock if clock is not None else SimClock()
         self.timer = ArmTimer(image.shape, self.clock)
-        self.stats = DriveStats(parent=self.clock.obs.registry)
         self.fault_injector = fault_injector
         self.max_read_retries = max_read_retries
         #: Optional observer (see :class:`repro.disk.trace.DiskTrace`).
@@ -205,10 +173,11 @@ class DiskDrive:
             and cls._check_part is DiskDrive._check_part
             and cls._write_part is DiskDrive._write_part
         )
-        # Direct references to the stats counters: the per-command hot path
-        # increments these a few times per sector and must not re-run the
-        # descriptor-protocol read-modify-write of ``stats.x += 1``.
-        registry = self.stats.registry
+        #: This drive's metrics, read back through :meth:`stats`: a child of
+        #: the clock's registry, so drives sharing a clock sum there while
+        #: each keeps its own counts; a cached drive's cache and elevator
+        #: count here too.  The hot path bumps the counters held below.
+        registry = self.registry = MetricsRegistry(parent=self.clock.obs.registry)
         self._c_commands = registry.counter("disk.drive.commands")
         self._c_label_checks = registry.counter("disk.drive.label_checks")
         self._c_label_check_failures = registry.counter("disk.drive.label_check_failures")
@@ -221,6 +190,11 @@ class DiskDrive:
     @property
     def shape(self):
         return self.image.shape
+
+    def stats(self) -> Dict[str, int]:
+        """This drive's metrics as one flat snapshot, keyed by full name
+        (``drive.stats()["disk.drive.commands"]``)."""
+        return self.registry.snapshot()
 
     # ------------------------------------------------------------------------
     # The fundamental command

@@ -248,6 +248,15 @@ class FaultPlan(FaultInjector):
         self._tear_at_write = n
         return self
 
+    def schedule_power_failure(self, after_writes: int) -> None:
+        """Tear the Nth subsequent part-write, as :meth:`tear_at_write` does."""
+        if after_writes < 1:
+            raise ValueError("after_writes must be >= 1")
+        self.tear_at_write(self.writes_seen + after_writes)
+
+    def cancel_power_failure(self) -> None:
+        self._tear_at_write = None
+
     def crash_at_point(self, point: str, occurrence: int = 1) -> "FaultPlan":
         """Die at the *occurrence*-th future passage of a named trace point."""
         if occurrence < 1:

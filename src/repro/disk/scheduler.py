@@ -25,49 +25,28 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from ..obs import CounterAttr, MetricsRegistry
+from ..obs import MetricsRegistry
 from .geometry import DiskShape
 
 
-class SchedulerStats:
-    """Queue-depth and batching counters (benchmarks report these).
+class RequestScheduler:
+    """An elevator (SCAN) queue of sector addresses awaiting service.
 
-    A thin view over ``disk.sched.*`` metrics: the counts live in a
-    per-scheduler :class:`~repro.obs.MetricsRegistry` and the queue depth
-    is a gauge, so ``max_depth`` is simply its high-water mark.
+    It counts into its owner's *registry*: ``disk.sched.enqueued``,
+    ``.coalesced`` (the address was already queued), ``.serviced`` and
+    ``.sweeps`` (direction reversals), and the queue depth as the gauge
+    ``disk.sched.depth``.
     """
 
-    _FIELDS = ("enqueued", "coalesced", "serviced", "max_depth", "sweeps")
-
-    enqueued = CounterAttr("disk.sched.enqueued")
-    coalesced = CounterAttr("disk.sched.coalesced")  # address already queued
-    serviced = CounterAttr("disk.sched.serviced")
-    sweeps = CounterAttr("disk.sched.sweeps")  # direction reversals
-
-    def __init__(self, parent: Optional[MetricsRegistry] = None) -> None:
-        self.registry = MetricsRegistry(parent=parent)
-        for field in self._FIELDS:
-            if field != "max_depth":
-                self.registry.counter(type(self).__dict__[field].metric)
-        self.depth = self.registry.gauge("disk.sched.depth")
-
-    @property
-    def max_depth(self) -> int:
-        return self.depth.high_water
-
-    def snapshot(self) -> dict:
-        return {field: getattr(self, field) for field in self._FIELDS}
-
-
-class RequestScheduler:
-    """An elevator (SCAN) queue of sector addresses awaiting service."""
-
-    def __init__(self, shape: DiskShape,
-                 parent_registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, shape: DiskShape, registry: MetricsRegistry) -> None:
         self.shape = shape
         self._pending: Set[int] = set()
         self._ascending = True
-        self.stats = SchedulerStats(parent=parent_registry)
+        self._c_enqueued = registry.counter("disk.sched.enqueued")
+        self._c_coalesced = registry.counter("disk.sched.coalesced")
+        self._c_serviced = registry.counter("disk.sched.serviced")
+        self._c_sweeps = registry.counter("disk.sched.sweeps")
+        self._depth = registry.gauge("disk.sched.depth")
 
     # ------------------------------------------------------------------------
     # Queue maintenance
@@ -84,17 +63,17 @@ class RequestScheduler:
         sector coalesces into the existing request)."""
         self.shape.check_address(address)
         if address in self._pending:
-            self.stats.coalesced += 1
+            self._c_coalesced.inc()
             return
         self._pending.add(address)
-        self.stats.enqueued += 1
-        self.stats.depth.set(len(self._pending))
+        self._c_enqueued.inc()
+        self._depth.set(len(self._pending))
 
     def discard(self, address: int) -> None:
         """Drop a request without servicing it (the sector was superseded,
         e.g. freed or rewritten through a label operation)."""
         self._pending.discard(address)
-        self.stats.depth.set(len(self._pending))
+        self._depth.set(len(self._pending))
 
     def pending(self) -> List[int]:
         """The queued addresses, in linear order (for introspection)."""
@@ -125,7 +104,7 @@ class RequestScheduler:
             (ahead if delta >= 0 else behind).append((abs(delta), address))
         if not ahead:
             self._ascending = not self._ascending
-            self.stats.sweeps += 1
+            self._c_sweeps.inc()
             ahead = [(d, a) for d, a in behind]
         return min(ahead)[1]
 
@@ -133,5 +112,5 @@ class RequestScheduler:
         """The transfer for *address* completed; retire the request."""
         if address in self._pending:
             self._pending.remove(address)
-            self.stats.serviced += 1
-            self.stats.depth.set(len(self._pending))
+            self._c_serviced.inc()
+            self._depth.set(len(self._pending))

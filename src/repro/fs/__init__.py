@@ -24,7 +24,7 @@ from .directory import DirEntry, Directory
 from .file import AltoFile, FULL_PAGE
 from .fsck import CheckReport, Issue, PackIndex, check_image
 from .filesystem import FileSystem, ROOT_DIRECTORY_NAME, SERIAL_LEASE
-from .hints import ConsecutiveReader, HintLadder, KthPageHints, LadderStats, RUNGS
+from .hints import ConsecutiveReader, HintLadder, KthPageHints, RUNGS
 from .journal import JournaledDirectory, JournalRecord, recover_directory
 from .volumes import DrivePair, copy_all_files, copy_file, duplicate_pack
 from .leader import LeaderPage, MAX_NAME_LENGTH
@@ -69,7 +69,6 @@ __all__ = [
     "JournalRecord",
     "JournaledDirectory",
     "KthPageHints",
-    "LadderStats",
     "LeaderPage",
     "MAX_NAME_LENGTH",
     "MAX_PAGE_NUMBER",

@@ -121,9 +121,9 @@ class PageAllocator:
                     page_io.claim(address, label, data)
                 except PageNotFree:
                     self.map_lies += 1
-                    obs.counter("fs.alloc.map_lies").inc()
+                    obs.registry.counter("fs.alloc.map_lies").inc()
                     continue
-                obs.counter("fs.alloc.allocated").inc()
+                obs.registry.counter("fs.alloc.allocated").inc()
                 span.annotate(address=address, tried=tried)
                 return address
             raise DiskFull(f"no free page on {self.shape.name} ({self.count_free()} map bits free)")
@@ -135,7 +135,7 @@ class PageAllocator:
             page_io.release(name)
             page_io.invalidate(name.address)  # a freed page earns no cache space
             self.mark_free(name.address)
-            obs.counter("fs.alloc.freed").inc()
+            obs.registry.counter("fs.alloc.freed").inc()
 
     # ------------------------------------------------------------------------
     # Serialization (for the disk descriptor) and reconstruction

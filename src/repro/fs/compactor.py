@@ -79,7 +79,7 @@ class Compactor:
             self.report.post_scavenge = Scavenger(self.drive).scavenge()
             span.annotate(pages_moved=self.report.pages_moved,
                           chains=self.report.chains, cycles=self.report.cycles)
-        obs.counter("fs.compact.runs").inc()
+        obs.registry.counter("fs.compact.runs").inc()
         self.report.elapsed_s = watch.elapsed_s
         return self.report
 

@@ -30,41 +30,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..disk.geometry import NIL
 from ..errors import FileNotFound, HintFailed
-from ..obs import CounterAttr, MetricsRegistry
+from ..obs import MetricsRegistry
 from .directory import Directory
 from .names import FileId, FullName
 from .page import PageContents, PageIO
 
 #: Ladder rung names, in the order they are tried.
 RUNGS = ("direct", "known-page", "directory-fv", "directory-name", "scavenge")
-
-
-class LadderStats:
-    """How often each rung resolved an access (benchmark instrumentation).
-
-    A thin view over ``fs.ladder.*`` counters in a per-ladder
-    :class:`~repro.obs.MetricsRegistry`: ``successes`` reads the rung
-    counters back as the familiar dict, and updates roll up into the
-    clock-level registry.
-    """
-
-    link_follows = CounterAttr("fs.ladder.link_follows")
-
-    def __init__(self, parent: Optional[MetricsRegistry] = None) -> None:
-        self.registry = MetricsRegistry(parent=parent)
-        self.registry.counter("fs.ladder.link_follows")
-        for rung in RUNGS:
-            self.registry.counter(f"fs.ladder.rung.{rung}")
-
-    @property
-    def successes(self) -> Dict[str, int]:
-        return {rung: self.registry.counter(f"fs.ladder.rung.{rung}").value
-                for rung in RUNGS}
-
-    def record(self, rung: str) -> None:
-        if rung not in RUNGS:
-            raise KeyError(rung)
-        self.registry.counter(f"fs.ladder.rung.{rung}").inc()
 
 
 class KthPageHints:
@@ -107,13 +79,26 @@ class KthPageHints:
 
 
 class HintLadder:
-    """Resolve and read file pages, falling down the rungs of section 3.6."""
+    """Resolve and read file pages, falling down the rungs of section 3.6.
+
+    Counts which rung resolved each access (``fs.ladder.rung.<rung>``) and
+    the links its walks followed (``fs.ladder.link_follows``) in a registry
+    of its own, read back through :meth:`stats`: a fresh ladder starts at
+    zero, and the clock's registry sums every ladder.
+    """
 
     def __init__(self, fs, scavenge_allowed: bool = True) -> None:
         self.fs = fs
         self.page_io: PageIO = fs.page_io
-        self.stats = LadderStats(parent=fs.drive.clock.obs.registry)
+        self.registry = MetricsRegistry(parent=fs.drive.clock.obs.registry)
+        self._c_link_follows = self.registry.counter("fs.ladder.link_follows")
+        self._c_rungs = {rung: self.registry.counter(f"fs.ladder.rung.{rung}")
+                         for rung in RUNGS}
         self.scavenge_allowed = scavenge_allowed
+
+    def stats(self) -> Dict[str, int]:
+        """This ladder's counters as one flat snapshot, keyed by full name."""
+        return self.registry.snapshot()
 
     # ------------------------------------------------------------------------
     # The ladder
@@ -139,7 +124,7 @@ class HintLadder:
             try:
                 with obs.span("hints.direct", "hints"):
                     contents = self.page_io.read(hint)
-                self.stats.record("direct")
+                self._c_rungs["direct"].inc()
                 outer.annotate(rung="direct")
                 return contents
             except HintFailed:
@@ -155,7 +140,7 @@ class HintLadder:
                 try:
                     with obs.span("hints.known-page", "hints"):
                         contents = self._walk_and_read(start, hint.page_number)
-                    self.stats.record("known-page")
+                    self._c_rungs["known-page"].inc()
                     outer.annotate(rung="known-page")
                     return contents
                 except HintFailed:
@@ -167,7 +152,7 @@ class HintLadder:
                 try:
                     with obs.span("hints.directory-fv", "hints"):
                         contents = self._walk_and_read(leader, hint.page_number)
-                    self.stats.record("directory-fv")
+                    self._c_rungs["directory-fv"].inc()
                     outer.annotate(rung="directory-fv")
                     return contents
                 except HintFailed:
@@ -178,7 +163,7 @@ class HintLadder:
                 with obs.span("hints.directory-name", "hints"):
                     entry = self.fs.root.require(name)
                     contents = self._walk_and_read(entry.full_name, hint.page_number)
-                self.stats.record("directory-name")
+                self._c_rungs["directory-name"].inc()
                 outer.annotate(rung="directory-name")
                 return contents
             except (FileNotFound, HintFailed):
@@ -196,7 +181,7 @@ class HintLadder:
                 self.fs.__dict__.update(remounted.__dict__)  # refresh in place
                 entry = self.fs.root.require(name)
                 contents = self._walk_and_read(entry.full_name, hint.page_number)
-            self.stats.record("scavenge")
+            self._c_rungs["scavenge"].inc()
             outer.annotate(rung="scavenge")
             return contents
 
@@ -213,7 +198,7 @@ class HintLadder:
             nxt = step.next_name if current.page_number < target else step.prev_name
             if nxt is None:
                 raise HintFailed(f"chain from {start} ends before page {target}")
-            self.stats.link_follows += 1
+            self._c_link_follows.inc()
             current = nxt
             label = self.page_io.read_label(current)
         result = self.page_io.read(current)

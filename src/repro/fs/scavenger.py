@@ -191,7 +191,7 @@ class Scavenger:
                 settle()
             span.annotate(repairs=self.report.repairs_made(),
                           files=self.report.files_found)
-        obs.counter("fs.scavenge.runs").inc()
+        obs.registry.counter("fs.scavenge.runs").inc()
         self.report.elapsed_s = watch.elapsed_s
         self.report.breakdown_ms = watch.breakdown_ms()
         return self.report

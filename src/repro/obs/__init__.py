@@ -7,8 +7,8 @@ Three pieces, all zero-dependency and keyed to simulated time:
   recorded into a bounded ring buffer.  Off by default; the on/off switch
   provably cannot change timing or on-disk bytes.
 * :mod:`~repro.obs.metrics` -- counters, gauges, and histograms in a
-  parent-mirroring registry that unifies the old per-layer stats classes
-  (``CacheStats``, ``LadderStats``, ``SchedulerStats``, clock tallies).
+  parent-mirroring registry; each component holds the metrics it bumps
+  and reads them back as one flat snapshot (``drive.stats()``).
 * :mod:`~repro.obs.export` / :mod:`~repro.obs.schema` -- Chrome
   ``trace_event`` JSON (Perfetto-loadable) plus a dependency-free
   validator used by CI.
@@ -23,7 +23,6 @@ and metric names.
 from .export import chrome_trace, stitch_trace, tracer_events, write_trace
 from .metrics import (
     Counter,
-    CounterAttr,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -52,7 +51,6 @@ from .tracer import NULL_SPAN, Span, SpanEvent, Tracer
 
 __all__ = [
     "Counter",
-    "CounterAttr",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -1,11 +1,10 @@
 """The metrics registry: counters, gauges, simulated-time histograms.
 
-One API for every tally the system keeps.  Before this module each layer
-grew its own ad-hoc counter class (``CacheStats``, ``LadderStats``,
-``SchedulerStats``) with duplicated as-dict and rate logic; those classes
-survive as *thin views* over a :class:`MetricsRegistry`, so old call sites
-keep working while ``python -m repro stats`` and the benchmark harness see
-every number through one snapshot.
+One API for every tally the system keeps.  A component counts through
+the :class:`Counter`, :class:`Gauge` and :class:`Histogram` objects it
+holds, bound once from a registry, and reads them back as the registry's
+flat :meth:`~MetricsRegistry.snapshot`; ``python -m repro stats`` and the
+benchmark harness see every number through that same snapshot.
 
 Registries form a tree: a per-component registry created with
 ``MetricsRegistry(parent=...)`` keeps its own values (a fresh
@@ -175,7 +174,7 @@ class Histogram:
         >>> h = Histogram("h")
         >>> for v in range(1, 101): h.observe(v)
         >>> h.quantile(0.5), h.quantile(0.99)
-        (51.0, 99.0)
+        (51.0, 100.0)
         """
         return quantile_from_buckets(self.buckets, q, hi=self.max)
 
@@ -298,39 +297,3 @@ class MetricsRegistry:
                     out[f"{name}.bucket.{index}"] = metric.buckets[index]
         return out
 
-
-class CounterAttr:
-    """A class attribute backed by a registry counter.
-
-    The migration shim for the old stats classes: ``stats.hits`` keeps
-    reading and ``stats.hits += 1`` keeps writing, but the number lives in
-    ``stats.registry`` (and rolls up to its parent).  Assignment is applied
-    as a delta so mirrored parents stay consistent.
-    """
-
-    __slots__ = ("metric",)
-
-    def __init__(self, metric: str) -> None:
-        self.metric = metric
-
-    def _counter(self, obj) -> Counter:
-        # Resolve through the registry once per (instance, metric), then
-        # keep the Counter itself on the instance: stats increments sit on
-        # the disk-command hot path and must not re-walk the registry.
-        cache = obj.__dict__.get("_counter_cache")
-        if cache is None:
-            cache = {}
-            obj.__dict__["_counter_cache"] = cache
-        counter = cache.get(self.metric)
-        if counter is None:
-            counter = cache[self.metric] = obj.registry.counter(self.metric)
-        return counter
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return self._counter(obj).value
-
-    def __set__(self, obj, value) -> None:
-        counter = self._counter(obj)
-        counter.inc(value - counter.value)

@@ -80,15 +80,6 @@ class Observability:
 
     # -- metrics --------------------------------------------------------------
 
-    def counter(self, name: str):
-        return self.registry.counter(name)
-
-    def gauge(self, name: str):
-        return self.registry.gauge(name)
-
-    def histogram(self, name: str):
-        return self.registry.histogram(name)
-
     def stats(self) -> Dict:
         """The flat stats dict: registry snapshot plus clock position/tallies."""
         flat = self.registry.snapshot()
@@ -110,6 +101,8 @@ def _adopt(obs: Observability) -> None:
 # -- trace-all mode -----------------------------------------------------------
 
 def enable_trace_all(capacity: int = DEFAULT_TRACE_ALL_CAPACITY) -> None:
+    """Start every :class:`Observability` created from now on with its
+    tracer on (ring of *capacity* spans), for :func:`collect_trace`."""
     global _trace_all, _trace_all_capacity
     _trace_all = True
     _trace_all_capacity = capacity
@@ -117,12 +110,14 @@ def enable_trace_all(capacity: int = DEFAULT_TRACE_ALL_CAPACITY) -> None:
 
 
 def disable_trace_all() -> None:
+    """Leave trace-all mode and forget the tracers it collected."""
     global _trace_all
     _trace_all = False
     _traced.clear()
 
 
 def trace_all_enabled() -> bool:
+    """Whether :func:`enable_trace_all` is in force."""
     return _trace_all
 
 
@@ -152,6 +147,8 @@ def collect_trace(stats: Optional[Dict] = None,
 # -- stats retention (bench harness) ------------------------------------------
 
 def retain_stats(on: bool = True) -> None:
+    """Keep (or, with ``on=False``, stop keeping and forget) every new
+    :class:`Observability`, so :func:`drain_stats` can merge its stats."""
     global _retain
     _retain = on
     if not on:

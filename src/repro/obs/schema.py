@@ -162,6 +162,7 @@ def validate_trace(trace: Dict, schema: Optional[Dict] = None) -> List[str]:
 
 
 def validate_trace_file(path: str, schema_path: Optional[str] = None) -> List[str]:
+    """:func:`validate_trace` on the trace JSON file at *path*; returns error strings."""
     with open(path, "r", encoding="utf-8") as handle:
         trace = json.load(handle)
     return validate_trace(trace, load_schema(schema_path))

@@ -171,7 +171,7 @@ class WorldSwapper:
             file = self.state_file(file_name)
             file.write_data(data, now=self.fs.now())
         self.outloads += 1
-        obs.counter("world.outloads").inc()
+        obs.registry.counter("world.outloads").inc()
         return file
 
     def atomic_outload(self, file_name: str, program: str, resume_phase: str) -> AltoFile:
@@ -214,7 +214,7 @@ class WorldSwapper:
             self.fs.flush()
             file = self.fs.open_file(file_name)
         self.outloads += 1
-        obs.counter("world.outloads").inc()
+        obs.registry.counter("world.outloads").inc()
         self._files[file_name] = file
         return file
 
@@ -233,7 +233,7 @@ class WorldSwapper:
             file = self.state_file(file_name)
             file.write_data(data, now=self.fs.now())
         self.outloads += 1
-        obs.counter("world.outloads").inc()
+        obs.registry.counter("world.outloads").inc()
         return file
 
     # -- InLoad -------------------------------------------------------------------
@@ -265,7 +265,7 @@ class WorldSwapper:
                 {"memory": memory_words, "registers": registers, "typeahead": typeahead}
             )
         self.inloads += 1
-        obs.counter("world.inloads").inc()
+        obs.registry.counter("world.inloads").inc()
         return program, phase
 
 

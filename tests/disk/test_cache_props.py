@@ -22,6 +22,7 @@ from repro.disk import (
 )
 from repro.disk.sector import VALUE_WORDS
 from repro.errors import LabelCheckError
+from repro.obs import MetricsRegistry
 
 try:
     from hypothesis import example, given, settings, strategies as st
@@ -143,9 +144,10 @@ class TestCommandEquivalence:
         apply_ops(plain, ops)
         apply_ops(cached, ops)
         cached.flush()
-        assert cached.stats.label_writes == plain.stats.label_writes
-        assert cached.stats.value_writes <= plain.stats.value_writes
-        assert cached.stats.commands <= plain.stats.commands
+        cached_stats, plain_stats = cached.stats(), plain.stats()
+        assert cached_stats["disk.drive.label_writes"] == plain_stats["disk.drive.label_writes"]
+        assert cached_stats["disk.drive.value_writes"] <= plain_stats["disk.drive.value_writes"]
+        assert cached_stats["disk.drive.commands"] <= plain_stats["disk.drive.commands"]
 
     @settings(max_examples=25, deadline=None)
     @given(ops=st.lists(op_strategy, min_size=1, max_size=30),
@@ -280,7 +282,8 @@ class TestScheduler:
            start=st.integers(0, 29))
     def test_elevator_services_everything_exactly_once(self, addresses, start):
         shape = tiny_test_disk(cylinders=30)
-        scheduler = RequestScheduler(shape)
+        registry = MetricsRegistry()
+        scheduler = RequestScheduler(shape, registry)
         for address in addresses:
             scheduler.enqueue(address)
         order = []
@@ -293,7 +296,7 @@ class TestScheduler:
             cylinder, _, _ = shape.decompose(nxt)
             scheduler.mark_serviced(nxt)
         assert sorted(order) == sorted(addresses)
-        assert scheduler.stats.serviced == len(addresses)
+        assert registry.snapshot()["disk.sched.serviced"] == len(addresses)
 
     @settings(max_examples=50, deadline=None)
     @given(addresses=st.lists(st.integers(0, 719), unique=True, min_size=2, max_size=40),
@@ -303,7 +306,8 @@ class TestScheduler:
         and reversals only happen when nothing lies ahead -- SCAN, not
         shortest-seek starvation."""
         shape = tiny_test_disk(cylinders=30)
-        scheduler = RequestScheduler(shape)
+        registry = MetricsRegistry()
+        scheduler = RequestScheduler(shape, registry)
         for address in addresses:
             scheduler.enqueue(address)
         cylinder = start
@@ -320,7 +324,7 @@ class TestScheduler:
                 direction = -direction
             cylinder = target
             scheduler.mark_serviced(nxt)
-        assert reversals <= 1 + scheduler.stats.sweeps
+        assert reversals <= 1 + registry.snapshot()["disk.sched.sweeps"]
 
 
 class TestStaleCleanEntries:

@@ -114,10 +114,10 @@ class TestCheckSemantics:
     def test_stats_count_check_failures(self, drive):
         label = in_use_label()
         claim(drive, 4, label)
-        before = drive.stats.label_check_failures
+        before = drive.stats()["disk.drive.label_check_failures"]
         with pytest.raises(LabelCheckError):
             drive.check_label_read_value(4, in_use_label(page=3))
-        assert drive.stats.label_check_failures == before + 1
+        assert drive.stats()["disk.drive.label_check_failures"] == before + 1
 
 
 class TestWriteContinuation:

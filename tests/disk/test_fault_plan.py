@@ -171,8 +171,9 @@ class TestTransientReads:
         t0 = planned_drive.clock.now_us
         result = planned_drive.read_sector(5)
         assert result.value == [0o555] * VALUE_WORDS
-        assert planned_drive.stats.transient_read_errors == 3
-        assert planned_drive.stats.read_retries == 3
+        stats = planned_drive.stats()
+        assert stats["disk.drive.transient_read_errors"] == 3
+        assert stats["disk.drive.read_retries"] == 3
         # The backoff charged real (simulated) time: revolutions, not magic.
         assert planned_drive.clock.now_us - t0 > clean_read_us
 
@@ -191,9 +192,9 @@ class TestTransientReads:
         full_write(planned_drive, 6)
         fault_plan.schedule_transient_reads(2, address=6)
         planned_drive.read_label(5)
-        assert planned_drive.stats.transient_read_errors == 0
+        assert planned_drive.stats()["disk.drive.transient_read_errors"] == 0
         planned_drive.read_label(6)
-        assert planned_drive.stats.transient_read_errors == 2
+        assert planned_drive.stats()["disk.drive.transient_read_errors"] == 2
 
 
 class TestDirectCorruption:

@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.disk import DiskDrive, DiskImage, FaultInjector, Label, tiny_test_disk, value_words
-from repro.errors import BadSectorError, TornWriteError
+from repro.disk import (
+    DiskDrive,
+    DiskImage,
+    FaultInjector,
+    FaultPlan,
+    Label,
+    tiny_test_disk,
+    value_words,
+)
+from repro.errors import BadSectorError, PowerFailure, TornWriteError
 
 
 @pytest.fixture
@@ -11,12 +19,15 @@ def image():
     return DiskImage(tiny_test_disk())
 
 
-@pytest.fixture
-def drive(image):
-    injector = FaultInjector(image, seed=42)
+def attach(image, injector):
     d = DiskDrive(image, fault_injector=injector)
     d.injector = injector
     return d
+
+
+@pytest.fixture
+def drive(image):
+    return attach(image, FaultInjector(image, seed=42))
 
 
 def in_use(serial=0x4000_0001, page=1):
@@ -48,6 +59,33 @@ class TestTornWrites:
     def test_bad_schedule_rejected(self, drive):
         with pytest.raises(ValueError):
             drive.injector.schedule_power_failure(after_writes=0)
+
+
+class TestTornWritesOnAPlan(TestTornWrites):
+    """The same schedule on a :class:`FaultPlan`, which tears the write the
+    way :meth:`FaultPlan.tear_at_write` does."""
+
+    @pytest.fixture
+    def drive(self, image):
+        return attach(image, FaultPlan(image, seed=42))
+
+    def test_scheduled_tear_is_tear_at_write_counted_from_now(self):
+        outcomes = []
+        for schedule in ("power_failure", "tear_at_write"):
+            image = DiskImage(tiny_test_disk())
+            drive = attach(image, FaultPlan(image, seed=42))
+            drive.check_label_then_rewrite(3, Label.free(), in_use(), value_words([]))
+            if schedule == "power_failure":
+                drive.injector.schedule_power_failure(after_writes=2)
+            else:
+                drive.injector.tear_at_write(drive.injector.writes_seen + 2)
+            with pytest.raises(TornWriteError) as torn:
+                drive.check_label_then_rewrite(3, in_use(), in_use(page=2), value_words([7]))
+            assert (3, "value") in image.checksum_bad
+            with pytest.raises(PowerFailure):  # the machine is down
+                drive.read_sector(4)
+            outcomes.append((str(torn.value), torn.value.crash_point, image.digest()))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestDirectCorruption:

@@ -128,13 +128,13 @@ def make_reference_drive(image, clock=None, fault_injector=None, **kwargs):
                     continue
                 if want != have:
                     if part == "label":
-                        self.stats.label_checks += 1
-                        self.stats.label_check_failures += 1
+                        self._c_label_checks.inc(1)
+                        self._c_label_check_failures.inc(1)
                         raise LabelCheckError(i, want, have)
                     raise CheckError(part, i, want, have)
                 effective.append(have)
             if part == "label":
-                self.stats.label_checks += 1
+                self._c_label_checks.inc(1)
             return effective
 
         def _write_part(self, sector, address, part, data):

@@ -25,18 +25,18 @@ class TestLadderRungs:
         ladder = HintLadder(fs)
         contents = ladder.read_page("big.dat", big_file.page_name(5))
         assert contents.label.length == 512
-        assert ladder.stats.successes["direct"] == 1
+        assert ladder.stats()["fs.ladder.rung.direct"] == 1
 
     def test_known_page_walk(self, fs, big_file):
         ladder = HintLadder(fs)
         ladder.read_page("big.dat", stale(big_file.page_name(5)), known=big_file.full_name())
-        assert ladder.stats.successes["known-page"] == 1
-        assert ladder.stats.link_follows == 5
+        assert ladder.stats()["fs.ladder.rung.known-page"] == 1
+        assert ladder.stats()["fs.ladder.link_follows"] == 5
 
     def test_directory_fv_lookup(self, fs, big_file):
         ladder = HintLadder(fs)
         ladder.read_page("big.dat", stale(big_file.page_name(5)))
-        assert ladder.stats.successes["directory-fv"] == 1
+        assert ladder.stats()["fs.ladder.rung.directory-fv"] == 1
 
     def test_directory_name_lookup(self, fs, big_file):
         """When even the FV is wrong (file re-created), the string name
@@ -48,7 +48,7 @@ class TestLadderRungs:
         replacement.write_data(data)
         ladder = HintLadder(fs)
         contents = ladder.read_page("big.dat", stale(old_name))
-        assert ladder.stats.successes["directory-name"] == 1
+        assert ladder.stats()["fs.ladder.rung.directory-name"] == 1
         assert contents.name.fid == replacement.fid
 
     def test_scavenge_rung(self, fs, big_file, image, injector):
@@ -60,7 +60,7 @@ class TestLadderRungs:
         injector.swap_sectors(leader_address, free)
         ladder = HintLadder(fs)
         contents = ladder.read_page("big.dat", stale(big_file.page_name(5)))
-        assert ladder.stats.successes["scavenge"] == 1
+        assert ladder.stats()["fs.ladder.rung.scavenge"] == 1
         assert contents.value is not None
 
     def test_ladder_exhaustion_without_scavenge(self, fs, big_file, image, injector):
@@ -88,8 +88,8 @@ class TestKthPageHints:
             kth.build(big_file)
             ladder = HintLadder(fs)
             ladder.read_page("big.dat", stale(big_file.page_name(9)), kth=kth)
-            assert ladder.stats.successes["known-page"] == 1
-            assert ladder.stats.link_follows <= (k + 1) // 2 + 1
+            assert ladder.stats()["fs.ladder.rung.known-page"] == 1
+            assert ladder.stats()["fs.ladder.link_follows"] <= (k + 1) // 2 + 1
 
     def test_only_multiples_kept(self, fs, big_file):
         kth = KthPageHints(big_file.fid, 4)

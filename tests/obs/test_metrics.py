@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs import (
     SUB_BUCKET_BITS,
-    CounterAttr,
     MetricsRegistry,
     bucket_bounds,
     bucket_index,
@@ -116,31 +115,6 @@ class TestMirroring:
         leaf.counter("c").inc()
         assert mid.counter("c").value == 1
         assert top.counter("c").value == 1
-
-
-class _Stats:
-    hits = CounterAttr("test.hits")
-
-    def __init__(self, parent=None):
-        self.registry = MetricsRegistry(parent=parent)
-
-
-class TestCounterAttr:
-    def test_read_write_and_augmented_assignment(self):
-        stats = _Stats()
-        assert stats.hits == 0
-        stats.hits += 1
-        stats.hits += 2
-        assert stats.hits == 3
-        assert stats.registry.counter("test.hits").value == 3
-
-    def test_assignment_mirrors_as_delta(self):
-        parent = MetricsRegistry()
-        a, b = _Stats(parent), _Stats(parent)
-        a.hits += 5
-        b.hits += 2
-        b.hits = 10  # delta of +8, not an absolute overwrite at the parent
-        assert parent.counter("test.hits").value == 15
 
 
 class TestSnapshot:

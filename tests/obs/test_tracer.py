@@ -127,7 +127,7 @@ class TestObservabilityStats:
     def test_stats_includes_clock_position_and_tallies(self):
         clock = SimClock()
         clock.advance_us(100, "seek")
-        clock.obs.counter("c").inc(2)
+        clock.obs.registry.counter("c").inc(2)
         stats = clock.obs.stats()
         assert stats["c"] == 2
         assert stats["clock.now_us"] == 100

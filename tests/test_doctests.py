@@ -1,10 +1,10 @@
-"""Run the docstring examples of ``repro.net``, ``repro.server`` and
-``repro.disk``.
+"""Run the docstring examples of ``repro.net``, ``repro.server``,
+``repro.disk``, ``repro.obs`` and ``repro.fs``.
 
 CI's docs job runs ``pytest --doctest-modules src/repro/net
-src/repro/server src/repro/disk`` directly; this test keeps the same examples green under
-the plain test run, so a stale docstring fails close to the change that
-broke it.
+src/repro/server src/repro/disk src/repro/obs src/repro/fs`` directly;
+this test keeps the same examples green under the plain test run, so a
+stale docstring fails close to the change that broke it.
 """
 
 import doctest
@@ -14,15 +14,22 @@ import pkgutil
 import pytest
 
 import repro.disk
+import repro.fs
 import repro.net
+import repro.obs
 import repro.server
+
+PACKAGES = (repro.net, repro.server, repro.disk, repro.obs, repro.fs)
 
 
 def doctest_modules():
-    for package in (repro.net, repro.server, repro.disk):
+    for package in PACKAGES:
         yield package.__name__
         for info in pkgutil.iter_modules(package.__path__):
-            yield f"{package.__name__}.{info.name}"
+            # Importing a package's __main__ runs its command (repro.obs's
+            # validates a trace file and exits).
+            if info.name != "__main__":
+                yield f"{package.__name__}.{info.name}"
 
 
 @pytest.mark.parametrize("module_name", sorted(doctest_modules()))
@@ -32,7 +39,7 @@ def test_module_doctests(module_name):
     assert results.failed == 0, f"{results.failed} doctest failure(s) in {module_name}"
 
 
-@pytest.mark.parametrize("package", [repro.net, repro.server, repro.disk])
+@pytest.mark.parametrize("package", PACKAGES)
 def test_every_public_name_has_a_docstring(package):
     """The audit itself: everything exported by the package documents itself."""
     missing = []
