@@ -15,105 +15,30 @@ The package is organized the way the paper organizes the system:
 
 The top level re-exports the objects a typical user needs; every smaller
 component stays importable from its subpackage -- the openness principle
-the paper is about.  See README.md for a quickstart and DESIGN.md for the
-complete inventory.
+the paper is about.  Every package's exports resolve on first use
+(:mod:`repro.exports`), so a process loads only the packages it uses.
+See README.md for a quickstart and DESIGN.md for the complete inventory.
 """
 
-from . import errors, obs
-from .clock import SimClock
-from .obs import MetricsRegistry, Observability, Tracer
-from .disk import (
-    DiskDrive,
-    DiskImage,
-    DiskShape,
-    FaultInjector,
-    diablo31,
-    diablo44,
-    tiny_test_disk,
-)
-from .fs import (
-    AltoFile,
-    Compactor,
-    ConsecutiveReader,
-    Directory,
-    FileSystem,
-    FullName,
-    HintLadder,
-    KthPageHints,
-    Scavenger,
-    compact,
-    scavenge,
-)
-from .memory import Memory, Region, Zone
-from .os import AltoOS, CodeFile, Fixup, JuntaController, write_code_file
-from .streams import (
-    Stream,
-    copy_stream,
-    open_read_stream,
-    open_write_stream,
-    read_string,
-    write_string,
-)
-from .world import (
-    Halt,
-    Machine,
-    ProgramRegistry,
-    Transfer,
-    WorldEngine,
-    WorldProgram,
-    coroutine_call,
-    create_boot_file,
-    hardware_boot,
-)
+from .exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AltoFile",
-    "AltoOS",
-    "CodeFile",
-    "Compactor",
-    "ConsecutiveReader",
-    "Directory",
-    "DiskDrive",
-    "DiskImage",
-    "DiskShape",
-    "FaultInjector",
-    "FileSystem",
-    "Fixup",
-    "FullName",
-    "Halt",
-    "HintLadder",
-    "JuntaController",
-    "KthPageHints",
-    "Machine",
-    "Memory",
-    "MetricsRegistry",
-    "Observability",
-    "ProgramRegistry",
-    "Region",
-    "Scavenger",
-    "SimClock",
-    "Stream",
-    "Tracer",
-    "Transfer",
-    "WorldEngine",
-    "WorldProgram",
-    "Zone",
-    "compact",
-    "copy_stream",
-    "coroutine_call",
-    "create_boot_file",
-    "diablo31",
-    "diablo44",
-    "errors",
-    "hardware_boot",
-    "obs",
-    "open_read_stream",
-    "open_write_stream",
-    "read_string",
-    "scavenge",
-    "tiny_test_disk",
-    "write_code_file",
-    "write_string",
-]
+lazy_exports(globals(), {
+    "": ("errors", "obs"),
+    "clock": ("SimClock",),
+    "obs": ("MetricsRegistry", "Observability", "Tracer"),
+    "disk": ("DiskDrive", "DiskImage", "DiskShape", "FaultInjector",
+             "diablo31", "diablo44", "tiny_test_disk"),
+    "fs": ("AltoFile", "Compactor", "ConsecutiveReader", "Directory",
+           "FileSystem", "FullName", "HintLadder", "KthPageHints",
+           "Scavenger", "compact", "scavenge"),
+    "memory": ("Memory", "Region", "Zone"),
+    "os": ("AltoOS", "CodeFile", "Fixup", "JuntaController",
+           "write_code_file"),
+    "streams": ("Stream", "copy_stream", "open_read_stream",
+                "open_write_stream", "read_string", "write_string"),
+    "world": ("Halt", "Machine", "ProgramRegistry", "Transfer",
+              "WorldEngine", "WorldProgram", "coroutine_call",
+              "create_boot_file", "hardware_boot"),
+})

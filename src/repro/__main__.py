@@ -40,9 +40,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from .disk import DiskDrive, DiskImage, diablo31
-from .os import AltoOS
+
+if TYPE_CHECKING:  # the OS loads only where a command runs one
+    from .os import AltoOS
 
 
 def build_demo(os: AltoOS) -> None:
@@ -114,6 +117,8 @@ def stats_cmd(argv) -> int:
         # lines below are true cluster-wide percentiles.
         stats = system.stats()
     else:
+        from .os import AltoOS
+
         image = DiskImage(diablo31())
         drive = CachedDrive(image) if args.cached else DiskDrive(image)
         if args.trace:
@@ -515,6 +520,8 @@ def main(argv=None) -> int:
         help="record simulated-time spans and write a Chrome trace JSON on exit",
     )
     args = parser.parse_args(argv)
+
+    from .os import AltoOS
 
     image = DiskImage(diablo31())
     drive = DiskDrive(image)

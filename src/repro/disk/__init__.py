@@ -7,63 +7,20 @@ value independently), the 0-wildcard check semantics, and a seek/rotation
 timing model calibrated to the Diablo Model 31.
 """
 
-from .cache import CACHE_HIT_US, DEFAULT_CACHE_SECTORS, CachedDrive
-from .drive import MAX_READ_RETRIES, Action, DiskDrive, PartCommand, TransferResult
-from .faults import FaultInjector, FaultPlan
-from .geometry import NIL, DiskShape, diablo31, diablo44, tiny_test_disk
-from .image import DiskImage
-from .sector import (
-    DIRECTORY_SERIAL_FLAG,
-    HEADER_WORDS,
-    LABEL_WORDS,
-    SERIAL_BAD,
-    SERIAL_FREE,
-    VALUE_WORDS,
-    Header,
-    Label,
-    Sector,
-    value_words,
-)
-from .timing import ROTATION, SEEK, TRANSFER, ArmTimer
-from .trace import TRACE_POINTS, DiskTrace, TraceRecord, check_point, point_name
+from ..exports import lazy_exports
 
-from .scheduler import RequestScheduler
-
-__all__ = [
-    "Action",
-    "ArmTimer",
-    "CACHE_HIT_US",
-    "CachedDrive",
-    "DEFAULT_CACHE_SECTORS",
-    "DIRECTORY_SERIAL_FLAG",
-    "DiskDrive",
-    "RequestScheduler",
-    "DiskImage",
-    "DiskShape",
-    "DiskTrace",
-    "TraceRecord",
-    "TRACE_POINTS",
-    "FaultInjector",
-    "FaultPlan",
-    "HEADER_WORDS",
-    "MAX_READ_RETRIES",
-    "Header",
-    "LABEL_WORDS",
-    "Label",
-    "NIL",
-    "PartCommand",
-    "ROTATION",
-    "SEEK",
-    "SERIAL_BAD",
-    "SERIAL_FREE",
-    "Sector",
-    "TRANSFER",
-    "TransferResult",
-    "VALUE_WORDS",
-    "check_point",
-    "diablo31",
-    "diablo44",
-    "point_name",
-    "tiny_test_disk",
-    "value_words",
-]
+lazy_exports(globals(), {
+    "cache": ("CACHE_HIT_US", "DEFAULT_CACHE_SECTORS", "CachedDrive"),
+    "drive": ("MAX_READ_RETRIES", "Action", "DiskDrive", "PartCommand",
+              "TransferResult"),
+    "faults": ("FaultInjector", "FaultPlan"),
+    "geometry": ("NIL", "DiskShape", "diablo31", "diablo44", "tiny_test_disk"),
+    "image": ("DiskImage",),
+    "scheduler": ("RequestScheduler",),
+    "sector": ("DIRECTORY_SERIAL_FLAG", "HEADER_WORDS", "LABEL_WORDS",
+               "SERIAL_BAD", "SERIAL_FREE", "VALUE_WORDS", "Header", "Label",
+               "Sector", "value_words"),
+    "timing": ("ROTATION", "SEEK", "TRANSFER", "ArmTimer"),
+    "trace": ("TRACE_POINTS", "DiskTrace", "TraceRecord", "check_point",
+              "point_name"),
+})

@@ -1,14 +1,8 @@
 """The simulated Alto main memory and the zone storage allocator."""
 
-from .core import MEMORY_WORDS, Memory, Region
-from .zone import FREE_LIST_END, MIN_BLOCK, Zone, allocate_vector
+from ..exports import lazy_exports
 
-__all__ = [
-    "FREE_LIST_END",
-    "MEMORY_WORDS",
-    "MIN_BLOCK",
-    "Memory",
-    "Region",
-    "Zone",
-    "allocate_vector",
-]
+lazy_exports(globals(), {
+    "core": ("MEMORY_WORDS", "Memory", "Region"),
+    "zone": ("FREE_LIST_END", "MIN_BLOCK", "Zone", "allocate_vector"),
+})

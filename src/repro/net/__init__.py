@@ -1,46 +1,13 @@
 """The packet network and the printing-server tasks (section 4)."""
 
-from .network import (
-    MAX_PAYLOAD_WORDS,
-    NetworkError,
-    Packet,
-    PacketNetwork,
-    TYPE_CONTROL,
-    TYPE_DATA,
-    TYPE_END_OF_FILE,
-    send_file,
-)
-from .streams import network_read_stream, network_write_stream
-from .printing import (
-    PRINTER_STATE,
-    PrinterDevice,
-    QUEUE_FILE,
-    SHUTDOWN_WORD,
-    SPOOLER_STATE,
-    bootstrap_printer_state,
-    build_printing_server,
-    read_queue,
-    write_queue,
-)
+from ..exports import lazy_exports
 
-__all__ = [
-    "MAX_PAYLOAD_WORDS",
-    "NetworkError",
-    "PRINTER_STATE",
-    "Packet",
-    "PacketNetwork",
-    "PrinterDevice",
-    "QUEUE_FILE",
-    "SHUTDOWN_WORD",
-    "SPOOLER_STATE",
-    "TYPE_CONTROL",
-    "TYPE_DATA",
-    "TYPE_END_OF_FILE",
-    "bootstrap_printer_state",
-    "network_read_stream",
-    "network_write_stream",
-    "build_printing_server",
-    "read_queue",
-    "send_file",
-    "write_queue",
-]
+lazy_exports(globals(), {
+    "network": ("MAX_PAYLOAD_WORDS", "NetworkError", "Packet",
+                "PacketNetwork", "TYPE_CONTROL", "TYPE_DATA",
+                "TYPE_END_OF_FILE", "send_file"),
+    "streams": ("network_read_stream", "network_write_stream"),
+    "printing": ("PRINTER_STATE", "PrinterDevice", "QUEUE_FILE",
+                 "SHUTDOWN_WORD", "SPOOLER_STATE", "bootstrap_printer_state",
+                 "build_printing_server", "read_queue", "write_queue"),
+})

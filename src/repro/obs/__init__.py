@@ -20,66 +20,18 @@ repro stats`` and ``--trace out.json`` on the REPL, ``crashtest``, and
 and metric names.
 """
 
-from .export import chrome_trace, stitch_trace, tracer_events, write_trace
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    QUANTILES,
-    SUB_BUCKET_BITS,
-    bucket_bounds,
-    bucket_index,
-    format_quantile,
-    quantile_from_buckets,
-    snapshot_histogram_names,
-    snapshot_quantiles,
-)
-from .runtime import (
-    Observability,
-    collect_trace,
-    disable_trace_all,
-    drain_stats,
-    enable_trace_all,
-    merge_stats,
-    retain_stats,
-    trace_all_enabled,
-)
-from .schema import validate_trace, validate_trace_file
-from .top import TopDashboard, render_top
-from .tracer import NULL_SPAN, Span, SpanEvent, Tracer
+from ..exports import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_SPAN",
-    "Observability",
-    "QUANTILES",
-    "SUB_BUCKET_BITS",
-    "Span",
-    "SpanEvent",
-    "TopDashboard",
-    "Tracer",
-    "bucket_bounds",
-    "bucket_index",
-    "chrome_trace",
-    "collect_trace",
-    "quantile_from_buckets",
-    "render_top",
-    "snapshot_histogram_names",
-    "snapshot_quantiles",
-    "stitch_trace",
-    "disable_trace_all",
-    "drain_stats",
-    "enable_trace_all",
-    "format_quantile",
-    "merge_stats",
-    "retain_stats",
-    "trace_all_enabled",
-    "tracer_events",
-    "validate_trace",
-    "validate_trace_file",
-    "write_trace",
-]
+lazy_exports(globals(), {
+    "export": ("chrome_trace", "stitch_trace", "tracer_events", "write_trace"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                "QUANTILES", "SUB_BUCKET_BITS", "bucket_bounds",
+                "bucket_index", "format_quantile", "quantile_from_buckets",
+                "snapshot_histogram_names", "snapshot_quantiles"),
+    "runtime": ("Observability", "collect_trace", "disable_trace_all",
+                "drain_stats", "enable_trace_all", "merge_stats",
+                "retain_stats", "trace_all_enabled"),
+    "schema": ("validate_trace", "validate_trace_file"),
+    "top": ("TopDashboard", "render_top"),
+    "tracer": ("NULL_SPAN", "Span", "SpanEvent", "Tracer"),
+})

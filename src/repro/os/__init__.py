@@ -1,60 +1,18 @@
 """The operating-system layer (section 5): Junta levels, the loader, the
 Executive, the keyboard process, and the AltoOS facade."""
 
-from .executive import COMMAND_FILE, Executive, RUN_EXTENSION
-from .junta import JuntaController
-from .kbdproc import KeyboardProcess, buffered_keyboard_stream
-from .levels import (
-    LEVELS,
-    LevelSpec,
-    MAX_LEVEL,
-    MIN_LEVEL,
-    fill_pattern,
-    layout,
-    level_providing,
-    resident_words,
-    services_at_or_below,
-    spec_for,
-)
-from .loader import (
-    CodeFile,
-    ExecutableRegistry,
-    Fixup,
-    LOAD_ADDRESS,
-    LoadedProgram,
-    ProgramLoader,
-    write_code_file,
-)
-from .diskless import DISKLESS_SERVICES, DisklessOS
-from .swat import Swat
-from .system import AltoOS
+from ..exports import lazy_exports
 
-__all__ = [
-    "AltoOS",
-    "DISKLESS_SERVICES",
-    "DisklessOS",
-    "Swat",
-    "COMMAND_FILE",
-    "CodeFile",
-    "ExecutableRegistry",
-    "Executive",
-    "Fixup",
-    "JuntaController",
-    "KeyboardProcess",
-    "LEVELS",
-    "LOAD_ADDRESS",
-    "LevelSpec",
-    "LoadedProgram",
-    "MAX_LEVEL",
-    "MIN_LEVEL",
-    "ProgramLoader",
-    "RUN_EXTENSION",
-    "buffered_keyboard_stream",
-    "fill_pattern",
-    "layout",
-    "level_providing",
-    "resident_words",
-    "services_at_or_below",
-    "spec_for",
-    "write_code_file",
-]
+lazy_exports(globals(), {
+    "executive": ("COMMAND_FILE", "Executive", "RUN_EXTENSION"),
+    "junta": ("JuntaController",),
+    "kbdproc": ("KeyboardProcess", "buffered_keyboard_stream"),
+    "levels": ("LEVELS", "LevelSpec", "MAX_LEVEL", "MIN_LEVEL",
+               "fill_pattern", "layout", "level_providing", "resident_words",
+               "services_at_or_below", "spec_for"),
+    "loader": ("CodeFile", "ExecutableRegistry", "Fixup", "LOAD_ADDRESS",
+               "LoadedProgram", "ProgramLoader", "write_code_file"),
+    "diskless": ("DISKLESS_SERVICES", "DisklessOS"),
+    "swat": ("Swat",),
+    "system": ("AltoOS",),
+})

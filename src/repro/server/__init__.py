@@ -30,120 +30,27 @@ CLI entry point is ``python -m repro serve``.
 b'served!'
 """
 
-from .client import FileClient, PendingRequest
-from .engine import DEFAULT_MAX_PENDING, FileServer
-from .events import Event, EventQueue
-from .loadgen import (
-    ClusterSystem,
-    LoadGenerator,
-    LoadResult,
-    ServedSystem,
-    SessionStormResult,
-    build_cluster,
-    build_system,
-    run_session_storm,
-)
-from .qos import (
-    DEFAULT_QOS_WEIGHTS,
-    QOS_BULK,
-    QOS_CLASSES,
-    QOS_INTERACTIVE,
-    QOS_MAINTENANCE,
-)
-from .protocol import (
-    FLAG_CREATE,
-    FrameAssembler,
-    MAX_BATCH_PAGES,
-    OP_CLOSE,
-    OP_LIST,
-    OP_OPEN,
-    OP_READ,
-    OP_WRITE,
-    Request,
-    Response,
-    ST_BAD_HANDLE,
-    ST_BAD_PAGE,
-    ST_BAD_REQUEST,
-    ST_BUSY,
-    ST_ERROR,
-    ST_NOT_FOUND,
-    ST_OK,
-    ST_TOO_LARGE,
-    encode_request,
-    encode_response,
-)
-from .failover import (
-    FailoverReport,
-    failover_crash_sweep,
-    failover_drill,
-)
-from .rebalance import Shipment, recover_shipment, ship_names
-from .replica import (
-    PromotionReport,
-    ReplicaStandby,
-    ReplicatedFileServer,
-    ReplicationPrimary,
-    promote,
-)
-from .router import ShardRouter, merge_names
-from .session import Session
-from .shardmap import RebalancePlan, ShardMap, hash_name
+from ..exports import lazy_exports
 
-__all__ = [
-    "ClusterSystem",
-    "DEFAULT_MAX_PENDING",
-    "DEFAULT_QOS_WEIGHTS",
-    "Event",
-    "EventQueue",
-    "FLAG_CREATE",
-    "FailoverReport",
-    "FileClient",
-    "FileServer",
-    "FrameAssembler",
-    "LoadGenerator",
-    "LoadResult",
-    "MAX_BATCH_PAGES",
-    "OP_CLOSE",
-    "OP_LIST",
-    "OP_OPEN",
-    "OP_READ",
-    "OP_WRITE",
-    "PendingRequest",
-    "PromotionReport",
-    "QOS_BULK",
-    "QOS_CLASSES",
-    "QOS_INTERACTIVE",
-    "QOS_MAINTENANCE",
-    "RebalancePlan",
-    "ReplicaStandby",
-    "ReplicatedFileServer",
-    "ReplicationPrimary",
-    "Request",
-    "Response",
-    "ST_BAD_HANDLE",
-    "ST_BAD_PAGE",
-    "ST_BAD_REQUEST",
-    "ST_BUSY",
-    "ST_ERROR",
-    "ST_NOT_FOUND",
-    "ST_OK",
-    "ST_TOO_LARGE",
-    "ServedSystem",
-    "Session",
-    "SessionStormResult",
-    "ShardMap",
-    "ShardRouter",
-    "Shipment",
-    "build_cluster",
-    "build_system",
-    "encode_request",
-    "encode_response",
-    "failover_crash_sweep",
-    "failover_drill",
-    "hash_name",
-    "merge_names",
-    "promote",
-    "recover_shipment",
-    "run_session_storm",
-    "ship_names",
-]
+lazy_exports(globals(), {
+    "client": ("FileClient", "PendingRequest"),
+    "engine": ("DEFAULT_MAX_PENDING", "FileServer"),
+    "events": ("Event", "EventQueue"),
+    "loadgen": ("ClusterSystem", "LoadGenerator", "LoadResult",
+                "ServedSystem", "SessionStormResult", "build_cluster",
+                "build_system", "run_session_storm"),
+    "qos": ("DEFAULT_QOS_WEIGHTS", "QOS_BULK", "QOS_CLASSES",
+            "QOS_INTERACTIVE", "QOS_MAINTENANCE"),
+    "protocol": ("FLAG_CREATE", "FrameAssembler", "MAX_BATCH_PAGES",
+                 "OP_CLOSE", "OP_LIST", "OP_OPEN", "OP_READ", "OP_WRITE",
+                 "Request", "Response", "ST_BAD_HANDLE", "ST_BAD_PAGE",
+                 "ST_BAD_REQUEST", "ST_BUSY", "ST_ERROR", "ST_NOT_FOUND",
+                 "ST_OK", "ST_TOO_LARGE", "encode_request", "encode_response"),
+    "failover": ("FailoverReport", "failover_crash_sweep", "failover_drill"),
+    "rebalance": ("Shipment", "recover_shipment", "ship_names"),
+    "replica": ("PromotionReport", "ReplicaStandby", "ReplicatedFileServer",
+                "ReplicationPrimary", "promote"),
+    "router": ("ShardRouter", "merge_names"),
+    "session": ("Session",),
+    "shardmap": ("RebalancePlan", "ShardMap", "hash_name"),
+})

@@ -323,12 +323,10 @@ class FileClient:
                 raise ProtocolError(
                     f"READ of {want} pages from page {page} answered "
                     f"{pages} pages in {len(response.payload)} words")
-            words = list(response.payload)
-            for index in range(pages):
-                page_words = words[index * PAGE_WORDS: (index + 1) * PAGE_WORDS]
-                take = min(remaining, FULL_PAGE)
-                out += words_to_bytes(page_words, nbytes=take)
-                remaining -= take
+            take = min(remaining, pages * FULL_PAGE)
+            out += words_to_bytes(response.payload[:pages * PAGE_WORDS],
+                                  nbytes=take)
+            remaining -= take
             page += pages
         return bytes(out)
 

@@ -1,67 +1,20 @@
 """OS6-style streams (section 2): the protocol, disk/keyboard/display
 implementations, in-memory streams, and combinators."""
 
-from .base import STANDARD_OPERATIONS, Stream, copy_stream
-from .compose import (
-    concatenate_read_streams,
-    counting_stream,
-    filter_read_stream,
-    map_read_stream,
-    map_write_stream,
-    tee_stream,
-)
-from .disk_stream import (
-    BYTE_ITEMS,
-    WORD_ITEMS,
-    open_read_stream,
-    open_write_stream,
-    read_string,
-    write_string,
-)
-from .display import DisplayDevice, display_stream
-from .raster import MemoryRaster, raster_stream, raster_words
-from .update_stream import open_update_stream
-from .keyboard import DEBUG_KEY, KeyboardDevice, keyboard_stream
-from .memory_stream import (
-    byte_read_stream,
-    byte_write_stream,
-    null_stream,
-    string_read_stream,
-    string_write_stream,
-    vector_read_stream,
-    vector_write_stream,
-)
+from ..exports import lazy_exports
 
-__all__ = [
-    "BYTE_ITEMS",
-    "DEBUG_KEY",
-    "DisplayDevice",
-    "KeyboardDevice",
-    "MemoryRaster",
-    "STANDARD_OPERATIONS",
-    "Stream",
-    "WORD_ITEMS",
-    "byte_read_stream",
-    "byte_write_stream",
-    "concatenate_read_streams",
-    "copy_stream",
-    "counting_stream",
-    "display_stream",
-    "filter_read_stream",
-    "keyboard_stream",
-    "map_read_stream",
-    "map_write_stream",
-    "null_stream",
-    "open_read_stream",
-    "raster_stream",
-    "raster_words",
-    "open_update_stream",
-    "open_write_stream",
-    "read_string",
-    "string_read_stream",
-    "string_write_stream",
-    "tee_stream",
-    "vector_read_stream",
-    "vector_write_stream",
-    "write_string",
-]
+lazy_exports(globals(), {
+    "base": ("STANDARD_OPERATIONS", "Stream", "copy_stream"),
+    "compose": ("concatenate_read_streams", "counting_stream",
+                "filter_read_stream", "map_read_stream", "map_write_stream",
+                "tee_stream"),
+    "disk_stream": ("BYTE_ITEMS", "WORD_ITEMS", "open_read_stream",
+                    "open_write_stream", "read_string", "write_string"),
+    "display": ("DisplayDevice", "display_stream"),
+    "raster": ("MemoryRaster", "raster_stream", "raster_words"),
+    "update_stream": ("open_update_stream",),
+    "keyboard": ("DEBUG_KEY", "KeyboardDevice", "keyboard_stream"),
+    "memory_stream": ("byte_read_stream", "byte_write_stream", "null_stream",
+                      "string_read_stream", "string_write_stream",
+                      "vector_read_stream", "vector_write_stream"),
+})

@@ -8,8 +8,8 @@ byte packing (two bytes per word, big-endian within the word as on the Alto),
 and BCPL-style string coding.
 
 The packing, checksum and random-content hot loops run as *bulk
-operations* in C (``array('H')``, ``sum``, big-int shifts and the
-``latin-1`` codec), with no per-item Python loop and no optional
+operations* in C (``struct``, ``array('H')``, ``sum``, big-int shifts and
+the ``latin-1`` codec), with no per-item Python loop and no optional
 dependency.  Each helper has one path: packing takes a bytes-like buffer
 and unpacking takes 16-bit int words, and anything else raises.  The
 original word-at-a-time forms survive in ``tests/equivalence/reference.py``,
@@ -19,6 +19,7 @@ see ARCHITECTURE.md, "Fast paths and the differential harness".
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
 from typing import Iterable, List, Sequence
@@ -116,17 +117,21 @@ def words_to_bytes(words: Sequence[int], nbytes: int = -1) -> bytes:
     int in 0..0xFFFF: a word out of range raises ``OverflowError`` and a
     non-int word raises ``TypeError``.
 
-    Bulk implementation; reference twin:
+    Bulk implementation: one ``struct`` pack, which accepts exactly the
+    words ``array('H')`` accepts.  Reference twin:
     ``words_to_bytes_reference`` in ``tests/equivalence/reference.py``.
     """
     if nbytes != -1 and nbytes < 0:
         raise ValueError(f"nbytes must be -1 (no truncation) or >= 0, got {nbytes}")
     if nbytes > 2 * len(words):
         raise ValueError(f"asked for {nbytes} bytes from {2 * len(words)} available")
-    packed = array("H", words)
-    if _LITTLE_ENDIAN:
-        packed.byteswap()
-    out = packed.tobytes()
+    try:
+        out = struct.pack(f">{len(words)}H", *words)
+    except struct.error:
+        # array('H') refuses the same words, with the OverflowError or
+        # TypeError documented above instead of struct's one error type.
+        array("H", words)
+        raise
     return out if nbytes == -1 else out[:nbytes]
 
 

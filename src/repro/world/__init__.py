@@ -1,56 +1,17 @@
 """World swapping (section 4): machine state, state files, InLoad/OutLoad,
 coroutine linkage, checkpointing, and booting."""
 
-from .boot import BOOT_FILE_NAME, create_boot_file, hardware_boot, read_boot_pointer
-from .checkpoint import Checkpointer, resume_from_checkpoint
-from .coroutine import coroutine_call, reply
-from .machine import Machine, REGISTER_COUNT
-from .statefile import (
-    FULL_NAME_WORDS,
-    MESSAGE_WORDS,
-    STATE_FILE_BYTES,
-    check_message,
-    full_name_from_words,
-    full_name_to_words,
-    pack_state,
-    unpack_state,
-)
-from .swap import (
-    Halt,
-    SHADOW_SUFFIX,
-    ProgramRegistry,
-    SwapContext,
-    Transfer,
-    WorldEngine,
-    WorldProgram,
-    WorldSwapper,
-)
+from ..exports import lazy_exports
 
-__all__ = [
-    "BOOT_FILE_NAME",
-    "Checkpointer",
-    "FULL_NAME_WORDS",
-    "Halt",
-    "MESSAGE_WORDS",
-    "Machine",
-    "ProgramRegistry",
-    "REGISTER_COUNT",
-    "SHADOW_SUFFIX",
-    "STATE_FILE_BYTES",
-    "SwapContext",
-    "Transfer",
-    "WorldEngine",
-    "WorldProgram",
-    "WorldSwapper",
-    "check_message",
-    "coroutine_call",
-    "create_boot_file",
-    "full_name_from_words",
-    "full_name_to_words",
-    "hardware_boot",
-    "pack_state",
-    "read_boot_pointer",
-    "reply",
-    "resume_from_checkpoint",
-    "unpack_state",
-]
+lazy_exports(globals(), {
+    "boot": ("BOOT_FILE_NAME", "create_boot_file", "hardware_boot",
+             "read_boot_pointer"),
+    "checkpoint": ("Checkpointer", "resume_from_checkpoint"),
+    "coroutine": ("coroutine_call", "reply"),
+    "machine": ("Machine", "REGISTER_COUNT"),
+    "statefile": ("FULL_NAME_WORDS", "MESSAGE_WORDS", "STATE_FILE_BYTES",
+                  "check_message", "full_name_from_words",
+                  "full_name_to_words", "pack_state", "unpack_state"),
+    "swap": ("Halt", "SHADOW_SUFFIX", "ProgramRegistry", "SwapContext",
+             "Transfer", "WorldEngine", "WorldProgram", "WorldSwapper"),
+})

@@ -5,7 +5,9 @@ word-at-a-time twin from ``reference.py``; deterministic cases pin edge
 sizes and the sizes the benchmark workloads draw.
 """
 
+import operator
 import random
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,6 +27,11 @@ from repro.words import (
     words_to_bytes,
 )
 from repro.disk.drive import merge_check
+
+try:
+    import numpy  # a test-only dependency: its scalars are foreign ints
+except ImportError:  # not installed here: plain Python values only
+    numpy = None
 
 #: The numpy_mode fixture is the same for every generated example, so
 #: the function-scoped-fixture check is moot.
@@ -110,6 +117,39 @@ class TestWordsToBytes:
             words_to_bytes(data[:at] + [bad] + data[at:])
         with pytest.raises(TypeError):
             words_to_bytes(data[:at] + [float(bad)] + data[at:])
+
+    #: Words ``array('H')`` accepts: in-range ints, bools and, where
+    #: numpy is installed, in-range numpy integers (through ``__index__``).
+    accepted = st.one_of(
+        st.integers(min_value=0, max_value=WORD_MASK), st.booleans(),
+        *([] if numpy is None else [
+            st.integers(0, WORD_MASK).map(numpy.uint16),
+            st.integers(0, 127).map(numpy.int8),
+            st.integers(0, WORD_MASK).map(numpy.int64)]))
+    #: Words it refuses, with ``OverflowError`` or ``TypeError``.
+    refused = st.one_of(
+        st.integers(max_value=-1), st.integers(min_value=WORD_MASK + 1),
+        st.floats(),
+        *([] if numpy is None else [
+            st.integers(-128, -1).map(numpy.int8),
+            st.integers(WORD_MASK + 1, 2 ** 40).map(numpy.int64),
+            st.just(numpy.True_)]))
+
+    @eq_settings
+    @given(st.lists(accepted, max_size=300), st.lists(st.tuples(
+        st.integers(min_value=0, max_value=300), refused), max_size=2))
+    def test_mixed_words_pack_or_raise_as_array_does(self, data, planted):
+        for at, word in planted:
+            data.insert(at, word)
+        try:
+            array("H", data)
+        except (OverflowError, TypeError) as error:
+            with pytest.raises(type(error)) as raised:
+                words_to_bytes(data)
+            assert raised.type is type(error)
+        else:  # the reference shifts plain ints: numpy's own would wrap
+            values = [operator.index(word) for word in data]
+            assert words_to_bytes(data) == words_to_bytes_reference(values)
 
     def test_float_words_rejected(self):
         # At the size where packing once switched to numpy, which
