@@ -10,8 +10,6 @@ seconds and milliseconds.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
-
 from .obs import Observability
 
 MICROSECONDS_PER_SECOND = 1_000_000
@@ -25,12 +23,16 @@ class SimClock:
     transfer, ...) so that benchmarks can decompose where simulated time
     went -- the paper reasons about costs in exactly these units ("this
     scheme costs a disk revolution each time a page is allocated or freed").
+
+    Advancing has one path: :meth:`advance_us` moves the time and adds to
+    one tally, and calls nothing else.  Work due at a simulated instant
+    compares against :attr:`now_us` itself, as the server's ``EventQueue``
+    does; the fault plan counts part passages on the drive, not instants.
     """
 
     def __init__(self) -> None:
         self._now_us = 0
         self._tallies: dict = {}
-        self._watchers: List[Callable[[int], None]] = []
         # The observability layer hangs off the clock because every layer
         # that can spend simulated time already holds one (repro.obs).
         self.obs = Observability(self)
@@ -71,9 +73,6 @@ class SimClock:
             self._tallies[category] += amount_us
         except KeyError:
             self._tallies[category] = amount_us
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher(self._now_us)
 
     def advance_ms(self, amount_ms: float, category: str = "other") -> None:
         """Advance the clock by *amount_ms* milliseconds under *category*."""
@@ -84,18 +83,6 @@ class SimClock:
     def stopwatch(self) -> "Stopwatch":
         """Return a stopwatch started at the current simulated time."""
         return Stopwatch(self)
-
-    def add_watcher(self, fn: Callable[[int], None]) -> None:
-        """Register *fn* to be called with the new time after every advance.
-
-        Used by the fault injector to trigger power failures at a scheduled
-        simulated instant.
-        """
-        self._watchers.append(fn)
-
-    def remove_watcher(self, fn: Callable[[int], None]) -> None:
-        """Unregister a watcher previously added with :meth:`add_watcher`."""
-        self._watchers.remove(fn)
 
 
 class Stopwatch:

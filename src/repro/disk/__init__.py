@@ -13,7 +13,8 @@ lazy_exports(globals(), {
     "cache": ("CACHE_HIT_US", "DEFAULT_CACHE_SECTORS", "CachedDrive"),
     "drive": ("MAX_READ_RETRIES", "Action", "DiskDrive", "PartCommand",
               "TransferResult"),
-    "faults": ("FaultInjector", "FaultPlan"),
+    "faults": ("TRACE_POINTS", "FaultInjector", "FaultPlan", "check_point",
+               "point_name"),
     "geometry": ("NIL", "DiskShape", "diablo31", "diablo44", "tiny_test_disk"),
     "image": ("DiskImage",),
     "scheduler": ("RequestScheduler",),
@@ -21,6 +22,4 @@ lazy_exports(globals(), {
                "SERIAL_BAD", "SERIAL_FREE", "VALUE_WORDS", "Header", "Label",
                "Sector", "value_words"),
     "timing": ("ROTATION", "SEEK", "TRANSFER", "ArmTimer"),
-    "trace": ("TRACE_POINTS", "DiskTrace", "TraceRecord", "check_point",
-              "point_name"),
 })

@@ -48,7 +48,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..clock import SimClock
 from ..errors import CheckError, PowerFailure
-from .drive import MAX_READ_RETRIES, Action, DiskDrive, TransferResult
+from .drive import Action, DiskDrive, TransferResult
 from .image import DiskImage
 from .scheduler import RequestScheduler
 from .sector import VALUE_WORDS
@@ -100,10 +100,9 @@ class CachedDrive(DiskDrive):
         image: DiskImage,
         clock: Optional[SimClock] = None,
         fault_injector=None,
-        max_read_retries: int = MAX_READ_RETRIES,
         cache_sectors: int = DEFAULT_CACHE_SECTORS,
     ) -> None:
-        super().__init__(image, clock, fault_injector, max_read_retries)
+        super().__init__(image, clock, fault_injector)
         self.cache_sectors = cache_sectors
         registry = self.registry
         self.scheduler = RequestScheduler(image.shape, registry=registry)

@@ -89,8 +89,8 @@ def _parts_summary(parts) -> str:
     return ",".join(f"{part}:{action.value}" for part, action, _data in parts)
 
 
-#: Default bounded retry budget for transient read errors: a marginal read
-#: is retried on later revolutions with linearly growing backoff; past the
+#: The bounded retry budget for transient read errors: a marginal read is
+#: retried on later revolutions with linearly growing backoff; past the
 #: budget the typed :class:`~repro.errors.ReadRetriesExhausted` surfaces.
 MAX_READ_RETRIES = 4
 
@@ -149,30 +149,16 @@ class DiskDrive:
         image: DiskImage,
         clock: Optional[SimClock] = None,
         fault_injector=None,
-        max_read_retries: int = MAX_READ_RETRIES,
     ) -> None:
         self.image = image
         self.clock = clock if clock is not None else SimClock()
         self.timer = ArmTimer(image.shape, self.clock)
         self.fault_injector = fault_injector
-        self.max_read_retries = max_read_retries
-        #: Optional observer (see :class:`repro.disk.trace.DiskTrace`).
-        self.trace = None
         #: Optional durability observer: called as ``tap(address, part, data)``
         #: after every part-write lands on the platter (never for torn
         #: writes -- the injector raises before the tap).  This is the
         #: replication journal's capture point (:mod:`repro.server.replica`).
         self.journal_tap = None
-        # True when this instance uses the base per-part implementations,
-        # letting _process_parts read sector storage without the method
-        # dispatch.  Any override (ReferenceDrive's word-at-a-time loops)
-        # turns the inlining off and everything routes through the methods.
-        cls = type(self)
-        self._plain_parts = (
-            cls._get_part is DiskDrive._get_part
-            and cls._check_part is DiskDrive._check_part
-            and cls._write_part is DiskDrive._write_part
-        )
         #: This drive's metrics, read back through :meth:`stats`: a child of
         #: the clock's registry, so drives sharing a clock sum there while
         #: each keeps its own counts; a cached drive's cache and elevator
@@ -244,14 +230,16 @@ class DiskDrive:
 
         Transient read errors (dust, marginal signal -- injected through the
         fault plan) are absorbed here: the pass is retried with linearly
-        growing rotational backoff, up to ``max_read_retries`` times.  The
+        growing rotational backoff, up to :data:`MAX_READ_RETRIES` times.  The
         write-continuation rule means writes are always a suffix of the
         parts, so an aborted pass has written nothing and the retry is safe.
         Past the budget, :class:`~repro.errors.ReadRetriesExhausted` surfaces
         to the caller with the last transient error chained.
 
-        Observers (a ``disk.transfer`` span, a :class:`DiskTrace`, a fault
-        injector) watch this same path; none of them changes the route.
+        Observers (the ``disk.transfer`` span, a fault injector) watch this
+        same path; neither changes the route.  While tracing is on, the span
+        is the per-command record: its ``address``, ``cylinder`` and
+        ``parts`` arguments name what the command did.
         :class:`~repro.disk.cache.CachedDrive` overrides it to serve commands
         from memory and reaches the platter through ``DiskDrive._command``.
         """
@@ -267,8 +255,6 @@ class DiskDrive:
         """The body of :meth:`_command` (span-wrapped when tracing)."""
         self._c_commands.inc(1)
         self.timer.position_and_transfer(address)
-        if self.trace is not None:
-            self.trace.record(self, address, parts)
 
         if address in self.image.bad_media:
             raise BadSectorError(f"unrecoverable media error at address {address}")
@@ -282,7 +268,7 @@ class DiskDrive:
             except TransientReadError as exc:
                 attempt += 1
                 self._c_transient_read_errors.inc(1)
-                if attempt > self.max_read_retries:
+                if attempt > MAX_READ_RETRIES:
                     raise ReadRetriesExhausted(address, attempt) from exc
                 self._c_read_retries.inc(1)
                 self._retry_backoff(attempt)
@@ -297,22 +283,19 @@ class DiskDrive:
         if sector is None:
             sector = self.image._materialize(address)
         checksum_bad = self.image.checksum_bad
-        plain = self._plain_parts
         result = TransferResult()
         for part, action, data in parts:
             if hook is not None:
                 hook(self, address, part, action.value)
-            if plain:
-                # The base part implementations, inlined (same storage
-                # reads _get_part performs; overrides disable `plain`).
-                if part == "value":
-                    disk_words = sector.value
-                elif part == "label":
-                    disk_words = sector.label_words()
-                else:
-                    disk_words = sector.header_words()
+            # The part's packed words, straight from the sector's storage:
+            # the sector's own list (header, label) or tuple (value), never
+            # mutated here; READ and CHECK results are fresh lists.
+            if part == "value":
+                disk_words = sector.value
+            elif part == "label":
+                disk_words = sector.label_words()
             else:
-                disk_words = self._get_part(sector, part)
+                disk_words = sector.header_words()
             if action is Action.WRITE:
                 self._write_part(sector, address, part, data)
                 if checksum_bad:
@@ -346,22 +329,6 @@ class DiskDrive:
         self.timer.transfer_sector()
 
     # -- helpers ------------------------------------------------------------
-
-    def _get_part(self, sector: Sector, part: str) -> Sequence[int]:
-        """The part's packed words, straight from the sector's storage.
-
-        The returned list (header, label) or tuple (value) is the sector's
-        own: callers never mutate it, and READ and CHECK results are built
-        as fresh lists.
-        Reference twin: ``make_reference_drive`` in
-        ``tests/equivalence/reference.py``, which re-packs through the
-        object views on every access.
-        """
-        if part == "header":
-            return sector.header_words()
-        if part == "label":
-            return sector.label_words()
-        return sector.value
 
     def _check_part(
         self, address: int, part: str, expected: Sequence[int], disk_words: Sequence[int]

@@ -21,7 +21,27 @@ from ..errors import PowerFailure, TornWriteError, TransientReadError
 from ..words import WORD_MASK
 from .image import DiskImage
 from .sector import Label
-from .trace import check_point, point_name
+
+#: Named trace points: one per (part, action) pair the drive can perform.
+#: Fault plans address crash points by these names, e.g. ``"label:write"``
+#: = the moment a label write reaches the head.
+TRACE_POINTS = tuple(
+    f"{part}:{action}"
+    for part in ("header", "label", "value")
+    for action in ("read", "check", "write")
+)
+
+
+def point_name(part: str, action: str) -> str:
+    """The canonical trace-point name for one part action."""
+    return f"{part}:{action}"
+
+
+def check_point(name: str) -> str:
+    """Validate a trace-point name; returns it unchanged or raises."""
+    if name not in TRACE_POINTS:
+        raise ValueError(f"unknown trace point {name!r}; one of {', '.join(TRACE_POINTS)}")
+    return name
 
 
 class FaultInjector:
@@ -195,7 +215,7 @@ class FaultPlan(FaultInjector):
     * :meth:`tear_at_write` -- the Nth part-write lands *torn* (a prefix of
       new words, then garbage), then the machine dies;
     * :meth:`crash_at_point` -- die at the Kth passage of a named trace
-      point from :mod:`repro.disk.trace` (e.g. ``"label:write"``);
+      point from :data:`TRACE_POINTS` (e.g. ``"label:write"``);
     * :meth:`tear_between_label_and_value` -- in a command that writes both
       label and value, complete the label write and die before the value
       write: the on-disk identity is new, the data is old.

@@ -124,12 +124,6 @@ class DiskShape:
         """All valid linear addresses in physical order."""
         return iter(range(self.total_sectors()))
 
-    def cylinder_of(self, address: int) -> int:
-        return self.decompose(address)[0]
-
-    def sector_of(self, address: int) -> int:
-        return self.decompose(address)[2]
-
 
 def diablo31() -> DiskShape:
     """The standard Alto disk (2.5 MB removable pack)."""

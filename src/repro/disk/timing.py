@@ -26,7 +26,11 @@ TRANSFER = "disk.transfer"
 
 
 class ArmTimer:
-    """Tracks arm position and charges seek/rotation/transfer time."""
+    """Tracks arm position and charges seek/rotation/transfer time.
+
+    A command is charged once, by :meth:`position_and_transfer`; only a
+    retried read adds :meth:`transfer_sector` after its backoff.
+    """
 
     def __init__(self, shape: DiskShape, clock: SimClock) -> None:
         self.shape = shape
@@ -39,40 +43,19 @@ class ArmTimer:
 
     # -- charging ---------------------------------------------------------------
 
-    def seek_to(self, cylinder: int) -> None:
-        """Move the arm, charging seek time (zero if already there)."""
-        if cylinder != self.cylinder:
-            self.clock.advance_ms(self.shape.seek_time_ms(self.cylinder, cylinder), SEEK)
-            self.cylinder = cylinder
-
-    def wait_for_sector(self, sector: int) -> None:
-        """Spin until *sector*'s leading edge is under the head."""
-        target_us = sector * self._sector_us_cached
-        position_us = self.clock.now_us % self._rotation_us_cached
-        wait_us = (target_us - position_us) % self._rotation_us_cached
-        self.clock.advance_us(wait_us, ROTATION)
-
     def transfer_sector(self) -> None:
-        """Charge one sector time of transfer."""
+        """Charge one sector time of transfer (a retry's re-read)."""
         self.clock.advance_us(self._sector_us_cached, TRANSFER)
 
-    def position_for(self, address: int) -> None:
-        """Seek + rotational wait for the sector at *address*.
-
-        The address was validated by the caller (the drive validates every
-        command's address before charging time), so the decomposition here
-        skips re-validation.
-        """
-        cylinder, rest = divmod(address, self.shape._per_cylinder)
-        self.seek_to(cylinder)
-        self.wait_for_sector(rest % self.shape.sectors_per_track)
-
     def position_and_transfer(self, address: int) -> None:
-        """:meth:`position_for` + :meth:`transfer_sector`, fused.
+        """Seek, rotational wait and one sector of transfer for *address*.
 
-        The per-command charging sequence of the drive's hot path: seek,
-        rotational wait, one sector of transfer -- identical microseconds
-        and tally categories, one call instead of four.
+        The one per-command charge: every drive command pays it once.  The
+        address was validated by the caller (the drive checks every
+        command's address before charging time).  The seek goes through
+        :meth:`SimClock.advance_ms`; the rotational wait and the transfer
+        land in one step, with the same microseconds and tally categories
+        as two ``advance_us`` calls.
         """
         shape = self.shape
         cylinder, rest = divmod(address, shape._per_cylinder)
@@ -84,23 +67,16 @@ class ArmTimer:
         sector_us = self._sector_us_cached
         target_us = (rest % shape.sectors_per_track) * sector_us
         wait_us = (target_us - clock._now_us % rotation_us) % rotation_us
-        if clock._watchers:
-            clock.advance_us(wait_us, ROTATION)
-            clock.advance_us(sector_us, TRANSFER)
-        else:
-            # Both charges applied in one step (watchers would need the
-            # intermediate instant; with none registered this is exactly
-            # two advance_us calls).
-            clock._now_us += wait_us + sector_us
-            tallies = clock._tallies
-            try:
-                tallies[ROTATION] += wait_us
-            except KeyError:
-                tallies[ROTATION] = wait_us
-            try:
-                tallies[TRANSFER] += sector_us
-            except KeyError:
-                tallies[TRANSFER] = sector_us
+        clock._now_us += wait_us + sector_us
+        tallies = clock._tallies
+        try:
+            tallies[ROTATION] += wait_us
+        except KeyError:
+            tallies[ROTATION] = wait_us
+        try:
+            tallies[TRANSFER] += sector_us
+        except KeyError:
+            tallies[TRANSFER] = sector_us
 
     # -- accounting helpers -------------------------------------------------------
 

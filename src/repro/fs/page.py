@@ -172,34 +172,6 @@ class PageIO:
         except (LabelCheckError, AddressOutOfRange) as exc:
             raise HintFailed(f"page {name} is not at its hinted address") from exc
 
-    # -- link traversal -----------------------------------------------------------
-
-    def follow(self, start: FullName, target_page: int) -> FullName:
-        """Walk NL/PL links from *start* until page *target_page*.
-
-        Returns a full name with a fresh, verified address hint.  Section
-        3.6, option two: "it can follow links from that page, still avoiding
-        the directory lookup."
-        """
-        current = start
-        label = self.read_label(current)
-        while current.page_number != target_page:
-            if current.page_number < target_page:
-                nxt = PageContents(current, label).next_name
-                if nxt is None:
-                    raise HintFailed(
-                        f"file {current.fid.serial:#x} ends at page {current.page_number}, "
-                        f"wanted {target_page}"
-                    )
-                current = nxt
-            else:
-                prev = PageContents(current, label).prev_name
-                if prev is None:
-                    raise HintFailed(f"cannot walk back past page {current.page_number}")
-                current = prev
-            label = self.read_label(current)
-        return current
-
     # -- cache passthroughs (no-ops on a plain drive) -----------------------------
 
     def invalidate(self, address: int) -> None:

@@ -39,7 +39,7 @@ from ..errors import (
     HintFailed,
     SectorChecksumError,
 )
-from ..words import bytes_to_words, words_to_bytes, zero_words
+from ..words import MEMORY_WORDS, bytes_to_words, words_to_bytes, zero_words
 from .allocator import PageAllocator
 from .descriptor import (
     BOOT_PAGE_ADDRESS,
@@ -239,8 +239,6 @@ class Scavenger:
         self.report.sectors_swept = shape.total_sectors()
         self.report.table_entries = len(self._pages)
         # Memory-budget check (section 3.5): 48 bits = 3 words per sector.
-        from ..memory.core import MEMORY_WORDS
-
         self.report.table_fits_in_memory = 3 * shape.total_sectors() <= MEMORY_WORDS
         # Free the garbage labels now (each costs the free revolution).
         for address, swept_words in garbage:

@@ -16,10 +16,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from ..errors import MemoryFault
-from ..words import WORD_MASK, check_word
-
-#: Size of the Alto address space in words.
-MEMORY_WORDS = 0x10000
+from ..words import MEMORY_WORDS, WORD_MASK, check_word
 
 
 class Memory:

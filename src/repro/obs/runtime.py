@@ -13,8 +13,8 @@ Most code reaches observability through the clock it already holds
   Observability so ``drain_stats()`` can merge their metric snapshots
   *after* the benchmark that created them has dropped its drive.  The
   bench harness turns this on around each run; it stays off under pytest
-  (retaining a clock retains its watchers and, through the fault
-  injector, whole disk images).
+  (each retained Observability keeps its clock, its registry and its
+  span ring alive for the life of the process).
 
 Both switches default off, so importing :mod:`repro` never changes
 behaviour on its own.

@@ -234,16 +234,21 @@ class ReplicaStandby:
     def poll(self) -> int:
         """Drain the link, apply whole records, ack; returns records applied.
 
-        Packets must arrive in stream order (the network is a FIFO per
-        host); a gap -- a dropped journal packet -- stalls the stream and
-        counts ``replica.out_of_order``, leaving the primary's lag gauge
-        to tell the story.
+        Only journal data from the connected primary is read: any other
+        packet, from any host, is dropped and counted in
+        ``replica.rejected``, so no third host can write this pack or
+        spend its stream offsets.  Packets must arrive in stream order
+        (the network is a FIFO per host); a gap -- a dropped journal
+        packet -- stalls the stream and counts ``replica.out_of_order``,
+        leaving the primary's lag gauge to tell the story.
         """
         while True:
             packet = self.network.receive(self.host)
             if packet is None:
                 break
-            if packet.ptype != TYPE_DATA or len(packet.payload) < 2:
+            if (packet.source != self.primary_host or packet.ptype != TYPE_DATA
+                    or len(packet.payload) < 2):
+                self.obs.registry.counter("replica.rejected").inc()
                 continue
             offset = (packet.payload[0] << 16) | packet.payload[1]
             chunk = packet.payload[2:]
@@ -383,14 +388,23 @@ class ReplicationPrimary:
         return len(words)
 
     def pump_acks(self) -> None:
-        """Drain acknowledgements from the standby; update the lag gauge."""
+        """Drain acknowledgements from the standby; update the lag gauge.
+
+        An ack counts only when it is a 2-word control packet from the
+        standby's host naming a record already journaled; anything else is
+        dropped and counted in ``replica.rejected``, so no third host can
+        release a response the standby has not applied.
+        """
         while True:
             packet = self.network.receive(self.host)
             if packet is None:
                 break
-            if packet.ptype != TYPE_CONTROL or len(packet.payload) != 2:
+            payload = packet.payload
+            seq = ((payload[0] << 16) | payload[1]) if len(payload) == 2 else None
+            if (packet.source != self.standby.host or packet.ptype != TYPE_CONTROL
+                    or seq is None or seq > self.last_seq):
+                self.server.obs.registry.counter("replica.rejected").inc()
                 continue
-            seq = (packet.payload[0] << 16) | packet.payload[1]
             if seq > self.acked_seq:
                 self.acked_seq = seq
                 self._c_acks.inc()

@@ -38,6 +38,10 @@ WORD_MODULUS = 0x10000
 BYTES_PER_WORD = 2
 MAX_WORD = WORD_MASK
 
+#: Size of the Alto address space in words: all that a 16-bit address
+#: reaches (section 2, "64k words of 800 ns memory").
+MEMORY_WORDS = WORD_MODULUS
+
 #: Number of data words in a disk page (section 3.1: "a value -- 256 data
 #: words") and the corresponding byte count ("pages ... have L=512").
 PAGE_DATA_WORDS = 256

@@ -14,6 +14,7 @@ from repro.disk import (
     FaultPlan,
     Header,
     Label,
+    MAX_READ_RETRIES,
     PartCommand,
     TRACE_POINTS,
     check_point,
@@ -183,7 +184,7 @@ class TestTransientReads:
         with pytest.raises(ReadRetriesExhausted) as info:
             planned_drive.read_label(5)
         assert info.value.address == 5
-        assert info.value.attempts == planned_drive.max_read_retries + 1
+        assert info.value.attempts == MAX_READ_RETRIES + 1
 
     def test_targeted_transients_only_hit_their_address(
         self, planned_drive, fault_plan

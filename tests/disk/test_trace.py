@@ -1,16 +1,42 @@
-"""Tests for the disk-activity trace."""
+"""The per-command disk trace: one ``disk.transfer`` span per command.
+
+While tracing is on, every sector command the drive executes records a
+``disk.transfer`` span whose ``address``, ``cylinder`` and ``parts``
+arguments say where the arm went and what the head did there.  These tests
+read those records back, on single commands and on real workloads.
+"""
 
 import pytest
 
-from repro.disk import DiskDrive, DiskImage, DiskTrace, Label, tiny_test_disk, value_words
+from repro.disk import DiskDrive, DiskImage, Label, tiny_test_disk, value_words
 from repro.fs import FileSystem
+
+
+def trace(drive):
+    """Turn tracing on for *drive*'s clock; returns the drive."""
+    drive.clock.obs.enable_tracing()
+    return drive
+
+
+def transfers(drive):
+    """The ``disk.transfer`` spans recorded so far, in command order."""
+    return drive.clock.obs.tracer.find("disk.transfer")
+
+
+def addresses(drive):
+    return [span.args["address"] for span in transfers(drive)]
+
+
+def sequentiality(visited):
+    """Fraction of consecutive commands that hit the next address."""
+    hits = sum(1 for previous, current in zip(visited, visited[1:])
+               if current == previous + 1)
+    return hits / (len(visited) - 1)
 
 
 @pytest.fixture
 def traced():
-    drive = DiskDrive(DiskImage(tiny_test_disk(cylinders=20)))
-    trace = DiskTrace().attach(drive)
-    return drive, trace
+    return trace(DiskDrive(DiskImage(tiny_test_disk(cylinders=20))))
 
 
 def in_use(page=1):
@@ -19,71 +45,48 @@ def in_use(page=1):
 
 class TestRecording:
     def test_records_commands(self, traced):
-        drive, trace = traced
-        drive.read_sector(0)
-        drive.read_label(5)
-        assert len(trace) == 2
-        assert trace.records[0].address == 0
-        assert trace.records[1].did("label", "read")
-        assert not trace.records[1].did("value", "read")
+        traced.read_sector(0)
+        traced.read_label(5)
+        first, second = transfers(traced)
+        assert (first.args["address"], second.args["address"]) == (0, 5)
+        assert first.args["parts"] == "header:read,label:read,value:read"
+        assert second.args["parts"] == "label:read"
 
     def test_records_part_actions(self, traced):
-        drive, trace = traced
-        drive.check_label_then_rewrite(4, Label.free(), in_use(), value_words([]))
-        by = trace.commands_by_part_action()
-        assert by[("label", "check")] == 1
-        assert by[("label", "write")] == 1
-        assert by[("value", "write")] == 1
+        traced.check_label_then_rewrite(4, Label.free(), in_use(), value_words([]))
+        assert [span.args["parts"] for span in transfers(traced)] == [
+            "label:check", "label:write,value:write"]
 
     def test_timing_is_unchanged_by_tracing(self):
         plain = DiskDrive(DiskImage(tiny_test_disk(cylinders=20)))
-        traced_drive = DiskDrive(DiskImage(tiny_test_disk(cylinders=20)))
-        DiskTrace().attach(traced_drive)
+        traced_drive = trace(DiskDrive(DiskImage(tiny_test_disk(cylinders=20))))
         for drive in (plain, traced_drive):
             for address in (0, 30, 7, 200):
                 drive.read_sector(address)
         assert plain.clock.now_us == traced_drive.clock.now_us
+        assert plain.clock.tallies() == traced_drive.clock.tallies()
+        assert addresses(traced_drive) == [0, 30, 7, 200]
 
     def test_detach_and_clear(self, traced):
-        drive, trace = traced
-        drive.read_sector(0)
-        DiskTrace.detach(drive)
-        drive.read_sector(1)
-        assert len(trace) == 1
-        trace.clear()
-        assert len(trace) == 0
+        traced.read_sector(0)
+        traced.clock.obs.disable_tracing()
+        traced.read_sector(1)
+        assert addresses(traced) == [0]
+        traced.clock.obs.tracer.clear()
+        assert transfers(traced) == []
 
 
 class TestSummaries:
     def test_arm_travel_and_seeks(self, traced):
-        drive, trace = traced
-        per_cyl = drive.shape.sectors_per_cylinder()
-        drive.read_sector(0)                # cylinder 0
-        drive.read_sector(5 * per_cyl)      # cylinder 5
-        drive.read_sector(2 * per_cyl)      # cylinder 2
-        assert trace.seek_count() == 2
-        assert trace.arm_travel() == 8
-
-    def test_sequentiality(self, traced):
-        drive, trace = traced
-        for address in range(10):
-            drive.read_sector(address)
-        assert trace.sequentiality() == 1.0
-        drive.read_sector(100)
-        assert trace.sequentiality() < 1.0
-
-    def test_hottest_addresses(self, traced):
-        drive, trace = traced
-        for _ in range(3):
-            drive.read_sector(7)
-        drive.read_sector(2)
-        assert trace.hottest_addresses(1) == [(7, 4 - 1)]
-
-    def test_summary_text(self, traced):
-        drive, trace = traced
-        drive.read_sector(0)
-        text = trace.summary()
-        assert "1 commands" in text and "sequentiality" in text
+        """The cylinder argument follows the arm, so its travel reads off
+        the trace."""
+        per_cyl = traced.shape.sectors_per_cylinder()
+        traced.read_sector(0)                # cylinder 0
+        traced.read_sector(5 * per_cyl)      # cylinder 5
+        traced.read_sector(2 * per_cyl)      # cylinder 2
+        cylinders = [span.args["cylinder"] for span in transfers(traced)]
+        assert cylinders == [0, 5, 2]
+        assert sum(abs(b - a) for a, b in zip(cylinders, cylinders[1:])) == 8
 
 
 class TestTraceOnRealWorkloads:
@@ -95,13 +98,12 @@ class TestTraceOnRealWorkloads:
         fs = FileSystem.format(DiskDrive(image))
         fs.create_file("a.dat").write_data(b"z" * 2000)
         fs.sync()
-        drive = DiskDrive(image)
-        trace = DiskTrace().attach(drive)
+        drive = trace(DiskDrive(image))
         Scavenger(drive).scavenge()
-        sweep = trace.records[: image.shape.total_sectors()]
-        addresses = [r.address for r in sweep]
-        assert addresses == sorted(addresses)
-        assert trace.sequentiality() > 0.8
+        visited = addresses(drive)
+        sweep = visited[: image.shape.total_sectors()]
+        assert sweep == sorted(sweep)
+        assert sequentiality(visited) > 0.8
 
     def test_scattered_vs_compacted_read_patterns(self):
         from repro.fs import Compactor
@@ -111,6 +113,6 @@ class TestTraceOnRealWorkloads:
         fs.create_file("seq.dat").write_data(b"q" * 4000)
         Compactor(fs.drive).compact()
         fs2 = FileSystem.mount(DiskDrive(image))
-        trace = DiskTrace().attach(fs2.drive)
+        trace(fs2.drive)
         fs2.open_file("seq.dat").read_data()
-        assert trace.sequentiality() > 0.5  # consecutive pages, few jumps
+        assert sequentiality(addresses(fs2.drive)) > 0.5  # consecutive pages, few jumps

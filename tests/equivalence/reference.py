@@ -102,21 +102,18 @@ def make_reference_drive(image, clock=None, fault_injector=None, **kwargs):
 
     Used by the drive differential to replay identical command sequences
     through the slow and fast part paths and assert byte- and
-    microsecond-identical outcomes.
+    microsecond-identical outcomes.  It overrides the check (word by word)
+    and the write (through the sector's ``header``/``label`` object
+    setters); it reads a part's words from sector storage as every drive
+    does, and ``test_sector_views`` pins that those words always equal
+    the object views re-packed, whichever setter pair wrote them.
     """
     from repro.disk.drive import DiskDrive, _PART_SIZES
     from repro.disk.sector import Header, Label
     from repro.errors import CheckError, LabelCheckError
 
     class ReferenceDrive(DiskDrive):
-        """The pre-fast-path drive: per-word loops, per-access packing."""
-
-        def _get_part(self, sector, part):
-            if part == "header":
-                return sector.header.pack()
-            if part == "label":
-                return sector.label.pack()
-            return sector.value
+        """The pre-fast-path drive: per-word checks, object-view writes."""
 
         def _check_part(self, address, part, expected, disk_words):
             if len(expected) != _PART_SIZES[part]:

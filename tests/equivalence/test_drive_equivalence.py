@@ -1,10 +1,11 @@
 """Identical command sequences through the fast drive and the reference drive.
 
 :func:`tests.equivalence.reference.make_reference_drive` builds a ``DiskDrive`` subclass
-whose per-part loops are the original word-at-a-time forms.  Both drives
-run every command through the same ``_command`` path; overriding the part
-loops turns off the drive's inlined storage reads, so the reference drive
-exercises the methods themselves.  These tests replay one script on both
+whose check and write are the original word-at-a-time forms.  Both drives
+run every command through the same ``_command`` path and read each part's
+words from sector storage; the reference drive's overrides write through
+the sector's object views, so its reads see what those setters left.
+These tests replay one script on both
 and require the complete observable record to match: return values,
 exception types and messages, counter snapshots, simulated microseconds,
 and the pack digest.

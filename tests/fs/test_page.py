@@ -108,18 +108,6 @@ class TestTraversal:
         last = pio.read(names[2])
         assert last.next_name is None and last.is_last
 
-    def test_follow_forward_and_backward(self, pio, fid):
-        names = chain(pio, fid, [4, 9, 14, 19])
-        found = pio.follow(names[0], 3)
-        assert found == names[3]
-        found = pio.follow(names[3], 1)
-        assert found == names[1]
-
-    def test_follow_past_end_fails(self, pio, fid):
-        names = chain(pio, fid, [4, 9])
-        with pytest.raises(HintFailed):
-            pio.follow(names[0], 5)
-
     def test_page_contents_length(self, pio, fid):
         names = chain(pio, fid, [4, 9])
         assert pio.read(names[0]).byte_length == 512

@@ -13,7 +13,7 @@ import pytest
 from repro import DiskDrive, DiskImage, FileSystem, tiny_test_disk
 from repro.errors import RequestTimeout
 from repro.net import PacketNetwork
-from repro.net.network import Packet, TYPE_DATA
+from repro.net.network import Packet, TYPE_CONTROL, TYPE_DATA
 from repro.server import FileClient, FileServer
 from repro.server.replica import (
     CHUNK_WORDS,
@@ -118,6 +118,7 @@ def test_bootstrap_shares_the_primary_value_tuples():
 def test_standby_drops_out_of_order_chunks():
     net = PacketNetwork()
     standby = ReplicaStandby(net, tiny_test_disk())
+    standby.connect("x")
     words = encode_record(1, 6, "header", [9, 9])
     # Stream offset 100 when 0 is expected: a gap from a dropped packet.
     net.send(Packet("x", standby.host, TYPE_DATA, (0, 100, *words)))
@@ -129,6 +130,8 @@ def test_standby_drops_out_of_order_chunks():
 def test_standby_skips_records_already_covered_by_snapshot():
     net = PacketNetwork()
     standby = ReplicaStandby(net, tiny_test_disk())
+    net.attach("x")
+    standby.connect("x")
     standby.install(DiskImage(tiny_test_disk()).snapshot(), seq=5)
     stale = encode_record(4, 6, "header", [1, 1])
     fresh = encode_record(6, 6, "header", [2, 2])
@@ -181,6 +184,72 @@ def test_write_response_is_withheld_until_ack_and_retries_suppressed():
     assert registry.counter("server.repl.released").value == 1
     assert not server._held
     assert server.replication.standby_lag == 0
+
+
+# ----------------------------------------------------------------------------
+# The link answers only to its peer
+# ----------------------------------------------------------------------------
+
+def rejected(registry):
+    return registry.snapshot().get("replica.rejected", 0)
+
+
+def test_a_forged_ack_releases_nothing():
+    net, fs, standby, server = build_pair()
+    replication = server.replication
+    client = FileClient(net, "ws", pump=server.poll, max_retries=3)
+    with pytest.raises(RequestTimeout):
+        client.write_file("gated.txt", b"never acked")
+    acked, lag = replication.acked_seq, replication.standby_lag
+    assert len(server._held) == 1 and lag > 0
+    net.attach("mallory")
+    # An ack from a third host, and one from the standby's own host naming
+    # a record the primary never journaled.
+    net.send(Packet("mallory", replication.host, TYPE_CONTROL, (0, 60000)))
+    net.send(Packet(standby.host, replication.host, TYPE_CONTROL,
+                    (0, replication.last_seq + 1)))
+    server.poll()
+    assert replication.acked_seq == acked
+    assert replication.standby_lag == lag
+    assert len(server._held) == 1
+    assert server.obs.registry.counter("server.repl.released").value == 0
+    assert rejected(server.obs.registry) == 2
+    # The real ack still releases the held response, once.
+    standby.poll()
+    server.poll()
+    assert not server._held
+    assert server.obs.registry.counter("server.repl.released").value == 1
+
+
+def test_forged_journal_packets_are_not_applied():
+    net, fs, standby, server = build_pair()
+    client = FileClient(net, "ws", pump=pump_both(server, standby))
+    client.write_file("before.txt", b"clean")
+    # A clean exchange creates no rejection counter on either machine.
+    assert "replica.rejected" not in server.obs.registry.snapshot()
+    assert "replica.rejected" not in standby.obs.registry.snapshot()
+    image_before = standby.image.digest()
+    applied = standby.applied_seq
+    # Journal-shaped packets from a third host, at the stream offset the
+    # standby expects next: a value record overwriting sector 5.
+    net.attach("mallory")
+    forged = encode_record(applied + 1, 5, "value", [0xBEEF] * 256)
+    offset = server.replication._shipped_words
+    for start in range(0, len(forged), CHUNK_WORDS):
+        at = offset + start
+        net.send(Packet("mallory", standby.host, TYPE_DATA,
+                        ((at >> 16) & 0xFFFF, at & 0xFFFF,
+                         *forged[start:start + CHUNK_WORDS])))
+    assert standby.poll() == 0
+    assert standby.image.digest() == image_before
+    assert standby.applied_seq == applied
+    assert rejected(standby.obs.registry) == 2
+    # The forgery spent no stream offset: the next real write replicates.
+    client.write_file("after.txt", b"still on two packs")
+    assert client.read_file("after.txt") == b"still on two packs"
+    assert server.replication.standby_lag == 0
+    assert standby.image.digest() == fs.drive.image.digest()
+    assert standby.obs.registry.counter("replica.out_of_order").value == 0
 
 
 # ----------------------------------------------------------------------------

@@ -40,17 +40,6 @@ class TestSimClock:
         clock.tallies()["x"] = 999
         assert clock.tally_us("x") == 10
 
-    def test_watchers_fire_on_advance(self):
-        clock = SimClock()
-        seen = []
-        clock.add_watcher(seen.append)
-        clock.advance_us(5)
-        clock.advance_us(7)
-        assert seen == [5, 12]
-        clock.remove_watcher(seen.append)
-        clock.advance_us(1)
-        assert seen == [5, 12]
-
 
 class TestStopwatch:
     def test_elapsed(self):

@@ -97,3 +97,15 @@ def test_a_file_service_run_loads_no_os_world_streams_or_memory():
 
 def test_the_cli_loads_the_os_only_where_a_command_runs_one():
     assert under(loaded_after("import repro.__main__"), ("repro.os",)) == []
+
+
+def test_a_scavenge_loads_no_memory_package():
+    # The sweep's memory-budget check reads MEMORY_WORDS from repro.words.
+    modules = loaded_after(
+        "from repro.fs.scavenger import Scavenger\n"
+        "from repro.disk import DiskDrive, DiskImage, tiny_test_disk\n"
+        "from repro.fs import FileSystem\n"
+        "drive = DiskDrive(DiskImage(tiny_test_disk()))\n"
+        "FileSystem.format(drive)\n"
+        "assert Scavenger(drive).scavenge().table_fits_in_memory")
+    assert under(modules, ("repro.memory",)) == []
