@@ -9,7 +9,7 @@ Regenerates: simulated access cost at each rung for the same page.
 
 import pytest
 
-from repro.disk import DiskDrive, FaultInjector
+from repro.disk import DiskDrive, FaultPlan
 from repro.fs import FileSystem, HintLadder
 
 from paper import populated_disk, report
@@ -49,9 +49,9 @@ def measure_all():
     # Scavenge rung: the directory entry itself goes stale (leader moved
     # behind everyone's back), so only a full reconstruction helps.
     image, fs, file, good = build()
-    injector = FaultInjector(image, seed=3)
+    plan = FaultPlan(image, seed=3)
     free = next(s.header.address for s in image.sectors() if s.label.is_free)
-    injector.swap_sectors(file.leader_address(), free)
+    plan.swap_sectors(file.leader_address(), free)
     results["scavenge"], stats = timed_read(fs, good.with_address(5))
     assert stats["fs.ladder.rung.scavenge"] == 1
     return results

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.disk import DiskDrive, DiskImage, FaultInjector, tiny_test_disk
+from repro.disk import DiskDrive, DiskImage, FaultPlan, tiny_test_disk
 from repro.errors import TornWriteError
 from repro.fs import FileSystem, Scavenger
 from repro.words import random_bytes
@@ -45,25 +45,25 @@ def run_campaign():
              "torn_writes": 0}
     for seed in range(TRIALS):
         image, payloads, serial_to_name, rng = build_trial(seed)
-        injector = FaultInjector(image, seed=seed + 1000)
+        plan = FaultPlan(image, seed=seed + 1000)
         damaged = set()
         for _ in range(FAULTS_PER_TRIAL):
             kind = rng.choice(["links", "label", "swap", "torn"])
             in_use = [s.header.address for s in image.sectors() if s.label.in_use]
             if kind == "links":
-                injector.scramble_links(rng.choice(in_use))
+                plan.scramble_links(rng.choice(in_use))
             elif kind == "label":
                 address = rng.choice(in_use)
                 # Attribute the damage by the owner at fault time.
                 damaged.add(serial_to_name.get(image.sector(address).label.serial))
-                injector.scramble_label(address)
+                plan.scramble_label(address)
             elif kind == "swap":
-                injector.swap_sectors(*rng.sample(in_use, 2))
+                plan.swap_sectors(*rng.sample(in_use, 2))
             elif kind == "torn":
                 from repro.errors import ReproError
 
-                drive = DiskDrive(image, fault_injector=injector)
-                injector.schedule_power_failure(after_writes=rng.randrange(1, 6))
+                drive = DiskDrive(image, fault_injector=plan)
+                plan.schedule_power_failure(after_writes=rng.randrange(1, 6))
                 victim = rng.choice(sorted(payloads))
                 try:
                     fs = FileSystem.mount(drive)
@@ -72,11 +72,10 @@ def run_campaign():
                     # Earlier faults already made the pack unmountable or
                     # the victim unreachable; nothing was rewritten -- the
                     # user reboots into the Scavenger instead.
-                    injector.cancel_power_failure()
+                    plan.revive()
                     continue
                 try:
                     file.write_data(b"X" * 900)
-                    injector.cancel_power_failure()
                     payloads[victim] = b"X" * 900
                 except TornWriteError:
                     stats["torn_writes"] += 1
@@ -85,8 +84,10 @@ def run_campaign():
                     # The rewrite began and was then interrupted (e.g. a
                     # stale hint mid-update): like a torn write, the file's
                     # content is indeterminate, but nothing else may suffer.
-                    injector.cancel_power_failure()
                     del payloads[victim]
+                # Reboot: a torn write left the machine down (its torn part
+                # checksum-bad), and a tear that never fired is cancelled.
+                plan.revive()
             stats["faults"] += 1
 
         Scavenger(DiskDrive(image)).scavenge()

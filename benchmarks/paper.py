@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.disk import DiskDrive, DiskImage, DiskShape, FaultInjector, diablo31
+from repro.disk import DiskDrive, DiskImage, DiskShape, FaultPlan, diablo31
 from repro.fs import FileSystem, Scavenger
 from repro.words import random_bytes
 
@@ -123,13 +123,13 @@ def scatter_file(image: DiskImage, fs: FileSystem, name: str, payload: bytes, se
     rng = random.Random(seed)
     fs.create_file(name).write_data(payload)
     fs.sync()
-    injector = FaultInjector(image, seed=seed)
+    plan = FaultPlan(image, seed=seed)
     file = fs.open_file(name)
     addresses = [file.page_name(pn).address for pn in range(file.page_count())]
     free = [s.header.address for s in image.sectors() if s.label.is_free]
     rng.shuffle(free)
     for address in addresses:
-        injector.swap_sectors(address, free.pop())
+        plan.swap_sectors(address, free.pop())
     clock = fs.drive.clock
     Scavenger(DiskDrive(image, clock=clock)).scavenge()
     return FileSystem.mount(DiskDrive(image, clock=clock))

@@ -8,7 +8,7 @@ the absolutes, and -- the paper's headline claim -- *no user data is lost*:
 "The incidence of complaints about lost information is negligible."
 """
 
-from repro import DiskDrive, DiskImage, FaultInjector, FileSystem, Scavenger, diablo31
+from repro import DiskDrive, DiskImage, FaultPlan, FileSystem, Scavenger, diablo31
 from repro.errors import TornWriteError
 
 
@@ -31,9 +31,9 @@ def main() -> None:
     print(f"wrote {len(names)} files, {sum(len(v) for v in before.values()):,} bytes")
 
     # --- Disaster 1: power failure mid-write -------------------------------------
-    injector = FaultInjector(image, seed=7)
-    drive.fault_injector = injector
-    injector.schedule_power_failure(after_writes=3)
+    plan = FaultPlan(image, seed=7)
+    drive.fault_injector = plan
+    plan.schedule_power_failure(after_writes=3)
     try:
         fs.open_file("archive05.dat").write_data(b"NEW CONTENTS " * 200)
         print("write completed?!")
@@ -51,12 +51,12 @@ def main() -> None:
     print("all 29 untouched files byte-identical; the torn file is detected, not silently wrong")
 
     # --- Disaster 2: scrambled labels and a lying map ------------------------------
-    injector = FaultInjector(image, seed=11)
-    victims = injector.random_in_use_addresses(3)
+    plan = FaultPlan(image, seed=11)
+    victims = plan.random_in_use_addresses(3)
     for address in victims:
-        injector.scramble_links(address)
+        plan.scramble_links(address)
     # Make the map lie: mark 50 busy pages "free".
-    for address in injector.random_in_use_addresses(50):
+    for address in plan.random_in_use_addresses(50):
         fs.allocator.mark_free(address)
     fs.sync()
 
@@ -71,9 +71,9 @@ def main() -> None:
     print(f"allocation-map lies caught by label checks so far: {fs.allocator.map_lies}")
 
     # --- Disaster 3: a directory page destroyed --------------------------------------
-    injector = FaultInjector(image, seed=13)
+    plan = FaultPlan(image, seed=13)
     root_data_page = fs.root.file.page_name(1).address
-    injector.scramble_label(root_data_page)
+    plan.scramble_label(root_data_page)
     print("destroyed the root directory's data page label")
 
     drive = DiskDrive(image, clock=drive.clock)

@@ -12,7 +12,7 @@ from repro import (
     AltoOS,
     DiskDrive,
     DiskImage,
-    FaultInjector,
+    FaultPlan,
     diablo31,
     open_read_stream,
     read_string,
@@ -45,10 +45,10 @@ def main() -> None:
     stream.close()
 
     # --- 4. Vandalize the disk, then scavenge --------------------------------
-    injector = FaultInjector(image, seed=1979)
-    for address in injector.random_in_use_addresses(8):
-        injector.scramble_links(address)          # corrupt hint links
-    injector.swap_sectors(*injector.random_in_use_addresses(2))
+    plan = FaultPlan(image, seed=1979)
+    for address in plan.random_in_use_addresses(8):
+        plan.scramble_links(address)              # corrupt hint links
+    plan.swap_sectors(*plan.random_in_use_addresses(2))
     print("--- corrupted 8 link pairs and swapped two sectors behind the OS's back")
 
     report = os.scavenge()

@@ -28,7 +28,7 @@ lazy_exports(globals(), {
     "": ("errors", "obs"),
     "clock": ("SimClock",),
     "obs": ("MetricsRegistry", "Observability", "Tracer"),
-    "disk": ("DiskDrive", "DiskImage", "DiskShape", "FaultInjector",
+    "disk": ("DiskDrive", "DiskImage", "DiskShape", "FaultPlan",
              "diablo31", "diablo44", "tiny_test_disk"),
     "fs": ("AltoFile", "Compactor", "ConsecutiveReader", "Directory",
            "FileSystem", "FullName", "HintLadder", "KthPageHints",

@@ -13,8 +13,7 @@ lazy_exports(globals(), {
     "cache": ("CACHE_HIT_US", "DEFAULT_CACHE_SECTORS", "CachedDrive"),
     "drive": ("MAX_READ_RETRIES", "Action", "DiskDrive", "PartCommand",
               "TransferResult"),
-    "faults": ("TRACE_POINTS", "FaultInjector", "FaultPlan", "check_point",
-               "point_name"),
+    "faults": ("TRACE_POINTS", "FaultPlan", "check_point", "point_name"),
     "geometry": ("NIL", "DiskShape", "diablo31", "diablo44", "tiny_test_disk"),
     "image": ("DiskImage",),
     "scheduler": ("RequestScheduler",),

@@ -47,7 +47,7 @@ from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 from ..clock import SimClock
-from ..errors import CheckError, PowerFailure
+from ..errors import CheckError
 from .drive import Action, DiskDrive, TransferResult
 from .image import DiskImage
 from .scheduler import RequestScheduler
@@ -92,7 +92,10 @@ class CachedDrive(DiskDrive):
     in elevator order; :meth:`repro.fs.filesystem.FileSystem.sync` calls it.
     :meth:`stats` holds the cache's ``disk.cache.*`` and the elevator's
     ``disk.sched.*`` metrics beside ``disk.drive.*``, which still counts
-    real disk commands only.
+    real disk commands only.  A :class:`~repro.disk.faults.FaultPlan`
+    given as ``fault_injector`` sees every platter command; while it has
+    the machine down, a command served from memory raises its
+    :class:`~repro.errors.PowerFailure` too.
     """
 
     def __init__(
@@ -181,7 +184,8 @@ class CachedDrive(DiskDrive):
         re-issues the same guarded one-pass write, so nothing is ever
         written to the platter unchecked.
         """
-        self._require_uncrashed()
+        if self.fault_injector is not None:  # memory dies with the machine
+            self.fault_injector.require_alive()
         entry = self._entries.get(address)
         if (
             entry is None
@@ -232,7 +236,8 @@ class CachedDrive(DiskDrive):
             if getattr(entry, part) is None or (address, part) in checksum_bad:
                 self._c_misses.inc()
                 return self._pass_through(address, parts)
-        self._require_uncrashed()
+        if self.fault_injector is not None:  # memory dies with the machine
+            self.fault_injector.require_alive()
         self._touch(address)
         result = TransferResult()
         for part, action, expected in parts:
@@ -360,14 +365,6 @@ class CachedDrive(DiskDrive):
     # ------------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------------
-
-    def _require_uncrashed(self) -> None:
-        """Memory-served commands must still die with the machine."""
-        injector = self.fault_injector
-        if injector is not None and getattr(injector, "crashed", False):
-            raise PowerFailure(
-                f"machine is down ({injector.crash_reason}); revive() to reboot"
-            )
 
     def _touch(self, address: int) -> None:
         self._entries.move_to_end(address)

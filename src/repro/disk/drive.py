@@ -142,7 +142,14 @@ class TransferResult:
 
 
 class DiskDrive:
-    """One spindle holding one pack, exposing the per-part command interface."""
+    """One spindle holding one pack, exposing the per-part command interface.
+
+    *fault_injector*, if given, is a :class:`~repro.disk.faults.FaultPlan`.
+    Every command calls its ``before_parts`` hook, every part its
+    ``before_part`` hook and every part-write its ``filter_write`` hook, so
+    the plan's crashes, tears and transient reads fire where it schedules
+    them.
+    """
 
     def __init__(
         self,
@@ -156,7 +163,7 @@ class DiskDrive:
         self.fault_injector = fault_injector
         #: Optional durability observer: called as ``tap(address, part, data)``
         #: after every part-write lands on the platter (never for torn
-        #: writes -- the injector raises before the tap).  This is the
+        #: writes -- the fault plan raises before the tap).  This is the
         #: replication journal's capture point (:mod:`repro.server.replica`).
         self.journal_tap = None
         #: This drive's metrics, read back through :meth:`stats`: a child of
@@ -236,7 +243,7 @@ class DiskDrive:
         Past the budget, :class:`~repro.errors.ReadRetriesExhausted` surfaces
         to the caller with the last transient error chained.
 
-        Observers (the ``disk.transfer`` span, a fault injector) watch this
+        Observers (the ``disk.transfer`` span, a fault plan) watch this
         same path; neither changes the route.  While tracing is on, the span
         is the per-command record: its ``address``, ``cylinder`` and
         ``parts`` arguments name what the command did.
@@ -276,7 +283,6 @@ class DiskDrive:
     def _process_parts(self, address: int, parts: list) -> TransferResult:
         """One pass over the sector: parts in head order."""
         injector = self.fault_injector
-        hook = getattr(injector, "before_part", None) if injector is not None else None
         # The caller validated the address before any time was charged;
         # index the platter directly rather than re-validating per pass.
         sector = self.image._sectors[address]
@@ -285,8 +291,8 @@ class DiskDrive:
         checksum_bad = self.image.checksum_bad
         result = TransferResult()
         for part, action, data in parts:
-            if hook is not None:
-                hook(self, address, part, action.value)
+            if injector is not None:
+                injector.before_part(self, address, part, action.value)
             # The part's packed words, straight from the sector's storage:
             # the sector's own list (header, label) or tuple (value), never
             # mutated here; READ and CHECK results are fresh lists.

@@ -2,10 +2,13 @@
 
 The paper's central robustness claims (section 3.3, section 6) are about
 what happens when things go wrong: stale hints, lying allocation maps,
-crashes between related writes, decaying media.  ``FaultInjector`` produces
-those wrongs on demand, both *through* the drive (torn writes -- a power
-failure mid-sector) and *behind* the drive's back (label scrambling, media
-decay -- corruption that no software action caused).
+crashes between related writes, decaying media.  ``FaultPlan`` produces
+those wrongs on demand, both *through* the drive (crashes, torn writes --
+a power failure mid-sector -- and transient read errors) and *behind* the
+drive's back (label scrambling, media decay -- corruption that no software
+action caused).  A power failure is one event however it is scheduled:
+the begun write leaves a prefix of new words, that part's checksum is
+never laid down, and the machine stays down until :meth:`FaultPlan.revive`.
 
 All randomized behaviour goes through an explicitly seeded ``random.Random``
 so every campaign is reproducible.
@@ -19,16 +22,18 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import PowerFailure, TornWriteError, TransientReadError
 from ..words import WORD_MASK
+from .drive import Action
 from .image import DiskImage
-from .sector import Label
+from .sector import Header, Label
+
+#: A sector's parts, in head order.
+_PARTS = ("header", "label", "value")
 
 #: Named trace points: one per (part, action) pair the drive can perform.
 #: Fault plans address crash points by these names, e.g. ``"label:write"``
 #: = the moment a label write reaches the head.
 TRACE_POINTS = tuple(
-    f"{part}:{action}"
-    for part in ("header", "label", "value")
-    for action in ("read", "check", "write")
+    f"{part}:{action}" for part in _PARTS for action in ("read", "check", "write")
 )
 
 
@@ -44,77 +49,150 @@ def check_point(name: str) -> str:
     return name
 
 
-class FaultInjector:
-    """Corrupts a pack in controlled, reproducible ways.
+@dataclass
+class _TransientReads:
+    """A scheduled burst of transient read failures."""
 
-    Attach to a :class:`~repro.disk.drive.DiskDrive` via its
-    ``fault_injector`` argument to intercept writes; the direct-corruption
-    methods operate on the image and need no drive at all.
+    remaining: int
+    address: Optional[int] = None  # None: any address
+    part: Optional[str] = None  # None: any part
+
+    def matches(self, address: int, part: str) -> bool:
+        if self.remaining <= 0:
+            return False
+        if self.address is not None and address != self.address:
+            return False
+        if self.part is not None and part != self.part:
+            return False
+        return True
+
+
+class FaultPlan:
+    """A deterministic schedule of faults: the crash-testing engine.
+
+    Attach it to a drive (as its ``fault_injector``) and schedule, ahead of
+    time, exactly where the machine dies or the media glitches; its
+    direct-corruption methods operate on the image and need no drive at
+    all.  Everything is counted deterministically, so a campaign that
+    crashes at part-write N is replayable bit-for-bit from (seed, N).
+
+    Crash points:
+
+    * :meth:`crash_at_write` -- die *instead of* performing the Nth
+      part-write (clean crash at a write boundary: writes 1..N-1 landed,
+      write N and everything after did not);
+    * :meth:`tear_at_write` -- the Nth part-write lands *torn* (a prefix of
+      new words, then garbage), then the machine dies;
+      :meth:`schedule_power_failure` is the same tear counted from now;
+    * :meth:`crash_at_point` -- die at the Kth passage of a named trace
+      point from :data:`TRACE_POINTS` (e.g. ``"label:write"``);
+    * :meth:`tear_between_label_and_value` -- in a command that writes both
+      label and value, complete the label write and die before the value
+      write: the on-disk identity is new, the data is old.
+
+    Media faults:
+
+    * :meth:`schedule_transient_reads` -- the next K read/check part
+      attempts fail transiently; the drive's bounded retry-with-backoff
+      must absorb up to its retry budget and surface
+      :class:`~repro.errors.ReadRetriesExhausted` beyond it;
+    * behind the drive's back: :meth:`decay_sector`, :meth:`flip_bits`,
+      the scrambles and :meth:`swap_sectors`.
+
+    After any crash the plan considers the machine *down*: every further
+    drive operation raises :class:`~repro.errors.PowerFailure` until
+    :meth:`revive` -- recovery code must run on a fresh drive (or revive
+    first), exactly like a real reboot.
     """
 
     def __init__(self, image: DiskImage, seed: int = 1979) -> None:
         self.image = image
         self.rng = random.Random(seed)
-        self._writes_until_power_failure: Optional[int] = None
         self.torn_writes = 0
-
-    # ------------------------------------------------------------------------
-    # Drive hooks
-    # ------------------------------------------------------------------------
-
-    def before_parts(self, drive, address: int, parts: Sequence) -> None:
-        """Called by the drive before processing a command's parts.
-
-        *parts* is the drive's flattened command: a sequence of
-        ``(part, Action, data)`` triples covering every non-NONE part in
-        head order -- the same shape the drive executes, so observing it
-        costs no ``PartCommand`` packaging on the hot path.
-        """
-        # Currently a hook point only; media errors are raised by the drive
-        # itself from ``image.bad_media``.
-
-    def filter_write(self, drive, address: int, part: str, data: Sequence[int]) -> Sequence[int]:
-        """Called for every part write with the caller's words, which it
-        must not modify; may tear the write.
-
-        A torn write models a power failure once the write has begun: the
-        hardware contract says the write "must continue through the rest of
-        the sector", so a failure leaves a prefix of new words followed by
-        garbage -- the worst case the scavenger must survive.
-        """
-        if self._writes_until_power_failure is None:
-            return data
-        self._writes_until_power_failure -= 1
-        if self._writes_until_power_failure > 0:
-            return data
-        self._writes_until_power_failure = None
-        self.torn_writes += 1
-        keep = self.rng.randrange(0, len(data))
-        torn = list(data[:keep]) + [self.rng.randrange(WORD_MASK + 1) for _ in range(len(data) - keep)]
-        # The torn words land on the platter, then the machine dies.
-        sector = self.image.sector(address)
-        if part == "header":
-            from .sector import Header
-
-            sector.header = Header.unpack(torn)
-        elif part == "label":
-            sector.label = Label.unpack(torn)
-        else:
-            sector.value = torn
-        raise TornWriteError(f"power failed during {part} write at address {address}")
+        self.crashed = False
+        self.crash_reason: Optional[str] = None
+        #: Part-writes seen so far (the crash-point coordinate system).
+        self.writes_seen = 0
+        self._crash_at_write: Optional[int] = None
+        self._tear_at_write: Optional[int] = None
+        self._crash_points: Dict[str, int] = {}  # point -> remaining passages
+        self._tear_label_value: Optional[int] = None  # remaining occurrences
+        self._crash_before_value = False  # armed for the current command
+        self._transient: List[_TransientReads] = []
 
     # ------------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------------
 
+    def crash_at_write(self, n: int) -> "FaultPlan":
+        """Die cleanly in place of part-write *n* (absolute count, 1-based)."""
+        if n <= self.writes_seen:
+            raise ValueError(f"write {n} already happened ({self.writes_seen} seen)")
+        self._crash_at_write = n
+        return self
+
+    def tear_at_write(self, n: int) -> "FaultPlan":
+        """Part-write *n* lands torn (new prefix + garbage), then die."""
+        if n <= self.writes_seen:
+            raise ValueError(f"write {n} already happened ({self.writes_seen} seen)")
+        self._tear_at_write = n
+        return self
+
     def schedule_power_failure(self, after_writes: int) -> None:
-        """Tear the Nth subsequent part-write (1 = the very next one)."""
+        """Tear the Nth subsequent part-write (1 = the very next one), as
+        :meth:`tear_at_write` does."""
         if after_writes < 1:
             raise ValueError("after_writes must be >= 1")
-        self._writes_until_power_failure = after_writes
+        self.tear_at_write(self.writes_seen + after_writes)
 
     def cancel_power_failure(self) -> None:
-        self._writes_until_power_failure = None
+        self._tear_at_write = None
+
+    def crash_at_point(self, point: str, occurrence: int = 1) -> "FaultPlan":
+        """Die at the *occurrence*-th future passage of a named trace point."""
+        if occurrence < 1:
+            raise ValueError("occurrence must be >= 1")
+        self._crash_points[check_point(point)] = occurrence
+        return self
+
+    def tear_between_label_and_value(self, occurrence: int = 1) -> "FaultPlan":
+        """In the *occurrence*-th command writing label AND value, finish the
+        label write and die before the value write."""
+        if occurrence < 1:
+            raise ValueError("occurrence must be >= 1")
+        self._tear_label_value = occurrence
+        return self
+
+    def schedule_transient_reads(
+        self, times: int, address: Optional[int] = None, part: Optional[str] = None
+    ) -> "FaultPlan":
+        """The next *times* matching read/check part attempts fail
+        transiently (each drive retry consumes one failure).  *address*
+        must be on the pack and *part* one of header, label or value: a
+        burst that can never match would silently test nothing."""
+        if times < 1:
+            raise ValueError("times must be >= 1")
+        if address is not None and address not in range(self.image.shape.total_sectors()):
+            raise ValueError(f"address {address!r} is not on the pack")
+        if part is not None and part not in _PARTS:
+            raise ValueError(f"unknown part {part!r}; one of {', '.join(_PARTS)}")
+        self._transient.append(_TransientReads(times, address, part))
+        return self
+
+    def clear(self) -> None:
+        """Drop every scheduled fault (the machine stays up)."""
+        self._crash_at_write = None
+        self._tear_at_write = None
+        self._crash_points.clear()
+        self._tear_label_value = None
+        self._crash_before_value = False
+        self._transient.clear()
+
+    def revive(self) -> None:
+        """Power the machine back on (scheduled faults stay cleared)."""
+        self.clear()
+        self.crashed = False
+        self.crash_reason = None
 
     # ------------------------------------------------------------------------
     # Direct corruption (behind the drive's back)
@@ -173,158 +251,8 @@ class FaultInjector:
             raise ValueError(f"only {len(in_use)} sectors in use, asked for {count}")
         return self.rng.sample(in_use, count)
 
-
-# ----------------------------------------------------------------------------
-# FaultPlan: a programmable, deterministic schedule of faults
-# ----------------------------------------------------------------------------
-
-
-@dataclass
-class _TransientReads:
-    """A scheduled burst of transient read failures."""
-
-    remaining: int
-    address: Optional[int] = None  # None: any address
-    part: Optional[str] = None  # None: any part
-
-    def matches(self, address: int, part: str) -> bool:
-        if self.remaining <= 0:
-            return False
-        if self.address is not None and address != self.address:
-            return False
-        if self.part is not None and part != self.part:
-            return False
-        return True
-
-
-class FaultPlan(FaultInjector):
-    """A deterministic schedule of faults: the crash-testing engine.
-
-    Where :class:`FaultInjector` offers one-shot corruption calls, a
-    ``FaultPlan`` is *programmable*: attach it to a drive (as its
-    ``fault_injector``) and schedule, ahead of time, exactly where the
-    machine dies or the media glitches.  Everything is counted
-    deterministically, so a campaign that crashes at part-write N is
-    replayable bit-for-bit from (seed, N).
-
-    Crash points:
-
-    * :meth:`crash_at_write` -- die *instead of* performing the Nth
-      part-write (clean crash at a write boundary: writes 1..N-1 landed,
-      write N and everything after did not);
-    * :meth:`tear_at_write` -- the Nth part-write lands *torn* (a prefix of
-      new words, then garbage), then the machine dies;
-    * :meth:`crash_at_point` -- die at the Kth passage of a named trace
-      point from :data:`TRACE_POINTS` (e.g. ``"label:write"``);
-    * :meth:`tear_between_label_and_value` -- in a command that writes both
-      label and value, complete the label write and die before the value
-      write: the on-disk identity is new, the data is old.
-
-    Media faults:
-
-    * :meth:`schedule_transient_reads` -- the next K read/check part
-      attempts fail transiently; the drive's bounded retry-with-backoff
-      must absorb up to its retry budget and surface
-      :class:`~repro.errors.ReadRetriesExhausted` beyond it;
-    * :meth:`flip_bits` -- XOR a mask into one word of any sector part,
-      behind the drive's back (plus everything inherited from
-      :class:`FaultInjector`: decay, scrambles, swaps).
-
-    After any crash the plan considers the machine *down*: every further
-    drive operation raises :class:`~repro.errors.PowerFailure` until
-    :meth:`revive` -- recovery code must run on a fresh drive (or revive
-    first), exactly like a real reboot.
-    """
-
-    def __init__(self, image: DiskImage, seed: int = 1979) -> None:
-        super().__init__(image, seed)
-        self.crashed = False
-        self.crash_reason: Optional[str] = None
-        #: Part-writes seen so far (the crash-point coordinate system).
-        self.writes_seen = 0
-        self._crash_at_write: Optional[int] = None
-        self._tear_at_write: Optional[int] = None
-        self._crash_points: Dict[str, int] = {}  # point -> remaining passages
-        self._point_counts: Dict[str, int] = {}
-        self._tear_label_value: Optional[int] = None  # remaining occurrences
-        self._crash_before_value = False  # armed for the current command
-        self._transient: List[_TransientReads] = []
-
-    # ------------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------------
-
-    def crash_at_write(self, n: int) -> "FaultPlan":
-        """Die cleanly in place of part-write *n* (absolute count, 1-based)."""
-        if n <= self.writes_seen:
-            raise ValueError(f"write {n} already happened ({self.writes_seen} seen)")
-        self._crash_at_write = n
-        return self
-
-    def tear_at_write(self, n: int) -> "FaultPlan":
-        """Part-write *n* lands torn (new prefix + garbage), then die."""
-        if n <= self.writes_seen:
-            raise ValueError(f"write {n} already happened ({self.writes_seen} seen)")
-        self._tear_at_write = n
-        return self
-
-    def schedule_power_failure(self, after_writes: int) -> None:
-        """Tear the Nth subsequent part-write, as :meth:`tear_at_write` does."""
-        if after_writes < 1:
-            raise ValueError("after_writes must be >= 1")
-        self.tear_at_write(self.writes_seen + after_writes)
-
-    def cancel_power_failure(self) -> None:
-        self._tear_at_write = None
-
-    def crash_at_point(self, point: str, occurrence: int = 1) -> "FaultPlan":
-        """Die at the *occurrence*-th future passage of a named trace point."""
-        if occurrence < 1:
-            raise ValueError("occurrence must be >= 1")
-        self._crash_points[check_point(point)] = occurrence
-        return self
-
-    def tear_between_label_and_value(self, occurrence: int = 1) -> "FaultPlan":
-        """In the *occurrence*-th command writing label AND value, finish the
-        label write and die before the value write."""
-        if occurrence < 1:
-            raise ValueError("occurrence must be >= 1")
-        self._tear_label_value = occurrence
-        return self
-
-    def schedule_transient_reads(
-        self, times: int, address: Optional[int] = None, part: Optional[str] = None
-    ) -> "FaultPlan":
-        """The next *times* matching read/check part attempts fail
-        transiently (each drive retry consumes one failure)."""
-        if times < 1:
-            raise ValueError("times must be >= 1")
-        self._transient.append(_TransientReads(times, address, part))
-        return self
-
-    def clear(self) -> None:
-        """Drop every scheduled fault (the machine stays up)."""
-        self._crash_at_write = None
-        self._tear_at_write = None
-        self._crash_points.clear()
-        self._tear_label_value = None
-        self._crash_before_value = False
-        self._transient.clear()
-
-    def revive(self) -> None:
-        """Power the machine back on (scheduled faults stay cleared)."""
-        self.clear()
-        self.crashed = False
-        self.crash_reason = None
-
-    # ------------------------------------------------------------------------
-    # Direct corruption additions
-    # ------------------------------------------------------------------------
-
     def flip_bits(self, address: int, part: str, word_index: int, mask: int) -> None:
         """XOR *mask* into one word of a sector part, behind the drive."""
-        from .sector import Header
-
         sector = self.image.sector(address)
         if part == "header":
             words = sector.header.pack()
@@ -346,10 +274,12 @@ class FaultPlan(FaultInjector):
     # ------------------------------------------------------------------------
 
     def before_parts(self, drive, address: int, parts: Sequence) -> None:
-        """Command start: dead-machine check and label+value tear arming."""
-        self._require_alive()
-        from .drive import Action
+        """Command start: dead-machine check and label+value tear arming.
 
+        *parts* is the drive's flattened command: a ``(part, Action,
+        data)`` triple for every non-NONE part in head order.
+        """
+        self.require_alive()
         self._crash_before_value = False
         if self._tear_label_value is not None:
             label_write = value_write = False
@@ -367,15 +297,14 @@ class FaultPlan(FaultInjector):
 
     def before_part(self, drive, address: int, part: str, action: str) -> None:
         """Called for every non-NONE part just before it passes the head."""
-        self._require_alive()
-        point = point_name(part, action)
-        self._point_counts[point] = self._point_counts.get(point, 0) + 1
-
-        if point in self._crash_points:
-            self._crash_points[point] -= 1
-            if self._crash_points[point] <= 0:
-                del self._crash_points[point]
-                self._crash(f"power failed at trace point {point} (address {address})")
+        self.require_alive()
+        if self._crash_points:
+            point = point_name(part, action)
+            if point in self._crash_points:
+                self._crash_points[point] -= 1
+                if self._crash_points[point] <= 0:
+                    del self._crash_points[point]
+                    self._crash(f"power failed at trace point {point} (address {address})")
 
         if action == "write":
             if self._crash_before_value and part == "value":
@@ -401,10 +330,15 @@ class FaultPlan(FaultInjector):
                     )
 
     def filter_write(self, drive, address: int, part: str, data: Sequence[int]) -> Sequence[int]:
-        """Tear the scheduled write: a new-words prefix lands, then garbage.
+        """Called for every part write with the caller's words, which it
+        must not modify; tears the scheduled write.
 
-        The interrupted part never got its checksum laid down, so it is
-        marked checksum-bad: every later read of it raises
+        A torn write models a power failure once the write has begun: the
+        hardware contract says the write "must continue through the rest of
+        the sector", so a failure leaves a prefix of new words followed by
+        garbage -- the worst case the scavenger must survive.  The
+        interrupted part never got its checksum laid down, so it is marked
+        checksum-bad: every later read of it raises
         :class:`~repro.errors.SectorChecksumError` until something rewrites
         the part (exactly how real hardware surfaces a torn write).
         """
@@ -418,8 +352,6 @@ class FaultPlan(FaultInjector):
         ]
         sector = self.image.sector(address)
         if part == "header":
-            from .sector import Header
-
             sector.header = Header.unpack(torn)
         elif part == "label":
             sector.label = Label.unpack(torn)
@@ -434,10 +366,6 @@ class FaultPlan(FaultInjector):
     # Introspection
     # ------------------------------------------------------------------------
 
-    def point_count(self, point: str) -> int:
-        """Passages of a named trace point seen so far."""
-        return self._point_counts.get(check_point(point), 0)
-
     def pending_faults(self) -> bool:
         """Is anything still scheduled?"""
         return bool(
@@ -448,14 +376,16 @@ class FaultPlan(FaultInjector):
             or self._transient
         )
 
-    # -- internals ----------------------------------------------------------------
-
-    def _require_alive(self) -> None:
+    def require_alive(self) -> None:
+        """Raise :class:`~repro.errors.PowerFailure` while the machine is
+        down; every command, memory-served ones too, starts here."""
         if self.crashed:
             raise PowerFailure(
                 f"machine is down ({self.crash_reason}); revive() to reboot",
                 crash_point=self.writes_seen,
             )
+
+    # -- internals ----------------------------------------------------------------
 
     def _crash(self, reason: str) -> None:
         self.crashed = True

@@ -3,7 +3,7 @@
 ``DiskImage`` is pure state -- no timing, no policy.  The drive (drive.py)
 imposes the command discipline and charges time; the image is "what is on
 the oxide".  Keeping it separate lets crash tests snapshot a pack, lets the
-fault injector corrupt it behind the drive's back, and lets two independent
+fault plan corrupt it behind the drive's back, and lets two independent
 software stacks mount the same pack (the openness property of section 1:
 the on-disk representation is the interface).
 
@@ -12,7 +12,7 @@ or labels changed, so a checker that read the pack before can re-read
 only those (section 3.3: the label identifies the page, so labels alone
 tell what moved).  Every sector in the image knows its address and logs
 its own header and label writes, whoever makes them -- the drive, a
-journal replay, a fault injector, a raw test edit.  :meth:`set_sector`
+journal replay, a fault plan, a raw test edit.  :meth:`set_sector`
 logs the address it replaces, and :meth:`restore`, which replaces every
 sector, tells readers to start over.
 """
@@ -87,7 +87,7 @@ class DiskImage:
         self._fresh_pack_id = pack_id
         self._sectors: List[Optional[Sector]] = [None] * self.shape.total_sectors()
         self._whole = False  # no None slot left (see sector_list)
-        #: Addresses the fault injector has marked as unreadable media.
+        #: Addresses the fault plan has marked as unreadable media.
         self.bad_media: set = set()
         #: ``(address, part)`` pairs whose checksum a torn write ruined;
         #: reads fail until the part is rewritten (real disks detect an

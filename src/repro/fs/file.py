@@ -274,6 +274,8 @@ class AltoFile:
             raise ValueError(f"last-page length must be in [0, {FULL_PAGE}), got {length}")
         if len(data) * 2 < length:
             raise ValueError(f"{len(data)} words cannot hold {length} bytes")
+        if len(data) > VALUE_WORDS:
+            raise ValueError(f"a page holds {VALUE_WORDS} words, not {len(data)}")
         pn = self._last_page_number
         if length == self._last_length:
             self._retrying(pn, lambda name: self.page_io.write(name, data))
@@ -299,6 +301,8 @@ class AltoFile:
         """
         if not 0 <= length < FULL_PAGE:
             raise ValueError(f"last-page length must be in [0, {FULL_PAGE}), got {length}")
+        if len(data) > VALUE_WORDS:
+            raise ValueError(f"a page holds {VALUE_WORDS} words, not {len(data)}")
         old_last = self.page_name(self._last_page_number)
         new_pn = self._last_page_number + 1
         new_label = self.fid.label_for(new_pn, length=length, next_link=NIL, prev_link=old_last.address)

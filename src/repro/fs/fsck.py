@@ -30,7 +30,7 @@ index *is* the full check.  The index contract:
   Every sector logs its own header and label writes in its image's
   :class:`~repro.disk.image.ChangeLog` (``DiskImage.changes``), so the
   log covers every writer -- the drive, a standby's journal replay,
-  a fault injector flipping bits, a raw test edit -- without trusting any
+  a fault plan flipping bits, a raw test edit -- without trusting any
   of them to report.  A call reads the views of the logged addresses
   only.  The log is the image's, not the index's: any number of indexes
   read it, and none consumes it.  An index re-derives in full when it is

@@ -92,6 +92,17 @@ class SweptPage:
     def key(self) -> Tuple[int, int, int]:
         return (self.serial, self.version, self.page_number)
 
+    def label(self) -> Label:
+        """The label this page was swept with (page number re-biased)."""
+        return Label(
+            serial=self.serial,
+            version=self.version,
+            page_number=self.page_number + PAGE_NUMBER_BIAS,
+            length=self.length,
+            next_link=self.next_link,
+            prev_link=self.prev_link,
+        )
+
 
 @dataclass
 class ScavengeReport:
@@ -385,14 +396,7 @@ class Scavenger:
         )
 
     def _repair_links(self, page: SweptPage, want_next: int, want_prev: int) -> None:
-        old = Label(
-            serial=page.serial,
-            version=page.version,
-            page_number=page.page_number + PAGE_NUMBER_BIAS,
-            length=page.length,
-            next_link=page.next_link,
-            prev_link=page.prev_link,
-        )
+        old = page.label()
         new = old.with_links(next_link=want_next, prev_link=want_prev)
         self._rewrite_raw(page.address, old.pack(), new)
         page.next_link, page.prev_link = want_next, want_prev
@@ -419,15 +423,7 @@ class Scavenger:
         self.report.torn_sectors_reclaimed += 1
 
     def _free_swept(self, page: SweptPage) -> None:
-        old = Label(
-            serial=page.serial,
-            version=page.version,
-            page_number=page.page_number + PAGE_NUMBER_BIAS,
-            length=page.length,
-            next_link=page.next_link,
-            prev_link=page.prev_link,
-        )
-        self._rewrite_raw(page.address, old.pack(), Label.free(), FREE_VALUE)
+        self._rewrite_raw(page.address, page.label().pack(), Label.free(), FREE_VALUE)
         self._free.add(page.address)
 
     def _rewrite_raw(
@@ -635,15 +631,7 @@ class Scavenger:
             return
         bucket = self._files.get((victim.serial, victim.version))
         value = self.drive.read_sector(address).value
-        label = Label(
-            serial=victim.serial,
-            version=victim.version,
-            page_number=victim.page_number + PAGE_NUMBER_BIAS,
-            length=victim.length,
-            next_link=victim.next_link,
-            prev_link=victim.prev_link,
-        )
-        new_address = self._allocator.allocate(self.page_io, label, value)
+        new_address = self._allocator.allocate(self.page_io, victim.label(), value)
         # Free the old copy and relink neighbours.
         self._free_swept(victim)
         self._free.discard(new_address)

@@ -47,6 +47,7 @@ from bisect import bisect_right
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
+from ..disk.sector import VALUE_WORDS
 from ..errors import (
     DirectoryError,
     DiskFull,
@@ -563,7 +564,8 @@ class FileServer:
             return Response(ST_BAD_HANDLE, request.request_id), False
         page, nbytes = request.arg0, request.arg1
         words = list(request.payload)
-        if page < 1 or nbytes > FULL_PAGE or len(words) * 2 < nbytes:
+        if (page < 1 or nbytes > FULL_PAGE or len(words) * 2 < nbytes
+                or len(words) > VALUE_WORDS):
             return Response(ST_BAD_REQUEST, request.request_id), False
         last = file.last_page_number
         try:

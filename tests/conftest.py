@@ -16,7 +16,6 @@ from repro.disk import (
     CachedDrive,
     DiskDrive,
     DiskImage,
-    FaultInjector,
     FaultPlan,
     tiny_test_disk,
 )
@@ -98,19 +97,16 @@ def cached_fs(cached_drive):
 
 
 @pytest.fixture
-def injector(image, repro_seed):
-    return FaultInjector(image, seed=repro_seed)
-
-
-@pytest.fixture
 def fault_plan(image, repro_seed):
-    """A FaultPlan not yet attached to a drive; pair with ``planned_drive``."""
+    """A FaultPlan on the ``image`` fixture, not attached to any drive: its
+    direct-corruption methods need none; pair with ``planned_drive`` to
+    schedule faults through a drive."""
     return FaultPlan(image, seed=repro_seed)
 
 
 @pytest.fixture
 def planned_drive(image, fault_plan):
-    """A drive whose fault injector is the ``fault_plan`` fixture."""
+    """A drive carrying the ``fault_plan`` fixture as its fault injector."""
     return DiskDrive(image, fault_injector=fault_plan)
 
 

@@ -1,6 +1,6 @@
-"""FaultPlan: the deterministic crash/fault schedule (ISSUE 1 tentpole).
+"""FaultPlan: the deterministic crash/fault schedule.
 
-Everything here drives a raw drive -- no file system -- so each fault's
+Everything here drives a drive directly -- no file system -- so each fault's
 hardware-level semantics can be pinned exactly: which parts landed, what
 the checksum state is, and that the machine stays down until revived.
 """
@@ -9,6 +9,7 @@ import pytest
 
 from repro.disk import (
     Action,
+    CachedDrive,
     DiskDrive,
     DiskImage,
     FaultPlan,
@@ -55,6 +56,18 @@ class TestCleanCrash:
             planned_drive.read_label(0)
         fault_plan.revive()
         planned_drive.read_label(0)  # boots again
+
+    def test_memory_served_read_dies_with_the_machine(self, image, fault_plan):
+        drive = CachedDrive(image, fault_injector=fault_plan)
+        full_write(drive, 5)  # a header write goes through and warms the cache
+        drive.read_sector(5)
+        assert drive.stats()["disk.cache.hits"] == 1  # served from memory
+        fault_plan.crash_at_write(fault_plan.writes_seen + 1)
+        with pytest.raises(PowerFailure) as crash:
+            full_write(drive, 6)
+        with pytest.raises(PowerFailure) as down:
+            drive.read_sector(5)
+        assert down.value.crash_point == crash.value.crash_point == fault_plan.writes_seen
 
     def test_crash_point_counts_are_absolute(self, planned_drive, fault_plan):
         full_write(planned_drive, 3)
@@ -148,13 +161,6 @@ class TestTracePoints:
         assert planned_drive.image.sector(2).header.pack_id == 7
         assert planned_drive.image.sector(2).value == tuple(ones_words(VALUE_WORDS))
 
-    def test_point_counts(self, planned_drive, fault_plan):
-        full_write(planned_drive, 1)
-        planned_drive.read_label(1)
-        assert fault_plan.point_count("value:write") == 1
-        assert fault_plan.point_count("label:read") == 1
-        assert fault_plan.point_count("header:check") == 0
-
     def test_point_names_validated(self):
         assert "label:write" in TRACE_POINTS
         with pytest.raises(ValueError):
@@ -185,6 +191,16 @@ class TestTransientReads:
             planned_drive.read_label(5)
         assert info.value.address == 5
         assert info.value.attempts == MAX_READ_RETRIES + 1
+
+    def test_schedule_names_a_real_part_and_address(self, fault_plan):
+        last = fault_plan.image.shape.total_sectors() - 1
+        for where in ({"part": "lable"}, {"address": last + 1}, {"address": 10**6},
+                      {"address": -1}):
+            with pytest.raises(ValueError):
+                fault_plan.schedule_transient_reads(3, **where)
+        assert not fault_plan.pending_faults()  # nothing that could never fire
+        fault_plan.schedule_transient_reads(3, address=last, part="label")
+        assert fault_plan.pending_faults()
 
     def test_targeted_transients_only_hit_their_address(
         self, planned_drive, fault_plan

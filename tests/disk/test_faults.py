@@ -1,11 +1,11 @@
-"""Unit tests for the fault injector."""
+"""Unit tests for the fault plan's scheduled power failures and its
+direct corruption (the crash-point schedules are in test_fault_plan)."""
 
 import pytest
 
 from repro.disk import (
     DiskDrive,
     DiskImage,
-    FaultInjector,
     FaultPlan,
     Label,
     tiny_test_disk,
@@ -27,7 +27,7 @@ def attach(image, injector):
 
 @pytest.fixture
 def drive(image):
-    return attach(image, FaultInjector(image, seed=42))
+    return attach(image, FaultPlan(image, seed=42))
 
 
 def in_use(serial=0x4000_0001, page=1):
@@ -61,14 +61,7 @@ class TestTornWrites:
             drive.injector.schedule_power_failure(after_writes=0)
 
 
-class TestTornWritesOnAPlan(TestTornWrites):
-    """The same schedule on a :class:`FaultPlan`, which tears the write the
-    way :meth:`FaultPlan.tear_at_write` does."""
-
-    @pytest.fixture
-    def drive(self, image):
-        return attach(image, FaultPlan(image, seed=42))
-
+class TestTornWritesOnAPlan:
     def test_scheduled_tear_is_tear_at_write_counted_from_now(self):
         outcomes = []
         for schedule in ("power_failure", "tear_at_write"):
@@ -132,6 +125,6 @@ class TestDirectCorruption:
             drive.injector.random_in_use_addresses(4)
 
     def test_reproducible_with_same_seed(self, image):
-        a = FaultInjector(image, seed=5)
-        b = FaultInjector(image, seed=5)
+        a = FaultPlan(image, seed=5)
+        b = FaultPlan(image, seed=5)
         assert a.rng.random() == b.rng.random()

@@ -86,7 +86,7 @@ class TestCompaction:
         """Section 3.5: "increases the speed ... by an order of magnitude"
         on badly scattered files.  Scatter a file's pages across the disk
         (fixing links via a scavenge), then compare sequential reads."""
-        from repro.disk import FaultInjector
+        from repro.disk import FaultPlan
         from repro.fs.scavenger import Scavenger
 
         name = "seq.dat"
@@ -95,13 +95,13 @@ class TestCompaction:
         fs.sync()
         # Scatter: swap each of the file's sectors with a random distant
         # free sector, then scavenge to repair all links to the new homes.
-        injector = FaultInjector(image, seed=3)
+        plan = FaultPlan(image, seed=3)
         file = fs.open_file(name)
         addresses = [file.page_name(pn).address for pn in range(file.page_count())]
         free = [s.header.address for s in image.sectors() if s.label.is_free]
         rng.shuffle(free)
         for address in addresses:
-            injector.swap_sectors(address, free.pop())
+            plan.swap_sectors(address, free.pop())
         clock = fs.drive.clock
         Scavenger(DiskDrive(image, clock=clock)).scavenge()
 

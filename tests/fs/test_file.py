@@ -128,6 +128,19 @@ class TestPageOps:
         with pytest.raises(ValueError):
             file.write_last_page([], FULL_PAGE)
 
+    def test_oversized_page_refused_before_any_disk_pass(self, env):
+        pio, alloc = env
+        file = new_file(env)
+        file.write_data(b"eleven byte")
+        free, commands = alloc.count_free(), pio.drive.stats()["disk.drive.commands"]
+        with pytest.raises(ValueError):
+            file.append_page([0x4142] * 300, 0)
+        with pytest.raises(ValueError):
+            file.write_last_page([0x4142] * 300, 400)
+        assert alloc.count_free() == free
+        assert pio.drive.stats()["disk.drive.commands"] == commands
+        assert file.read_data() == b"eleven byte"
+
     def test_interior_write_requires_full_page(self, env):
         file = new_file(env)
         file.write_data(b"x" * 1200)

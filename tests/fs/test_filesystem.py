@@ -46,9 +46,9 @@ class TestMount:
         with pytest.raises(FileFormatError):
             FileSystem.mount(drive)
 
-    def test_mount_with_clobbered_descriptor_fails(self, fs, image, injector):
+    def test_mount_with_clobbered_descriptor_fails(self, fs, image, fault_plan):
         fs.sync()
-        injector.scramble_label(DESCRIPTOR_LEADER_ADDRESS)
+        fault_plan.scramble_label(DESCRIPTOR_LEADER_ADDRESS)
         with pytest.raises(FileFormatError):
             FileSystem.mount(DiskDrive(image))
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.disk import DiskDrive, FaultInjector, FaultPlan
+from repro.disk import DiskDrive, FaultPlan
 from repro.disk.sector import DIRECTORY_SERIAL_FLAG, Label, Sector
 from repro.fs import FileSystem, OnlineMaintenance, Scavenger
 from repro.fs.descriptor import DESCRIPTOR_LEADER_ADDRESS
@@ -46,15 +46,15 @@ def check(populated_fs, image):
 
 
 class TestDetection:
-    def test_garbage_label(self, check, injector):
-        injector.scramble_label(injector.random_in_use_addresses(1)[0])
+    def test_garbage_label(self, check, fault_plan):
+        fault_plan.scramble_label(fault_plan.random_in_use_addresses(1)[0])
         kinds = check().kinds()
         # A scramble lands as garbage, or (rarely) as a valid-looking label
         # creating some structural violation; either way, not clean.
         assert kinds
 
-    def test_scrambled_links(self, check, injector):
-        injector.scramble_links(injector.random_in_use_addresses(1)[0])
+    def test_scrambled_links(self, check, fault_plan):
+        fault_plan.scramble_links(fault_plan.random_in_use_addresses(1)[0])
         assert "bad-link" in check().kinds()
 
     def test_duplicate_page(self, check, image):
@@ -78,8 +78,8 @@ class TestDetection:
         populated_fs.root.add("ghost", FullName(FileId(make_serial(9999)), 0, 11))
         assert "dangling-entry" in check().kinds()
 
-    def test_missing_descriptor(self, check, injector):
-        injector.scramble_label(1)
+    def test_missing_descriptor(self, check, fault_plan):
+        fault_plan.scramble_label(1)
         kinds = check().kinds()
         assert "no-descriptor" in kinds or "garbage-label" in kinds
 
@@ -156,7 +156,7 @@ class TestCarriedCost:
         assert report.bad_pages == k
 
     def test_full_passes_on_first_sight_restore_and_another_pack(self, populated_fs,
-                                                                 image, injector):
+                                                                 image, fault_plan):
         index = PackIndex()
         earlier = image.snapshot()
 
@@ -165,7 +165,7 @@ class TestCarriedCost:
             assert index.full_passes == full_passes
 
         carried(image, 1)
-        injector.scramble_links(injector.random_in_use_addresses(1)[0])
+        fault_plan.scramble_links(fault_plan.random_in_use_addresses(1)[0])
         carried(image, 1)
         image.restore(earlier)
         carried(image, 2)
@@ -186,12 +186,12 @@ def rewrite_descriptor_word(image, index, change):
 
 
 class TestScavengerContract:
-    def test_scavenge_leaves_a_clean_image(self, populated_fs, image, injector):
+    def test_scavenge_leaves_a_clean_image(self, populated_fs, image, fault_plan):
         """The scavenger's postcondition, stated once and for all: whatever
         the damage, afterwards fsck finds nothing."""
-        for address in injector.random_in_use_addresses(4):
-            injector.scramble_links(address)
-        injector.swap_sectors(*injector.random_in_use_addresses(2))
+        for address in fault_plan.random_in_use_addresses(4):
+            fault_plan.scramble_links(address)
+        fault_plan.swap_sectors(*fault_plan.random_in_use_addresses(2))
         populated_fs.root.update_hint("file04.dat", 9)
         Scavenger(DiskDrive(image)).scavenge()
         report = check_image(image)

@@ -51,22 +51,22 @@ class TestLadderRungs:
         assert ladder.stats()["fs.ladder.rung.directory-name"] == 1
         assert contents.name.fid == replacement.fid
 
-    def test_scavenge_rung(self, fs, big_file, image, injector):
+    def test_scavenge_rung(self, fs, big_file, image, fault_plan):
         """When the directory entry itself is stale, only the Scavenger can
         help (rung 4)."""
         # Move the file's leader behind everyone's back by swapping sectors.
         leader_address = big_file.leader_address()
         free = next(s.header.address for s in image.sectors() if s.label.is_free)
-        injector.swap_sectors(leader_address, free)
+        fault_plan.swap_sectors(leader_address, free)
         ladder = HintLadder(fs)
         contents = ladder.read_page("big.dat", stale(big_file.page_name(5)))
         assert ladder.stats()["fs.ladder.rung.scavenge"] == 1
         assert contents.value is not None
 
-    def test_ladder_exhaustion_without_scavenge(self, fs, big_file, image, injector):
+    def test_ladder_exhaustion_without_scavenge(self, fs, big_file, image, fault_plan):
         leader_address = big_file.leader_address()
         free = next(s.header.address for s in image.sectors() if s.label.is_free)
-        injector.swap_sectors(leader_address, free)
+        fault_plan.swap_sectors(leader_address, free)
         ladder = HintLadder(fs, scavenge_allowed=False)
         with pytest.raises(HintFailed):
             ladder.read_page("big.dat", stale(big_file.page_name(5)))

@@ -7,7 +7,7 @@ gone).  The journal + snapshot extension recovers exactly that.
 
 import pytest
 
-from repro.disk import DiskDrive, FaultInjector
+from repro.disk import DiskDrive, FaultPlan
 from repro.fs import FileSystem, Scavenger
 from repro.fs.journal import (
     JournaledDirectory,
@@ -89,9 +89,9 @@ class TestRecovery:
         fs.sync()
 
         # Destroy the directory file utterly.
-        injector = FaultInjector(image, seed=5)
+        plan = FaultPlan(image, seed=5)
         for pn in range(directory.file.page_count()):
-            injector.scramble_label(directory.file.page_name(pn).address)
+            plan.scramble_label(directory.file.page_name(pn).address)
 
         Scavenger(DiskDrive(image)).scavenge()
         fs2 = FileSystem.mount(DiskDrive(image))

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.disk import DiskDrive, DiskImage, FaultInjector, Label, tiny_test_disk
+from repro.disk import DiskDrive, DiskImage, Label, tiny_test_disk
 from repro.fs import (
     DESCRIPTOR_LEADER_ADDRESS,
     DESCRIPTOR_NAME,
@@ -82,25 +82,25 @@ class TestCleanDisk:
 
 
 class TestLinkRepair:
-    def test_scrambled_links_are_reconstructed(self, populated_fs, image, injector):
-        victims = injector.random_in_use_addresses(5)
+    def test_scrambled_links_are_reconstructed(self, populated_fs, image, fault_plan):
+        victims = fault_plan.random_in_use_addresses(5)
         for address in victims:
-            injector.scramble_links(address)
+            fault_plan.scramble_links(address)
         report = rescavenge(image)
         assert report.links_repaired >= 5
         assert all_payloads_intact(remount(image), populated_fs.payloads)
 
-    def test_swapped_sectors_recovered(self, populated_fs, image, injector):
-        a, b = injector.random_in_use_addresses(2)
-        injector.swap_sectors(a, b)
+    def test_swapped_sectors_recovered(self, populated_fs, image, fault_plan):
+        a, b = fault_plan.random_in_use_addresses(2)
+        fault_plan.swap_sectors(a, b)
         rescavenge(image)
         assert all_payloads_intact(remount(image), populated_fs.payloads)
 
 
 class TestGarbageAndDuplicates:
-    def test_garbage_label_freed(self, populated_fs, image, injector):
-        address = injector.random_in_use_addresses(1)[0]
-        injector.scramble_label(address)
+    def test_garbage_label_freed(self, populated_fs, image, fault_plan):
+        address = fault_plan.random_in_use_addresses(1)[0]
+        fault_plan.scramble_label(address)
         report = rescavenge(image)
         # Either freed as garbage, or (rarely) parsed as a valid-looking
         # label and swept into some file; both leave the disk consistent.
@@ -120,11 +120,11 @@ class TestGarbageAndDuplicates:
 
 
 class TestIncompleteFiles:
-    def test_headless_chain_freed(self, populated_fs, image, injector):
+    def test_headless_chain_freed(self, populated_fs, image, fault_plan):
         """Pages with no page 0 cannot be named; they are reclaimed."""
         target = populated_fs.open_file("file01.dat")
         leader_address = target.leader_address()
-        injector.scramble_label(leader_address)
+        fault_plan.scramble_label(leader_address)
         free_before = image.count_free()
         report = rescavenge(image)
         assert report.headless_chains_freed > 0
@@ -132,11 +132,11 @@ class TestIncompleteFiles:
         assert "file01.dat" not in fs.list_files()
         assert image.count_free() > free_before
 
-    def test_gap_truncates_file(self, populated_fs, image, injector):
+    def test_gap_truncates_file(self, populated_fs, image, fault_plan):
         target = populated_fs.open_file("file08.dat")
         assert target.last_page_number >= 3, "need a multi-page file"
         middle = target.page_name(2).address
-        injector.scramble_label(middle)
+        fault_plan.scramble_label(middle)
         report = rescavenge(image)
         assert any(
             serial == target.fid.serial for serial, _v, _n in report.truncated_files
@@ -163,11 +163,11 @@ class TestDirectoryVerification:
         assert report.entries_nulled == 1
         assert "ghost.dat" not in remount(image).list_files()
 
-    def test_destroyed_directory_loses_no_files(self, populated_fs, image, injector):
+    def test_destroyed_directory_loses_no_files(self, populated_fs, image, fault_plan):
         """Section 3.4: "If a directory is destroyed, we don't lose any
         files" -- they come back via their leader names."""
         sub = populated_fs.open_directory("Sub")
-        injector.scramble_label(sub.file.page_name(1).address)
+        fault_plan.scramble_label(sub.file.page_name(1).address)
         report = rescavenge(image)
         fs = remount(image)
         assert "nested.txt" in report.orphans_rescued
@@ -220,7 +220,7 @@ class TestOrphanRescue:
         contents = {fs.open_file(n).read_data() for n in rescued}
         assert contents == {b"first twin", b"second twin"}
 
-    def test_corrupt_leader_synthesized(self, populated_fs, image, injector):
+    def test_corrupt_leader_synthesized(self, populated_fs, image, fault_plan):
         target = populated_fs.open_file("file06.dat")
         serial = target.fid.serial
         # Destroy the leader VALUE (name etc.), keeping the label.
@@ -235,11 +235,11 @@ class TestOrphanRescue:
 
 
 class TestBadMedia:
-    def test_decayed_sectors_marked_and_avoided(self, populated_fs, image, injector):
+    def test_decayed_sectors_marked_and_avoided(self, populated_fs, image, fault_plan):
         # Decay two free sectors.
         free = [s.header.address for s in image.sectors() if s.label.is_free]
-        injector.decay_sector(free[0])
-        injector.decay_sector(free[1])
+        fault_plan.decay_sector(free[0])
+        fault_plan.decay_sector(free[1])
         report = rescavenge(image)
         assert set(report.bad_sectors) == {free[0], free[1]}
         fs = remount(image)
@@ -248,27 +248,27 @@ class TestBadMedia:
 
 
 class TestTotalReconstruction:
-    def test_descriptor_destroyed(self, populated_fs, image, injector):
-        injector.scramble_label(DESCRIPTOR_LEADER_ADDRESS)
+    def test_descriptor_destroyed(self, populated_fs, image, fault_plan):
+        fault_plan.scramble_label(DESCRIPTOR_LEADER_ADDRESS)
         report = rescavenge(image)
         assert report.descriptor_recreated
         fs = remount(image)
         assert fs.open_file(DESCRIPTOR_NAME).leader_address() == DESCRIPTOR_LEADER_ADDRESS
         assert all_payloads_intact(fs, populated_fs.payloads)
 
-    def test_root_directory_destroyed(self, populated_fs, image, injector):
+    def test_root_directory_destroyed(self, populated_fs, image, fault_plan):
         root_file = populated_fs.root.file
         for pn in range(root_file.page_count()):
-            injector.scramble_label(root_file.page_name(pn).address)
+            fault_plan.scramble_label(root_file.page_name(pn).address)
         rescavenge(image)
         fs = remount(image)
         assert all_payloads_intact(fs, populated_fs.payloads)
 
-    def test_everything_at_once(self, populated_fs, image, injector):
+    def test_everything_at_once(self, populated_fs, image, fault_plan):
         """The kitchen sink: descriptor + root + links + map all wrong."""
-        injector.scramble_label(DESCRIPTOR_LEADER_ADDRESS)
-        for address in injector.random_in_use_addresses(6):
-            injector.scramble_links(address)
+        fault_plan.scramble_label(DESCRIPTOR_LEADER_ADDRESS)
+        for address in fault_plan.random_in_use_addresses(6):
+            fault_plan.scramble_links(address)
         report = rescavenge(image)
         fs = remount(image)
         assert all_payloads_intact(fs, populated_fs.payloads)

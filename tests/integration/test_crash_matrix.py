@@ -16,7 +16,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.disk import DiskDrive, DiskImage, FaultInjector, tiny_test_disk
+from repro.disk import DiskDrive, DiskImage, FaultPlan, tiny_test_disk
 from repro.fs import FileSystem, Scavenger
 
 FAULT_KINDS = ("links", "label", "swap", "decay", "value")
@@ -39,30 +39,30 @@ def build_populated_image(seed: int):
     return image, payloads, serial_to_name
 
 
-def apply_fault(injector, image, rng, kind, damaged, serial_to_name):
+def apply_fault(plan, image, rng, kind, damaged, serial_to_name):
     in_use = [s.header.address for s in image.sectors() if s.label.in_use]
     if kind == "links":
         address = rng.choice(in_use)
-        injector.scramble_links(address)
+        plan.scramble_links(address)
         # Link corruption never loses data.
     elif kind == "label":
         address = rng.choice(in_use)
         # Attribute the damage by the owner at fault time (swaps may have
         # moved pages since creation).
         damaged.add(serial_to_name.get(image.sector(address).label.serial))
-        injector.scramble_label(address)
+        plan.scramble_label(address)
     elif kind == "swap":
         a, b = rng.sample(in_use, 2)
-        injector.swap_sectors(a, b)
+        plan.swap_sectors(a, b)
     elif kind == "decay":
         free = [s.header.address for s in image.sectors() if s.label.is_free]
         if free:
-            injector.decay_sector(rng.choice(free))
+            plan.decay_sector(rng.choice(free))
     elif kind == "value":
         # Corrupt a free sector's stale value: must be invisible.
         free = [s.header.address for s in image.sectors() if s.label.is_free]
         if free:
-            injector.scramble_value(rng.choice(free))
+            plan.scramble_value(rng.choice(free))
 
 
 class TestCrashMatrix:
@@ -74,10 +74,10 @@ class TestCrashMatrix:
     def test_scavenge_always_restores_consistency(self, seed, faults):
         image, payloads, serial_to_name = build_populated_image(seed)
         rng = random.Random(seed + 1)
-        injector = FaultInjector(image, seed=seed + 2)
+        plan = FaultPlan(image, seed=seed + 2)
         damaged_files = set()
         for kind in faults:
-            apply_fault(injector, image, rng, kind, damaged_files, serial_to_name)
+            apply_fault(plan, image, rng, kind, damaged_files, serial_to_name)
 
         report = Scavenger(DiskDrive(image)).scavenge()
         fs = FileSystem.mount(DiskDrive(image))
@@ -124,7 +124,7 @@ class TestCrashMatrix:
         from repro.fs.descriptor import DESCRIPTOR_LEADER_ADDRESS
 
         image, payloads, _ = build_populated_image(seed=9999)
-        injector = FaultInjector(image, seed=1)
+        plan = FaultPlan(image, seed=1)
         # The descriptor's leader sits at the one absolute address; the
         # root directory's leader is the in-use directory page right after
         # the descriptor's chain (label page number 1 == file page 0).
@@ -132,8 +132,8 @@ class TestCrashMatrix:
             s.header.address for s in image.sectors()
             if s.label.is_directory and s.label.page_number == 1
         )
-        injector.scramble_label(DESCRIPTOR_LEADER_ADDRESS)
-        injector.scramble_label(root_leader)
+        plan.scramble_label(DESCRIPTOR_LEADER_ADDRESS)
+        plan.scramble_label(root_leader)
 
         Scavenger(DiskDrive(image)).scavenge()
         fs = FileSystem.mount(DiskDrive(image))  # must not raise HintFailed

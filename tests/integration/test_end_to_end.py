@@ -54,11 +54,11 @@ class TestFullSessions:
             ws.close()
         os.fs.sync()
 
-        from repro.disk import FaultInjector
+        from repro.disk import FaultPlan
 
-        injector = FaultInjector(image, seed=99)
-        for address in injector.random_in_use_addresses(5):
-            injector.scramble_links(address)
+        plan = FaultPlan(image, seed=99)
+        for address in plan.random_in_use_addresses(5):
+            plan.scramble_links(address)
         os.scavenge()
         Compactor(os.drive).compact()
 

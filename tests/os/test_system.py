@@ -71,10 +71,10 @@ class TestZones:
 
 
 class TestScavengeIntegration:
-    def test_scavenge_remounts(self, os, image, injector):
+    def test_scavenge_remounts(self, os, image, fault_plan):
         os.write_stream("keep.txt").close()
-        for address in injector.random_in_use_addresses(4):
-            injector.scramble_links(address)
+        for address in fault_plan.random_in_use_addresses(4):
+            fault_plan.scramble_links(address)
         report = os.scavenge()
         assert report.links_repaired >= 4
         assert "keep.txt" in os.fs.list_files()

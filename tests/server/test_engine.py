@@ -137,6 +137,41 @@ def test_write_with_page_gap_is_bad_page():
     assert excinfo.value.status == ST_BAD_PAGE
 
 
+def oversized_write(client, handle, page):
+    """A WRITE of a 400-byte tail carried in 300 words, where a page holds 256."""
+    return replace(client.build_write(handle, page, b"x" * 400), payload=(0x4142,) * 300)
+
+
+def test_refused_oversized_append_leaks_no_page():
+    fs, server, [client] = make_served()
+    client.write_file("grow.txt", b"eleven byte")
+    handle, _ = client.open("grow.txt")
+    free = fs.allocator.count_free()
+    for _ in range(5):
+        with pytest.raises(RequestFailed) as excinfo:
+            client.transact(oversized_write(client, handle, page=2))
+        assert excinfo.value.status == ST_BAD_REQUEST
+    assert fs.allocator.count_free() == free
+
+
+# One page: the tail write would change its L.  Three pages: it would
+# first truncate the two pages after page 1.
+@pytest.mark.parametrize("data", [b"eleven byte", bytes(range(256)) * 5],
+                         ids=["one-page", "three-pages"])
+def test_refused_oversized_tail_write_leaves_the_file_unchanged(data):
+    fs, server, [client] = make_served()
+    client.write_file("tail.txt", data)
+    handle, _ = client.open("tail.txt")
+    with pytest.raises(RequestFailed) as excinfo:
+        client.transact(oversized_write(client, handle, page=1))
+    assert excinfo.value.status == ST_BAD_REQUEST
+    client.close(handle)
+    handle, size = client.open("tail.txt")
+    assert size == len(data)
+    client.close(handle)
+    assert client.read_file("tail.txt") == data
+
+
 def test_open_with_empty_name_is_bad_request():
     _, server, [client] = make_served()
     with pytest.raises(RequestFailed) as excinfo:
