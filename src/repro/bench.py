@@ -7,11 +7,13 @@ a machine-readable report (default ``BENCH_PR2.json``) with simulated
 seconds, cache on/off, and hit rates.
 
 Simulated time is a deterministic output of the timing model, so the
-checked-in ``benchmarks/baselines.json`` is exact, not statistical: a
-result more than ``--tolerance`` (default 20%) *slower* than its baseline
-fails the run.  ``--update-baselines`` rewrites the baseline file from the
-current run (do this when a deliberate change moves the numbers, and say
-why in the commit).
+checked-in ``benchmarks/baselines.json`` is exact, not statistical: a row
+passes only when its simulated seconds equal its baseline, and a row with
+no baseline fails.  A faster row fails as a slower one does.
+``--update-baselines`` rewrites the baseline file from the current run:
+it is the one way to move a number, and the move shows as a diff of
+that checked-in file (do this when a deliberate change moves the
+numbers, and say why in the commit).
 
 The harness always runs with :func:`repro.obs.runtime.retain_stats` on, so
 every result row carries the merged metrics snapshot of the clocks that
@@ -30,7 +32,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-DEFAULT_TOLERANCE = 0.20
 DEFAULT_OUTPUT = "BENCH_PR2.json"
 BASELINES_NAME = "baselines.json"
 
@@ -93,14 +94,12 @@ def run_benchmarks(profile: str, only: Optional[str] = None, bench_dir: Optional
     return results, wall
 
 
-def compare_to_baselines(
-    results, baselines: Dict[str, float], tolerance: float
-) -> Dict[str, dict]:
-    """Per-result regression verdicts against the exact baselines.
+def compare_to_baselines(results, baselines: Dict[str, float]) -> Dict[str, dict]:
+    """Per-result verdicts against the exact baselines.
 
-    Only slowdowns fail; a speedup (or a result with no baseline yet) is
-    reported but never an error -- new benchmarks get baselines when they
-    are deliberately checked in.
+    A result passes only when its simulated seconds equal its baseline:
+    a faster result fails as a slower one does, and so does a result with
+    no baseline (new benchmarks get one through ``--update-baselines``).
     """
     comparison: Dict[str, dict] = {}
     for result in results:
@@ -108,12 +107,10 @@ def compare_to_baselines(
         entry = {
             "measured_s": result.simulated_seconds,
             "baseline_s": baseline,
-            "ok": True,
+            "ok": result.simulated_seconds == baseline,
         }
-        if baseline is not None and baseline > 0:
-            ratio = result.simulated_seconds / baseline
-            entry["ratio"] = round(ratio, 4)
-            entry["ok"] = ratio <= 1.0 + tolerance
+        if baseline:
+            entry["ratio"] = round(result.simulated_seconds / baseline, 4)
         comparison[result.name] = entry
     return comparison
 
@@ -129,8 +126,6 @@ def main(argv=None) -> int:
                         help=f"JSON report path (default {DEFAULT_OUTPUT})")
     parser.add_argument("--baselines", default=None,
                         help=f"baseline file (default benchmarks/{BASELINES_NAME})")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="allowed slowdown fraction before failing (default 0.20)")
     parser.add_argument("--only", metavar="SUBSTR",
                         help="run only bench modules whose name contains SUBSTR")
     parser.add_argument("--update-baselines", action="store_true",
@@ -176,14 +171,13 @@ def main(argv=None) -> int:
         baselines_path.write_text(json.dumps(all_baselines, indent=2, sort_keys=True) + "\n")
         print(f"baselines updated: {baselines_path} ({len(results)} entries, "
               f"profile {args.profile})")
-        comparison = compare_to_baselines(results, all_baselines[args.profile], args.tolerance)
+        comparison = compare_to_baselines(results, all_baselines[args.profile])
     else:
-        comparison = compare_to_baselines(results, baselines, args.tolerance)
+        comparison = compare_to_baselines(results, baselines)
 
     regressions = [name for name, entry in comparison.items() if not entry["ok"]]
     report = {
         "profile": args.profile,
-        "tolerance": args.tolerance,
         "results": [r.to_json() for r in results],
         "baseline_comparison": comparison,
         "regressions": regressions,
@@ -196,16 +190,16 @@ def main(argv=None) -> int:
           f"(wall clock {wall_clock['total']:.1f}s)")
     for result in results:
         entry = comparison[result.name]
-        flag = "" if entry["ok"] else "  << REGRESSION"
+        flag = "" if entry["ok"] else "  << NOT ITS BASELINE"
         base = (f" (baseline {entry['baseline_s']:.3f}s, x{entry['ratio']:.2f})"
                 if entry.get("ratio") is not None else " (no baseline)")
         cached = {True: " cache=on", False: " cache=off", None: ""}[result.cached]
         print(f"  {result.name}: {result.simulated_seconds:.3f}s{cached}{base}{flag}")
     if regressions:
-        print(f"\nFAIL: {len(regressions)} regression(s) beyond "
-              f"{args.tolerance:.0%}: {', '.join(regressions)}")
+        print(f"\nFAIL: {len(regressions)} result(s) not equal to their baselines: "
+              f"{', '.join(regressions)}")
         return 1
-    print("\nall benchmarks within tolerance")
+    print("\nall benchmarks equal their baselines")
     return 0
 
 

@@ -144,6 +144,13 @@ class TransferResult:
 class DiskDrive:
     """One spindle holding one pack, exposing the per-part command interface.
 
+    Header and label words are checked as they land on the platter
+    (``Sector.set_header_words``/``set_label_words``); value words are not.
+    Every caller in ``repro`` hands a command ``value_words`` output, a
+    ``LeaderPage``'s pack (each field checked as it is packed), platter
+    words or ``FREE_VALUE``, so page values on the platter are words by
+    provenance, and checking them here would check each write twice.
+
     *fault_injector*, if given, is a :class:`~repro.disk.faults.FaultPlan`.
     Every command calls its ``before_parts`` hook, every part its
     ``before_part`` hook and every part-write its ``filter_write`` hook, so

@@ -23,7 +23,7 @@ import hashlib
 from typing import Dict, Iterator, List, Optional
 
 from ..errors import AddressOutOfRange
-from ..words import words_to_bytes
+from ..words import check_word, words_to_bytes
 from .geometry import DiskShape, diablo31
 from .sector import FREE_VALUE, Label, Sector
 
@@ -77,7 +77,7 @@ class DiskImage:
 
     def __init__(self, shape: Optional[DiskShape] = None, pack_id: int = 1) -> None:
         self.shape = shape if shape is not None else diablo31()
-        self.pack_id = pack_id
+        self.pack_id = check_word(pack_id, "pack id")
         # Sectors are materialized on first touch: ``None`` stands for a
         # factory-fresh sector (free label, all-ones value), which is what
         # every address holds until something writes or inspects it.

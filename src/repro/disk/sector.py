@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 from ..words import (
     PAGE_DATA_WORDS,
     WORD_MASK,
-    check_word,
+    check_words,
     from_double_word,
     to_double_word,
     zero_words,
@@ -54,18 +54,18 @@ MAX_ORDINARY_SERIAL = 0xFFFF_FFF0
 
 @dataclass(frozen=True)
 class Header:
-    """Sector header: pack number and disk address (both hints, H)."""
+    """Sector header: pack number and disk address (both hints, H), two
+    words checked when the header is built."""
 
     pack_id: int
     address: int
 
+    def __post_init__(self) -> None:
+        check_words((self.pack_id, self.address), "header word")
+
     def pack(self) -> List[int]:
-        """Serialize to the two on-disk words (memoized; Header is frozen)."""
-        packed = self.__dict__.get("_packed")
-        if packed is None:
-            packed = [check_word(self.pack_id, "pack id"), check_word(self.address, "address")]
-            object.__setattr__(self, "_packed", packed)
-        return list(packed)
+        """The two on-disk words."""
+        return [self.pack_id, self.address]
 
     @staticmethod
     def unpack(words: Sequence[int]) -> "Header":
@@ -81,10 +81,9 @@ class Header:
         if cached is not None:
             return cached
         header = Header(pack_id=words[0], address=words[1])
-        if key is not None:
-            if len(_HEADER_CACHE) >= _UNPACK_CACHE_MAX:
-                _HEADER_CACHE.clear()
-            _HEADER_CACHE[key] = header
+        if len(_HEADER_CACHE) >= _UNPACK_CACHE_MAX:
+            _HEADER_CACHE.clear()
+        _HEADER_CACHE[key] = header
         return header
 
 
@@ -94,6 +93,7 @@ class Label:
 
     F (serial, two words) + V (version) + PN (page number) + L (byte length)
     are absolutes (A); NL and PL (next/previous links) are hints (H).
+    All seven words are checked when the label is built.
     """
 
     serial: int = SERIAL_FREE
@@ -102,6 +102,12 @@ class Label:
     length: int = WORD_MASK
     next_link: int = NIL
     prev_link: int = NIL
+
+    def __post_init__(self) -> None:
+        # The check lays out the seven on-disk words, and pack() keeps them.
+        self.__dict__["_packed"] = check_words(
+            [*to_double_word(self.serial), self.version, self.page_number,
+             self.length, self.next_link, self.prev_link], "label word")
 
     # -- predicates -----------------------------------------------------------
 
@@ -130,37 +136,8 @@ class Label:
     # -- packing --------------------------------------------------------------
 
     def pack(self) -> List[int]:
-        """Serialize to the seven on-disk words (memoized; Label is frozen)."""
-        packed = self.__dict__.get("_packed")
-        if packed is None:
-            serial = self.serial
-            version = self.version
-            page_number = self.page_number
-            length = self.length
-            next_link = self.next_link
-            prev_link = self.prev_link
-            if (type(serial) is int and 0 <= serial <= 0xFFFFFFFF
-                    and type(version) is int and 0 <= version <= WORD_MASK
-                    and type(page_number) is int and 0 <= page_number <= WORD_MASK
-                    and type(length) is int and 0 <= length <= WORD_MASK
-                    and type(next_link) is int and 0 <= next_link <= WORD_MASK
-                    and type(prev_link) is int and 0 <= prev_link <= WORD_MASK):
-                packed = [serial >> 16, serial & WORD_MASK, version,
-                          page_number, length, next_link, prev_link]
-            else:
-                # Out-of-range or non-int fields raise exactly as always.
-                high, low = to_double_word(serial)
-                packed = [
-                    high,
-                    low,
-                    check_word(version, "version"),
-                    check_word(page_number, "page number"),
-                    check_word(length, "length"),
-                    check_word(next_link, "next link"),
-                    check_word(prev_link, "prev link"),
-                ]
-            object.__setattr__(self, "_packed", packed)
-        return list(packed)
+        """The seven on-disk words (laid out when the label was built)."""
+        return list(self._packed)
 
     @staticmethod
     def unpack(words: Sequence[int]) -> "Label":
@@ -168,7 +145,9 @@ class Label:
             raise ValueError(f"label needs {LABEL_WORDS} words, got {len(words)}")
         # Intern: Label is frozen, so identical on-disk words can share one
         # object (a sweep unpacks the same few thousand labels over and
-        # over).  Unhashable words fall through to plain construction.
+        # over).  The lookup matches by equality (3.0 finds 3's label); the
+        # exact check of platter words is Sector.set_label_words.  Unhashable
+        # words fall through to the constructor, which refuses them.
         try:
             key = tuple(words)
             cached = _UNPACK_CACHE.get(key)
@@ -184,14 +163,9 @@ class Label:
             next_link=words[5],
             prev_link=words[6],
         )
-        if key is not None:
-            # Seed the pack() memo only when round-tripping is exact (all
-            # plain in-range words); otherwise pack() must keep raising.
-            if all(type(w) is int and 0 <= w <= WORD_MASK for w in key):
-                label.__dict__["_packed"] = list(key)
-            if len(_UNPACK_CACHE) >= _UNPACK_CACHE_MAX:
-                _UNPACK_CACHE.clear()
-            _UNPACK_CACHE[key] = label
+        if len(_UNPACK_CACHE) >= _UNPACK_CACHE_MAX:
+            _UNPACK_CACHE.clear()
+        _UNPACK_CACHE[key] = label
         return label
 
     @staticmethod
@@ -359,29 +333,18 @@ class Sector:
         return packed
 
     def set_header_words(self, data: List[int]) -> None:
-        """Install *data* (length-validated by the caller) as the header."""
-        self._header_words = data
+        """Install *data* (length-validated by the caller) as the header,
+        once :func:`~repro.words.check_words` admits it."""
+        self._header_words = check_words(data, "header word")
         self._header_obj = None
         if self._log is not None:
             self._log.note(self._address)
 
     def set_label_words(self, data: List[int]) -> None:
-        """Install *data* as the label.
-
-        Suspect words (out of range, or not ints at all) are routed through
-        ``Label.unpack`` so a bad write fails -- or, for the fields unpack
-        historically left unchecked, succeeds -- exactly as the object path
-        did."""
-        try:
-            suspect = min(data) < 0 or max(data) > WORD_MASK
-        except TypeError:
-            suspect = True
-        if suspect:
-            self._label_obj = Label.unpack(data)
-            self._label_words = None
-        else:
-            self._label_words = data
-            self._label_obj = None
+        """Install *data* (length-validated by the caller) as the label,
+        once :func:`~repro.words.check_words` admits it."""
+        self._label_words = check_words(data, "label word")
+        self._label_obj = None
         if self._log is not None:
             self._log.note(self._address)
 
@@ -406,21 +369,14 @@ class Sector:
         """A factory-fresh (never-written) sector: free label, ones value,
         logging its header and label changes in *log* when given.
 
-        Pack formatting creates one per sector in a tight loop, so in-range
-        inputs install the packed header words directly; anything else goes
-        through the ``Header`` object, whose ``pack()`` raises exactly
-        where it always did.
+        Pack formatting creates one per sector in a tight loop, so the header
+        words go in unchecked: a ``DiskImage`` checks its pack id once.
         """
         sector = Sector.__new__(Sector)
         sector._log = log
         sector._address = address
-        if (type(pack_id) is int and 0 <= pack_id <= WORD_MASK
-                and type(address) is int and 0 <= address <= WORD_MASK):
-            sector._header_obj = None
-            sector._header_words = [pack_id, address]
-        else:
-            sector._header_obj = Header(pack_id=pack_id, address=address)
-            sector._header_words = None
+        sector._header_obj = None
+        sector._header_words = [pack_id, address]
         sector._label_obj = _FREE_LABEL
         sector._label_words = None
         sector._value = FREE_VALUE
@@ -431,16 +387,15 @@ class Sector:
 
 
 def value_words(data: Sequence[int]) -> List[int]:
-    """Pad or validate *data* to exactly one sector value (256 words)."""
+    """*data* as one sector value: at most 256 words, each checked
+    (:func:`~repro.words.check_words`), padded with zeros to 256.
+
+    The file system's route to the drive for data words: ``PageIO``,
+    ``PageAllocator.allocate`` and ``AltoFile.write_last_page`` pass their
+    buffers through it before they touch anything.
+    """
     data = list(data)
     if len(data) > VALUE_WORDS:
         raise ValueError(f"value too long: {len(data)} > {VALUE_WORDS}")
-    if data:
-        try:
-            out_of_range = min(data) < 0 or max(data) > WORD_MASK
-        except TypeError:
-            out_of_range = True  # non-int present: find it below
-        if out_of_range:
-            for w in data:
-                check_word(w, "value word")
+    check_words(data, "value word")
     return data + zero_words(VALUE_WORDS - len(data))

@@ -20,9 +20,8 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence
 
 from ..disk.geometry import DiskShape, NIL
-from ..disk.sector import Label
+from ..disk.sector import Label, value_words
 from ..errors import DiskFull, PageNotFree
-from ..words import WORD_MASK
 from .page import PageIO
 
 #: Map bits per word when serialized into the disk descriptor.
@@ -104,12 +103,15 @@ class PageAllocator:
     ) -> int:
         """Allocate a page and perform its first write, atomically per 3.3.
 
-        Picks map candidates nearest *near*; each candidate is marked busy,
-        then claimed on disk (check-free + label write, costing the
-        allocate revolution).  A candidate whose label is not actually free
-        stays marked busy -- the map told a lie -- and the next candidate is
-        tried.  Raises :class:`DiskFull` when the map offers nothing.
+        *data* goes through :func:`value_words` first, so a buffer it
+        refuses leaves the map as it was.  Then picks map candidates
+        nearest *near*; each candidate is marked busy, then claimed on disk
+        (check-free + label write, costing the allocate revolution).  A
+        candidate whose label is not actually free stays marked busy -- the
+        map told a lie -- and the next candidate is tried.  Raises
+        :class:`DiskFull` when the map offers nothing.
         """
+        value = value_words(data)
         obs = page_io.drive.clock.obs
         with obs.span("fs.allocate", "fs",
                       near=near if near is not None else NIL) as span:
@@ -118,7 +120,7 @@ class PageAllocator:
                 tried += 1
                 self.mark_busy(address)
                 try:
-                    page_io.claim(address, label, data)
+                    page_io.claim_value(address, label, value)
                 except PageNotFree:
                     self.map_lies += 1
                     obs.registry.counter("fs.alloc.map_lies").inc()

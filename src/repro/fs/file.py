@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..disk.geometry import NIL
-from ..disk.sector import VALUE_WORDS
+from ..disk.sector import VALUE_WORDS, value_words
 from ..errors import FileFormatError, HintFailed
 from ..words import PAGE_DATA_BYTES, bytes_to_words, words_to_bytes
 from .allocator import PageAllocator
@@ -268,14 +268,15 @@ class AltoFile:
 
         When L changes this is the change-length operation of section 3.3
         (label read/check, then rewrite: one revolution); when L is
-        unchanged it is an ordinary single-pass write.
+        unchanged it is an ordinary single-pass write.  *data* goes through
+        :func:`value_words` before either, so a buffer it refuses changes
+        nothing.
         """
         if not 0 <= length < FULL_PAGE:
             raise ValueError(f"last-page length must be in [0, {FULL_PAGE}), got {length}")
         if len(data) * 2 < length:
             raise ValueError(f"{len(data)} words cannot hold {length} bytes")
-        if len(data) > VALUE_WORDS:
-            raise ValueError(f"a page holds {VALUE_WORDS} words, not {len(data)}")
+        data = value_words(data)
         pn = self._last_page_number
         if length == self._last_length:
             self._retrying(pn, lambda name: self.page_io.write(name, data))
@@ -297,7 +298,9 @@ class AltoFile:
 
         The old last page becomes a full interior page; the new page carries
         the old last page's data role.  Costs: one allocate revolution for
-        the claim, one revolution to rewrite the old last label.
+        the claim, one revolution to rewrite the old last label.  The
+        allocator checks *data* before it marks a page busy, so a buffer it
+        refuses changes nothing.
         """
         if not 0 <= length < FULL_PAGE:
             raise ValueError(f"last-page length must be in [0, {FULL_PAGE}), got {length}")

@@ -103,7 +103,7 @@ class FileId:
             serial=self.serial,
             version=self.version,
             page_number=page_number + PAGE_NUMBER_BIAS,
-            length=check_word(length, "length"),
+            length=length,
             next_link=next_link,
             prev_link=prev_link,
         )

@@ -122,10 +122,16 @@ class PageIO:
         """First write after allocation: "the check is that the page is free.
         Then the proper label for the page is written" (section 3.3).
 
+        *data* goes through :func:`value_words` before the disk pass.
         Raises :class:`PageNotFree` when the allocation map lied.
         """
+        self.claim_value(address, new_label, value_words(data))
+
+    def claim_value(self, address: int, new_label: Label, value: Sequence[int]) -> None:
+        """:meth:`claim` of *value*, already :func:`value_words` output:
+        the allocator checks its buffer before it marks a candidate busy."""
         try:
-            self.drive.check_label_then_rewrite(address, Label.free(), new_label, value_words(data))
+            self.drive.check_label_then_rewrite(address, Label.free(), new_label, value)
         except (LabelCheckError, AddressOutOfRange) as exc:
             raise PageNotFree(f"address {address} is not free") from exc
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from ..errors import MemoryFault
-from ..words import MEMORY_WORDS, WORD_MASK, check_word
+from ..words import MEMORY_WORDS, check_word, check_words
 
 
 class Memory:
@@ -55,8 +55,7 @@ class Memory:
 
     def write_block(self, address: int, values: Sequence[int]) -> None:
         self._check_range(address, len(values))
-        for offset, value in enumerate(values):
-            self._words[address + offset] = check_word(value, "memory word")
+        self._words[address : address + len(values)] = check_words(values, "memory word")
 
     def fill(self, address: int, count: int, value: int = 0) -> None:
         self._check_range(address, count)
@@ -71,9 +70,7 @@ class Memory:
         """Overwrite the entire contents, for world-swap restore."""
         if len(words) != self.size:
             raise MemoryFault(f"world image has {len(words)} words, memory has {self.size}")
-        for w in words:
-            check_word(w, "memory word")
-        self._words = list(words)
+        self._words = list(check_words(words, "memory word"))
 
     # -- bounds ------------------------------------------------------------------
 

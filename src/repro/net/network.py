@@ -23,7 +23,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..clock import SimClock
 from ..errors import ReproError
-from ..words import WORD_MASK, check_word
+from ..words import check_word, check_words
 
 
 class NetworkError(ReproError):
@@ -74,9 +74,7 @@ class Packet:
     def __post_init__(self) -> None:
         if len(self.payload) > MAX_PAYLOAD_WORDS:
             raise NetworkError(f"payload of {len(self.payload)} words exceeds {MAX_PAYLOAD_WORDS}")
-        for w in self.payload:
-            if type(w) is not int or w < 0 or w > WORD_MASK:
-                check_word(w, "payload word")  # raises, or admits an int subclass
+        check_words(self.payload, "payload word")
 
     def relayed(self, source: str, destination: str,
                 at: Optional[int] = None, word: int = 0) -> "Packet":
@@ -96,8 +94,7 @@ class Packet:
             return Packet(source, destination, self.ptype,
                           tuple(payload)).relayed(source, destination, at, word)
         if at is not None:
-            if type(word) is not int or word < 0 or word > WORD_MASK:
-                check_word(word, "payload word")
+            check_word(word, "payload word")
             if not 0 <= at < len(payload):
                 raise NetworkError(f"no word {at} in a {len(payload)}-word payload")
             payload = payload[:at] + (word,) + payload[at + 1:]

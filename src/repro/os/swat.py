@@ -22,6 +22,7 @@ from ..memory.core import MEMORY_WORDS
 from ..world.machine import REGISTER_COUNT
 from ..world.statefile import pack_state, unpack_state
 from ..world.swap import Transfer
+from ..words import check_word
 
 
 class Swat:
@@ -78,9 +79,7 @@ class Swat:
 
     def write_word(self, address: int, value: int) -> None:
         self._check_address(address)
-        if not 0 <= value <= 0xFFFF:
-            raise ValueError(f"word out of range: {value}")
-        self.memory_words[address] = value
+        self.memory_words[address] = check_word(value, "memory word")
         self.dirty = True
 
     def write_block(self, address: int, values: Sequence[int]) -> None:
@@ -90,9 +89,7 @@ class Swat:
     def write_register(self, index: int, value: int) -> None:
         if not 0 <= index < REGISTER_COUNT:
             raise IndexError(f"register {index} out of range")
-        if not 0 <= value <= 0xFFFF:
-            raise ValueError(f"word out of range: {value}")
-        self.registers[index] = value
+        self.registers[index] = check_word(value, "register")
         self.dirty = True
 
     def set_resume_phase(self, phase: str) -> None:

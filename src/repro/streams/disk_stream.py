@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..errors import EndOfStream, StreamError
 from ..fs.file import AltoFile, FULL_PAGE
-from ..words import PAGE_DATA_BYTES, bytes_to_words, words_to_bytes
+from ..words import PAGE_DATA_BYTES, bytes_to_words, check_word, words_to_bytes
 from .base import Stream
 
 BYTE_ITEMS = "byte"
@@ -143,8 +143,10 @@ def open_write_stream(
                 raise StreamError(f"byte item out of range: {item}")
             buffer.append(item)
         else:
-            if not 0 <= item <= 0xFFFF:
-                raise StreamError(f"word item out of range: {item}")
+            try:
+                check_word(item, "word item")
+            except ValueError as exc:
+                raise StreamError(str(exc)) from exc
             buffer.append(item >> 8)
             buffer.append(item & 0xFF)
         if len(buffer) >= PAGE_DATA_BYTES:

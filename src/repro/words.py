@@ -7,6 +7,19 @@ This module centralizes the word discipline: masking, double-word packing,
 byte packing (two bytes per word, big-endian within the word as on the Alto),
 and BCPL-style string coding.
 
+**The word rule**: a word is an ``int`` (an int subclass included) in
+0..0xFFFF, never a float or a numpy integer, whatever its value.
+:func:`check_word` (one word) and :func:`check_words` (a sequence) state
+it, and each door words come in by runs it once, so a non-word fails at
+its write: ``Packet`` and the word ``Packet.relayed`` replaces;
+``value_words``, the file system's route to the drive for data words;
+the ``Header`` and ``Label`` constructors and ``Sector.set_header_words``
+/ ``set_label_words``, where every raw header and label write lands;
+``DiskImage(pack_id=...)``; memory, registers, state-file messages,
+Swat's ``write_word`` and ``write_register``, and a word stream's
+``put``.  Each door keeps its own error class, and words past a door are
+not checked again (see ``repro.disk.drive.DiskDrive`` for page values).
+
 The packing, checksum and random-content hot loops run as *bulk
 operations* in C (``struct``, ``array('H')``, ``sum``, big-int shifts and
 the ``latin-1`` codec), with no per-item Python loop and no optional
@@ -53,11 +66,6 @@ def word(value: int) -> int:
     return value & WORD_MASK
 
 
-def is_word(value: object) -> bool:
-    """Return True when *value* is an int in the 16-bit unsigned range."""
-    return isinstance(value, int) and 0 <= value <= WORD_MASK
-
-
 def check_word(value: int, what: str = "value") -> int:
     """Validate that *value* fits in a word; return it unchanged.
 
@@ -71,15 +79,31 @@ def check_word(value: int, what: str = "value") -> int:
     return value
 
 
+def check_words(words: Sequence[int], what: str = "word") -> Sequence[int]:
+    """Validate each word of the sequence *words* as :func:`check_word`
+    does (a plain ``int`` in range costs one inline test); return *words*.
+
+    >>> check_words([1, 3.0], "value word")
+    Traceback (most recent call last):
+        ...
+    ValueError: value word must be an int, got float
+    """
+    for w in words:
+        if type(w) is not int or w < 0 or w > WORD_MASK:
+            check_word(w, what)
+    return words
+
+
 def to_double_word(value: int) -> tuple:
     """Split a 32-bit value into (high word, low word).
 
     File serial numbers are "two words" (section 3.1); this is the packing
-    used for them and for any other 32-bit on-disk quantity.
+    used for them and for any other 32-bit on-disk quantity.  Like a word,
+    a double word is an ``int``: anything else raises ``ValueError``.
     """
-    if not 0 <= value <= 0xFFFFFFFF:
-        raise ValueError(f"double-word value out of range: {value}")
-    return (value >> WORD_BITS) & WORD_MASK, value & WORD_MASK
+    if not isinstance(value, int) or not 0 <= value <= 0xFFFFFFFF:
+        raise ValueError(f"double-word value out of range: {value!r}")
+    return value >> WORD_BITS, value & WORD_MASK
 
 
 def from_double_word(high: int, low: int) -> int:

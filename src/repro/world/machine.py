@@ -18,7 +18,7 @@ from typing import List, Optional
 from ..memory.core import MEMORY_WORDS, Memory
 from ..streams.display import DisplayDevice
 from ..streams.keyboard import KeyboardDevice
-from ..words import check_word
+from ..words import check_word, check_words
 
 #: Number of general registers saved in a world image (ACs + PC-adjacent
 #: state on the real machine).
@@ -64,7 +64,7 @@ class Machine:
     def restore(self, state: dict) -> None:
         """Overwrite the machine from :meth:`capture` output."""
         self.memory.load(state["memory"])
-        self.registers = [check_word(w, "register") for w in state["registers"]]
+        self.registers = list(check_words(state["registers"], "register"))
         if len(self.registers) != REGISTER_COUNT:
             raise ValueError(f"world image has {len(self.registers)} registers")
         self.keyboard.restore(state["typeahead"])

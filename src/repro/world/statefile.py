@@ -26,6 +26,7 @@ from ..fs.names import FileId, FullName
 from ..memory.core import MEMORY_WORDS
 from ..words import (
     bytes_to_words,
+    check_words,
     checksum,
     from_double_word,
     string_to_words,
@@ -49,16 +50,18 @@ STATE_FILE_BYTES = (_HEADER_PAGE_WORDS + MEMORY_WORDS) * 2
 
 
 def check_message(message: Optional[Sequence[int]]) -> List[int]:
-    """Validate and normalize a message vector (None becomes empty)."""
+    """Validate and normalize a message vector (None becomes empty): at
+    most :data:`MESSAGE_WORDS` words, each one a word
+    (:func:`~repro.words.check_words`), or :class:`MessageTooLong`."""
     if message is None:
         return []
     message = list(message)
     if len(message) > MESSAGE_WORDS:
         raise MessageTooLong(f"message has {len(message)} words, limit is {MESSAGE_WORDS}")
-    for w in message:
-        if not 0 <= w <= 0xFFFF:
-            raise MessageTooLong(f"message word out of range: {w}")
-    return message
+    try:
+        return check_words(message, "message word")
+    except ValueError as exc:
+        raise MessageTooLong(str(exc)) from exc
 
 
 def pack_state(

@@ -29,6 +29,31 @@ def claim(drive, address, label, data=()):
     drive.check_label_then_rewrite(address, Label.free(), label, value_words(list(data)))
 
 
+class TestRawWordWrites:
+    """A raw header or label write whose words are not all words is
+    refused at the write, and the sector keeps what it held."""
+
+    @pytest.mark.parametrize("bad", [1.5, 70_000])
+    def test_label_write_of_a_non_word_is_refused(self, drive, bad):
+        label = in_use_label()
+        claim(drive, 4, label)
+        words = label.pack()
+        words[2] = bad  # the version word
+        with pytest.raises(ValueError):
+            drive.transfer(4, label=PartCommand(Action.WRITE, words),
+                           value=PartCommand(Action.WRITE, value_words([])))
+        assert drive.read_label(4) == label
+
+    def test_header_write_of_a_float_is_refused(self, drive):
+        digest = drive.image.digest()
+        with pytest.raises(ValueError):
+            drive.transfer(4, header=PartCommand(Action.WRITE, [1, 2.5]),
+                           label=PartCommand(Action.WRITE, Label.free().pack()),
+                           value=PartCommand(Action.WRITE, value_words([])))
+        assert drive.read_sector(4).header_object() == Header(1, 4)
+        assert drive.image.digest() == digest
+
+
 class TestPartActions:
     def test_read_fresh_sector(self, drive):
         result = drive.read_sector(5)

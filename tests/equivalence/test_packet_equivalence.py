@@ -1,6 +1,7 @@
 """Packet's inline word check == the call-per-word check it replaced.
 
-``Packet.__post_init__`` tests each payload word inline and calls
+``Packet.__post_init__`` hands its payload to
+:func:`repro.words.check_words`, which tests each word inline and calls
 :func:`repro.words.check_word` only for a word that fails that test.  The
 property below holds it to the replaced body, kept verbatim as the oracle:
 the same exception class and message for every rejected payload, and for
@@ -13,7 +14,6 @@ dataclass it replaced, ``DataclassPacket`` below.
 
 import tracemalloc
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Tuple
 
 from hypothesis import example, given, settings, strategies as st
@@ -22,11 +22,7 @@ from repro.net.network import (MAX_PAYLOAD_WORDS, TYPE_CONTROL, TYPE_DATA,
                                NetworkError, Packet)
 from repro.server.protocol import MAGIC_REQUEST, OP_READ, Request, encode_request
 from repro.words import WORD_MASK, check_word
-
-try:
-    import numpy  # a test-only dependency: its scalars are foreign ints
-except ImportError:  # not installed here: plain Python values only
-    numpy = None
+from tests.word_strategies import Register, bad, good
 
 
 class OraclePacket:
@@ -41,31 +37,6 @@ class OraclePacket:
             raise NetworkError(f"payload of {len(self.payload)} words exceeds {MAX_PAYLOAD_WORDS}")
         for w in self.payload:
             check_word(w, "payload word")
-
-
-class Register(IntEnum):
-    ZERO = 0
-    TOP = WORD_MASK
-    OVER = WORD_MASK + 1
-
-
-#: Values check_word accepts: plain words, and int subclasses in range.
-good = st.one_of(st.integers(0, WORD_MASK), st.booleans(),
-                 st.sampled_from([Register.ZERO, Register.TOP]))
-
-#: Values it rejects, one way or another.
-bad = st.one_of(
-    st.integers(max_value=-1),
-    st.just(WORD_MASK + 1),
-    st.integers(min_value=2 ** 64),
-    st.just(Register.OVER),
-    st.floats(),
-    st.just(3.0),
-    st.none(),
-    st.text(max_size=2),
-    st.sampled_from([] if numpy is None else [
-        numpy.uint16(7), numpy.int64(-1), numpy.int32(WORD_MASK + 1)]),
-)
 
 
 @st.composite

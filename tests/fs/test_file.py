@@ -141,6 +141,36 @@ class TestPageOps:
         assert pio.drive.stats()["disk.drive.commands"] == commands
         assert file.read_data() == b"eleven byte"
 
+    def test_float_words_are_refused_at_the_append(self, env):
+        """Not stored on the platter, to make a later read_data() raise."""
+        file = new_file(env)
+        file.write_data(b"eleven byte")
+        with pytest.raises(ValueError, match="must be an int"):
+            file.append_page([3.0] * 10, 20)
+        assert file.read_data() == b"eleven byte"
+
+    def test_refused_float_appends_leak_no_page(self, env):
+        """The allocator checks the words before it marks a page busy."""
+        pio, alloc = env
+        file = new_file(env)
+        free = alloc.count_free()
+        for _ in range(5):
+            with pytest.raises(ValueError):
+                file.append_page([3.0] * 10, 20)
+        assert alloc.count_free() == free
+
+    def test_refused_float_tail_write_leaves_the_file_unchanged(self, env):
+        """The words are checked before the change-length label rewrite."""
+        pio, alloc = env
+        file = new_file(env)
+        file.write_data(b"eleven byte")
+        commands = pio.drive.stats()["disk.drive.commands"]
+        with pytest.raises(ValueError):
+            file.write_last_page([3.0] * 10, 20)
+        assert pio.drive.stats()["disk.drive.commands"] == commands
+        assert file.byte_length == 11
+        assert file.read_data() == b"eleven byte"
+
     def test_interior_write_requires_full_page(self, env):
         file = new_file(env)
         file.write_data(b"x" * 1200)

@@ -41,6 +41,12 @@ class TestMemory:
         memory.fill(5, 3, 9)
         assert memory.read_block(4, 5) == [0, 9, 9, 9, 0]
 
+    def test_a_refused_block_writes_nothing(self):
+        memory = Memory(256)
+        with pytest.raises(ValueError):
+            memory.write_block(5, [1, 2, 1.5])
+        assert memory.read_block(5, 3) == [0, 0, 0]
+
     def test_block_bounds(self):
         memory = Memory(256)
         with pytest.raises(MemoryFault):

@@ -15,7 +15,7 @@ from repro.net import (
     send_file,
 )
 from repro.words import words_to_bytes, words_to_string
-from tests.equivalence.test_packet_equivalence import bad, good
+from tests.word_strategies import bad, good
 
 
 @pytest.fixture

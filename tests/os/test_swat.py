@@ -90,6 +90,20 @@ class TestAltering:
         with pytest.raises(ValueError):
             swat.write_word(0, 0x10000)
 
+    def test_float_words_are_refused_before_the_commit(self, swatee):
+        """Refused at the write, not stored to make commit() raise."""
+        machine, fs, registry, engine = swatee
+        swat = Swat(fs)
+        with pytest.raises(ValueError):
+            swat.write_word(0x2000, 1.5)
+        with pytest.raises(ValueError):
+            swat.write_register(3, 1.5)
+        assert not swat.dirty
+        swat.commit()
+        again = Swat(fs)
+        assert again.read_word(0x2000) == 10
+        assert again.read_register(3) == 0x077
+
 
 class TestResuming:
     def test_full_debug_cycle(self, world):

@@ -1,8 +1,9 @@
 """Run the docstring examples of ``repro.net``, ``repro.server``,
-``repro.disk``, ``repro.obs`` and ``repro.fs``.
+``repro.disk``, ``repro.obs``, ``repro.fs`` and ``repro.words``.
 
 CI's docs job runs ``pytest --doctest-modules src/repro/net
-src/repro/server src/repro/disk src/repro/obs src/repro/fs`` directly;
+src/repro/server src/repro/disk src/repro/obs src/repro/fs
+src/repro/words.py`` directly;
 this test keeps the same examples green under the plain test run, so a
 stale docstring fails close to the change that broke it.
 """
@@ -23,6 +24,7 @@ PACKAGES = (repro.net, repro.server, repro.disk, repro.obs, repro.fs)
 
 
 def doctest_modules():
+    yield "repro.words"
     for package in PACKAGES:
         yield package.__name__
         for info in pkgutil.iter_modules(package.__path__):

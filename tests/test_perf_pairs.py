@@ -90,3 +90,10 @@ def test_a_side_with_no_simulated_metrics_is_gated_on_its_ok_ratio():
     assert "sim_req_p99_ms" not in report["end_to_end"]["head"]
     assert [failure.split(":")[0] for failure in report["failures"]] == \
         ["w ok_ratio"]
+
+
+def test_paths_of_different_lengths_are_warned_about(capsys):
+    tool.warn_on_path_lengths(Path("/work/base"), Path("/work/head"))
+    assert capsys.readouterr().err == ""
+    tool.warn_on_path_lengths(Path("/work/b"), Path("/work/head"))
+    assert "differ in length" in capsys.readouterr().err

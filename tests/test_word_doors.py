@@ -1,0 +1,133 @@
+"""The word rule holds at every door words come in by.
+
+A word is an ``int`` (an int subclass included) in 0..0xFFFF, as
+:func:`repro.words.check_word` states it.  Each door below admits exactly
+the values ``check_word`` admits and raises its own error class for the
+rest.  A write a door refuses changes nothing: a file keeps its bytes and
+its length and the allocation map its free count, and a raw header or
+label write leaves the sector's words as they were.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.disk import (Action, DiskDrive, DiskImage, Header, Label, PartCommand,
+                        tiny_test_disk, value_words)
+from repro.disk.sector import FREE_VALUE
+from repro.errors import MessageTooLong, StreamError
+from repro.fs import FileSystem
+from repro.fs.allocator import PageAllocator
+from repro.fs.file import AltoFile
+from repro.fs.names import FileId, make_serial
+from repro.fs.page import PageIO
+from repro.memory.core import Memory
+from repro.net.network import TYPE_DATA, Packet
+from repro.os.swat import Swat
+from repro.streams import WORD_ITEMS, open_write_stream
+from repro.world import Machine, ProgramRegistry, WorldEngine
+from repro.world.statefile import check_message
+from repro.words import check_word
+from tests.word_strategies import bad, good
+
+
+def file_door(write):
+    """*write(file, word)* on a fresh 11-byte file; a refused write must
+    leave the file and the allocation map as they were."""
+    def enter(world, word):
+        drive = DiskDrive(DiskImage(tiny_test_disk(cylinders=30)))
+        allocator = PageAllocator(drive.shape)
+        file = AltoFile.create(PageIO(drive), allocator, FileId(make_serial(1)),
+                               "f.dat", now=100)
+        file.write_data(b"eleven byte")
+        free = allocator.count_free()
+        try:
+            write(file, word)
+        except ValueError:
+            assert allocator.count_free() == free
+            assert file.byte_length == 11
+            assert file.read_data() == b"eleven byte"
+            raise
+    return enter
+
+
+def raw_write(part, words):
+    """A raw *part* write of *words* through ``DiskDrive.transfer``; a
+    refused one must leave the sector's header and label as they were."""
+    drive = DiskDrive(DiskImage(tiny_test_disk()))
+    sector = drive.image.sector(3)
+    before = list(sector.header_words()), list(sector.label_words())
+    parts = {"header": PartCommand(Action.WRITE, Header(1, 3).pack()),
+             "label": PartCommand(Action.WRITE, Label.free().pack()),
+             "value": PartCommand(Action.WRITE, FREE_VALUE)}
+    parts[part] = PartCommand(Action.WRITE, words)
+    if part == "label":
+        del parts["header"]  # a label write need not rewrite the header
+    try:
+        drive.transfer(3, **parts)
+    except ValueError:
+        sector = drive.image.sector(3)
+        assert (sector.header_words(), sector.label_words()) == before
+        raise
+
+
+@pytest.fixture(scope="module")
+def world():
+    """A machine, Swat on its saved world and a word stream, built once: a
+    refused write changes none of them (an admitted one may)."""
+    fs = FileSystem.format(DiskDrive(DiskImage(tiny_test_disk(cylinders=60))))
+    machine = Machine()
+    WorldEngine(machine, fs, ProgramRegistry()).swapper.outload(
+        "Swatee", "victim", "checkpointed")
+    stream = open_write_stream(fs.create_file("words.dat"), items=WORD_ITEMS)
+    return SimpleNamespace(machine=machine, swat=Swat(fs), stream=stream)
+
+
+#: door -> (enter it with the world and one word, the error class it
+#: refuses a non-word with)
+DOORS = {
+    "Packet": (lambda world, w: Packet("a", "b", TYPE_DATA, (1, w, 2)), ValueError),
+    "Packet.relayed": (lambda world, w: Packet("a", "b", TYPE_DATA, (1, 2, 3)).relayed(
+        "b", "c", at=1, word=w), ValueError),
+    "value_words": (lambda world, w: value_words([1, w]), ValueError),
+    "AltoFile.append_page": (file_door(lambda f, w: f.append_page([0x4142, w], 4)),
+                             ValueError),
+    "AltoFile.write_last_page": (file_door(lambda f, w: f.write_last_page([0x4142, w], 4)),
+                                 ValueError),
+    "raw header write": (lambda world, w: raw_write("header", [1, w]), ValueError),
+    "raw label write": (lambda world, w: raw_write(
+        "label", [0x8000, 1, w, 2, 0, 0xFFFF, 0xFFFF]), ValueError),
+    "Header": (lambda world, w: Header(1, w), ValueError),
+    "Label": (lambda world, w: Label(serial=make_serial(1), version=1, length=w),
+              ValueError),
+    "DiskImage": (lambda world, w: DiskImage(tiny_test_disk(), pack_id=w), ValueError),
+    "Memory.write": (lambda world, w: Memory(16).write(3, w), ValueError),
+    "Machine.set_register": (lambda world, w: world.machine.set_register(2, w),
+                             ValueError),
+    "check_message": (lambda world, w: check_message([1, w]), MessageTooLong),
+    "Swat.write_word": (lambda world, w: world.swat.write_word(0x2000, w), ValueError),
+    "Swat.write_register": (lambda world, w: world.swat.write_register(3, w),
+                            ValueError),
+    "word stream put": (lambda world, w: world.stream.put(w), StreamError),
+}
+
+
+def is_word(value) -> bool:
+    try:
+        check_word(value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("door", sorted(DOORS))
+@settings(deadline=None)
+@given(word=st.one_of(good, bad))
+def test_every_door_admits_exactly_the_words_check_word_admits(world, door, word):
+    enter, error = DOORS[door]
+    if is_word(word):
+        enter(world, word)
+    else:
+        with pytest.raises(error):
+            enter(world, word)

@@ -1,5 +1,7 @@
 """Unit tests for the 16-bit word discipline."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from repro import words
 from repro.words import (
     bytes_to_words,
     check_word,
+    check_words,
     checksum,
     from_double_word,
     ones_words,
@@ -18,6 +21,7 @@ from repro.words import (
     words_to_string,
     zero_words,
 )
+from tests.word_strategies import bad, good
 
 
 class TestWordBasics:
@@ -35,11 +39,16 @@ class TestWordBasics:
         with pytest.raises(ValueError):
             check_word(bad)
 
-    def test_is_word(self):
-        assert words.is_word(0) and words.is_word(0xFFFF)
-        assert not words.is_word(-1)
-        assert not words.is_word(0x10000)
-        assert not words.is_word("x")
+    @given(st.lists(st.one_of(good, bad), max_size=6))
+    def test_check_words_is_check_word_on_every_word(self, values):
+        try:
+            for value in values:
+                check_word(value, "w")
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                check_words(values, "w")
+        else:
+            assert check_words(values, "w") is values
 
     def test_page_constants(self):
         assert words.PAGE_DATA_WORDS == 256
@@ -61,6 +70,8 @@ class TestDoubleWords:
             to_double_word(0x1_0000_0000)
         with pytest.raises(ValueError):
             to_double_word(-1)
+        with pytest.raises(ValueError):
+            to_double_word(3.0)
 
     @given(st.integers(min_value=0, max_value=0xFFFF_FFFF))
     def test_round_trip_property(self, value):

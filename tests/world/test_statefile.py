@@ -85,6 +85,10 @@ class TestMessages:
         with pytest.raises(MessageTooLong):
             check_message([0x10000])
 
+    def test_float_words_are_refused(self):
+        with pytest.raises(MessageTooLong):
+            check_message([1.5])
+
     @given(st.lists(st.integers(min_value=0, max_value=0xFFFF), max_size=MESSAGE_WORDS))
     def test_valid_messages_pass_through(self, message):
         assert check_message(message) == message

@@ -11,6 +11,11 @@ alternates from pair to pair, and from round to round for the same input
 set.  A seed's ``8N`` .. ``8N+7`` input sets are taken in turn,
 ``--rounds`` times over.
 
+A repetition's peak RSS depends on the length of its checkout's path, so
+the tool warns on stderr when the two roots' paths differ in length:
+extract both sides side by side (``../base`` and ``../head``) and run the
+head's copy of this script.
+
 For each workload it prints each side's median and interquartile range
 of ``wall_s``, ``setup_s`` and ``peak_rss_mb``, how many pairs the head
 won, the median of the per-pair head/base ratios, and whether the two
@@ -50,6 +55,15 @@ MEASURED = ("wall_s", "setup_s", "peak_rss_mb")
 
 class RepFailed(Exception):
     pass
+
+
+def warn_on_path_lengths(base: Path, head: Path) -> None:
+    """Warn on stderr when *base* and *head* differ in path length: a
+    repetition's peak RSS depends on it, so the comparison is biased."""
+    if len(str(base)) != len(str(head)):
+        print(f"perf_pairs: warning: the base path {base} ({len(str(base))} "
+              f"characters) and the head path {head} ({len(str(head))}) differ "
+              f"in length, which biases peak_rss_mb", file=sys.stderr)
 
 
 def start(root: Path, workload: str, seed: int) -> subprocess.Popen:
@@ -197,6 +211,7 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     gates = json.loads((HEAD / "BENCHMARK.json").read_text())["end_to_end"]
+    warn_on_path_lengths(args.base.resolve(), HEAD)
 
     reports = []
     try:
