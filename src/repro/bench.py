@@ -115,6 +115,25 @@ def compare_to_baselines(results, baselines: Dict[str, float]) -> Dict[str, dict
     return comparison
 
 
+def row_line(result, entry: dict) -> str:
+    """One report line: *result* against its baseline *entry*.  Only a
+    missing baseline (``None``) reads "no baseline"; a row off its
+    baseline shows both values exactly, as the gate compares them, and
+    their difference in microseconds; a 0.0 baseline has no ratio."""
+    measured, baseline = entry["measured_s"], entry["baseline_s"]
+    if baseline is None:
+        note = " (no baseline)"
+    elif not entry["ok"]:
+        note = (f" (baseline {baseline!r}s, measured {measured!r}s, "
+                f"{(measured - baseline) * 1e6:+.3f} us)")
+    else:
+        ratio = f", x{entry['ratio']:.2f}" if "ratio" in entry else ""
+        note = f" (baseline {baseline:.3f}s{ratio})"
+    flag = "" if entry["ok"] else "  << NOT ITS BASELINE"
+    cached = {True: " cache=on", False: " cache=off", None: ""}[result.cached]
+    return f"  {result.name}: {measured:.3f}s{cached}{note}{flag}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
@@ -189,12 +208,7 @@ def main(argv=None) -> int:
     print(f"\n{len(results)} results -> {args.output} "
           f"(wall clock {wall_clock['total']:.1f}s)")
     for result in results:
-        entry = comparison[result.name]
-        flag = "" if entry["ok"] else "  << NOT ITS BASELINE"
-        base = (f" (baseline {entry['baseline_s']:.3f}s, x{entry['ratio']:.2f})"
-                if entry.get("ratio") is not None else " (no baseline)")
-        cached = {True: " cache=on", False: " cache=off", None: ""}[result.cached]
-        print(f"  {result.name}: {result.simulated_seconds:.3f}s{cached}{base}{flag}")
+        print(row_line(result, comparison[result.name]))
     if regressions:
         print(f"\nFAIL: {len(regressions)} result(s) not equal to their baselines: "
               f"{', '.join(regressions)}")

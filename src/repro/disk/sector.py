@@ -69,6 +69,8 @@ class Header:
 
     @staticmethod
     def unpack(words: Sequence[int]) -> "Header":
+        """The header of words already past a word door: the intern lookup
+        matches by equality, so it would take ``3.0`` for ``3``."""
         if len(words) != HEADER_WORDS:
             raise ValueError(f"header needs {HEADER_WORDS} words, got {len(words)}")
         # Intern: frozen, and every sweep/restore re-derives the same few
@@ -141,13 +143,14 @@ class Label:
 
     @staticmethod
     def unpack(words: Sequence[int]) -> "Label":
+        """The label of words already past a word door: the intern lookup
+        matches by equality, so it would take ``3.0`` for ``3``."""
         if len(words) != LABEL_WORDS:
             raise ValueError(f"label needs {LABEL_WORDS} words, got {len(words)}")
         # Intern: Label is frozen, so identical on-disk words can share one
         # object (a sweep unpacks the same few thousand labels over and
-        # over).  The lookup matches by equality (3.0 finds 3's label); the
-        # exact check of platter words is Sector.set_label_words.  Unhashable
-        # words fall through to the constructor, which refuses them.
+        # over).  Unhashable words fall through to the constructor, which
+        # refuses them.
         try:
             key = tuple(words)
             cached = _UNPACK_CACHE.get(key)

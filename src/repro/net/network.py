@@ -81,7 +81,7 @@ class Packet:
         """This packet sent on from *source* to *destination*, with payload
         word *at* replaced by *word* when *at* is given.
 
-        Only *word* is checked: every other word was checked when this
+        Only *word* is checked: every other word passed a door before this
         packet was built, and a tuple payload cannot have changed since (a
         list payload could have, so it is checked again).
 
@@ -98,18 +98,25 @@ class Packet:
             if not 0 <= at < len(payload):
                 raise NetworkError(f"no word {at} in a {len(payload)}-word payload")
             payload = payload[:at] + (word,) + payload[at + 1:]
-        # As __init__, without the __post_init__ that would check every word.
-        copy = _new(Packet)
-        _set_source(copy, source)
-        _set_destination(copy, destination)
-        _set_ptype(copy, self.ptype)
-        _set_payload(copy, payload)
-        return copy
+        return _packet(source, destination, self.ptype, payload)
 
 
 _new = object.__new__
 _set_source, _set_destination, _set_ptype, _set_payload = (
     Packet.__dict__[name].__set__ for name in Packet.__slots__)
+
+
+def _packet(source: str, destination: str, ptype: int,
+            payload: Tuple[int, ...]) -> Packet:
+    """``Packet(...)`` without the check, for a tuple of at most
+    :data:`MAX_PAYLOAD_WORDS` words already past a door; its callers are
+    pinned in ``tests/test_private_builders.py``."""
+    packet = _new(Packet)
+    _set_source(packet, source)
+    _set_destination(packet, destination)
+    _set_ptype(packet, ptype)
+    _set_payload(packet, payload)
+    return packet
 
 
 class PacketNetwork:

@@ -56,6 +56,7 @@ from .protocol import (
     ST_BUSY,
     ST_NAMES,
     ST_OK,
+    _frame,
     decode_names,
     encode_name,
     encode_request,
@@ -152,8 +153,9 @@ class FileClient:
     def build_write(self, handle: int, page: int, data: bytes) -> Request:
         if len(data) > FULL_PAGE:
             raise ValueError(f"one WRITE carries at most {FULL_PAGE} bytes")
-        return Request(OP_WRITE, self._take_id(), handle=handle, arg0=page,
-                       arg1=len(data), payload=tuple(bytes_to_words(data)))
+        # bytes_to_words makes words: only the header words are checked.
+        return _frame(Request, OP_WRITE, self._take_id(), handle, page,
+                      len(data), tuple(bytes_to_words(data)))
 
     def build_close(self, handle: int) -> Request:
         return Request(OP_CLOSE, self._take_id(), handle=handle)

@@ -79,6 +79,7 @@ from .protocol import (
     ST_NAMES,
     ST_NOT_FOUND,
     ST_OK,
+    _frame,
     decode_name,
     encode_names,
     encode_response,
@@ -554,9 +555,9 @@ class FileServer:
             payload.extend(contents.value)
             tail_bytes = contents.label.length
         self._c_pages_read.inc(pages)
-        return Response(ST_OK, request.request_id, handle=request.handle,
-                        result0=pages, result1=tail_bytes,
-                        payload=tuple(payload))
+        # Page values are words by provenance (DiskDrive's docstring).
+        return _frame(Response, ST_OK, request.request_id, request.handle,
+                      pages, tail_bytes, tuple(payload))
 
     def _do_write(self, session, request: Request) -> Tuple[Response, bool]:
         file = session.resolve(request.handle)

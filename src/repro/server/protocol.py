@@ -27,6 +27,10 @@ in continuation packets.  Frames from one host are reassembled in order by
 :class:`FrameAssembler`; frames from different hosts may interleave at
 packet granularity.  See ``SERVER.md`` for the full specification.
 
+A frame checks its words where it is built (:mod:`repro.words`), so the
+encoders cut its packets unchecked; the assembler, READ answers and a
+client's WRITEs build through ``_frame``, which skips only the payload's.
+
 >>> from repro.net import PacketNetwork
 >>> from repro.server.protocol import (FrameAssembler, OP_LIST, Request,
 ...                                    encode_request)
@@ -45,8 +49,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
-from ..net.network import MAX_PAYLOAD_WORDS, Packet, TYPE_CONTROL, TYPE_DATA
-from ..words import string_to_words, words_to_string
+from ..net.network import (MAX_PAYLOAD_WORDS, Packet, TYPE_CONTROL, TYPE_DATA,
+                           _packet)
+from ..words import check_words, string_to_words, words_to_string
 
 #: Frame-kind discriminators (ASCII "FR" / "FS", both nonzero 16-bit words).
 MAGIC_REQUEST = 0x4652
@@ -103,7 +108,8 @@ class _Frame:
 
 @dataclass(frozen=True, slots=True)
 class Request(_Frame):
-    """One decoded request frame.
+    """One decoded request frame; building one checks every word it is
+    handed (a word door).
 
     >>> Request(OP_READ, request_id=3, handle=1, arg0=1, arg1=4).op == OP_READ
     True
@@ -119,22 +125,8 @@ class Request(_Frame):
     def __init__(self, op: int, request_id: int, handle: int = 0,
                  arg0: int = 0, arg1: int = 0,
                  payload: Tuple[int, ...] = ()) -> None:
-        # The dataclass's own __init__ and its checks, each field stored by
-        # its slot's setter (see Packet.__init__).
-        if op not in OP_NAMES:
-            raise ProtocolError(f"unknown opcode {op}")
-        if not 1 <= request_id <= 0xFFFF:
-            raise ProtocolError(f"request id must be 1..65535, got {request_id}")
-        if len(payload) > MAX_FRAME_PAYLOAD_WORDS:
-            raise ProtocolError(f"payload of {len(payload)} words exceeds "
-                                f"{MAX_FRAME_PAYLOAD_WORDS}")
-        _set_op(self, op)
-        _set_request_id(self, request_id)
-        _set_handle(self, handle)
-        _set_arg0(self, arg0)
-        _set_arg1(self, arg1)
-        _set_request_payload(self, payload)
-        _set_packets(self, ())
+        _fill(self, op, request_id, handle, arg0, arg1, payload)
+        check_words(self.payload, "payload word")
 
     @property
     def op_name(self) -> str:
@@ -143,7 +135,7 @@ class Request(_Frame):
 
 @dataclass(frozen=True, slots=True)
 class Response(_Frame):
-    """One decoded response frame.
+    """One decoded response frame, checked as a :class:`Request` is.
 
     >>> Response(ST_OK, request_id=3).ok
     True
@@ -161,18 +153,8 @@ class Response(_Frame):
     def __init__(self, status: int, request_id: int, handle: int = 0,
                  result0: int = 0, result1: int = 0,
                  payload: Tuple[int, ...] = ()) -> None:
-        if status not in ST_NAMES:
-            raise ProtocolError(f"unknown status {status}")
-        if len(payload) > MAX_FRAME_PAYLOAD_WORDS:
-            raise ProtocolError(f"payload of {len(payload)} words exceeds "
-                                f"{MAX_FRAME_PAYLOAD_WORDS}")
-        _set_status(self, status)
-        _set_response_id(self, request_id)
-        _set_response_handle(self, handle)
-        _set_result0(self, result0)
-        _set_result1(self, result1)
-        _set_response_payload(self, payload)
-        _set_packets(self, ())
+        _fill(self, status, request_id, handle, result0, result1, payload)
+        check_words(self.payload, "payload word")
 
     @property
     def ok(self) -> bool:
@@ -183,13 +165,51 @@ class Response(_Frame):
         return ST_NAMES[self.status]
 
 
+_new = object.__new__
 _set_packets = _Frame.packets.__set__
-(_set_op, _set_request_id, _set_handle, _set_arg0, _set_arg1,
- _set_request_payload) = (Request.__dict__[name].__set__
-                          for name in Request.__slots__)
-(_set_status, _set_response_id, _set_response_handle, _set_result0,
- _set_result1, _set_response_payload) = (Response.__dict__[name].__set__
-                                         for name in Response.__slots__)
+
+#: Frame class -> (its known codes, what a code is called, then each
+#: field's slot setter in field order).
+_LAYOUTS = {cls: (names, kind, *(cls.__dict__[name].__set__
+                                 for name in cls.__slots__))
+            for cls, names, kind in ((Request, OP_NAMES, "opcode"),
+                                     (Response, ST_NAMES, "status"))}
+
+
+def _fill(frame, code: int, request_id: int, handle: int, word0: int,
+          word1: int, payload: Sequence[int]) -> None:
+    """Check and store *frame*'s fields by their slots' setters: every
+    check but the payload's words.  The op or status is a header word too
+    (``1.0`` equals a known op), and the payload is kept as a tuple so no
+    word changes once checked."""
+    (names, kind, set_code, set_id, set_handle, set_word0, set_word1,
+     set_payload) = _LAYOUTS[type(frame)]
+    if code not in names:
+        raise ProtocolError(f"unknown {kind} {code}")
+    check_words((code, request_id, handle, word0, word1), "header word")
+    if not request_id:
+        raise ProtocolError(f"request id must be 1..65535, got {request_id}")
+    if type(payload) is not tuple:
+        payload = tuple(payload)
+    if len(payload) > MAX_FRAME_PAYLOAD_WORDS:
+        raise ProtocolError(f"payload of {len(payload)} words exceeds "
+                            f"{MAX_FRAME_PAYLOAD_WORDS}")
+    set_code(frame, code)
+    set_id(frame, request_id)
+    set_handle(frame, handle)
+    set_word0(frame, word0)
+    set_word1(frame, word1)
+    set_payload(frame, payload)
+    _set_packets(frame, ())
+
+
+def _frame(cls, code: int, request_id: int, handle: int, word0: int,
+           word1: int, payload: Tuple[int, ...]):
+    """``cls(...)`` without the check of payload words already past a
+    door; its callers are pinned in ``tests/test_private_builders.py``."""
+    frame = _new(cls)
+    _fill(frame, code, request_id, handle, word0, word1, payload)
+    return frame
 
 
 def encode_name(name: str) -> Tuple[int, ...]:
@@ -262,17 +282,19 @@ def decode_names(payload: Sequence[int]) -> List[str]:
     return names
 
 
-def _encode(magic: int, words: List[int], payload: Tuple[int, ...],
+def _encode(frame, cls, header: Tuple[int, ...],
             source: str, destination: str) -> List[Packet]:
-    if type(payload) is not tuple:
-        payload = tuple(payload)
-    header = [magic] + words + [len(payload)]
-    room = MAX_PAYLOAD_WORDS - len(header)
-    packets = [Packet(source, destination, TYPE_CONTROL,
-                      tuple(header) + payload[:room])]
+    """*frame*'s packets, *header* first, unchecked: a frame checked its
+    words where it was built."""
+    if type(frame) is not cls:
+        raise TypeError(f"not a {cls.__name__}: {type(frame).__name__}")
+    payload = frame.payload
+    room = MAX_PAYLOAD_WORDS - HEADER_WORDS
+    packets = [_packet(source, destination, TYPE_CONTROL,
+                       header + (len(payload),) + payload[:room])]
     for base in range(room, len(payload), MAX_PAYLOAD_WORDS):
-        packets.append(Packet(source, destination, TYPE_DATA,
-                              payload[base: base + MAX_PAYLOAD_WORDS]))
+        packets.append(_packet(source, destination, TYPE_DATA,
+                               payload[base: base + MAX_PAYLOAD_WORDS]))
     return packets
 
 
@@ -283,10 +305,10 @@ def encode_request(request: Request, source: str, destination: str) -> List[Pack
     >>> len(packets), packets[0].payload[:3]
     (1, (18002, 5, 1))
     """
-    return _encode(MAGIC_REQUEST,
-                   [request.op, request.request_id, request.handle,
-                    request.arg0, request.arg1],
-                   request.payload, source, destination)
+    return _encode(request, Request,
+                   (MAGIC_REQUEST, request.op, request.request_id,
+                    request.handle, request.arg0, request.arg1),
+                   source, destination)
 
 
 def encode_response(response: Response, source: str, destination: str) -> List[Packet]:
@@ -296,10 +318,10 @@ def encode_response(response: Response, source: str, destination: str) -> List[P
     >>> len(packets), packets[0].payload[1:3]
     (1, (0, 9))
     """
-    return _encode(MAGIC_RESPONSE,
-                   [response.status, response.request_id, response.handle,
-                    response.result0, response.result1],
-                   response.payload, source, destination)
+    return _encode(response, Response,
+                   (MAGIC_RESPONSE, response.status, response.request_id,
+                    response.handle, response.result0, response.result1),
+                   source, destination)
 
 
 def relay(frame, source: str, destination: str,
@@ -308,7 +330,7 @@ def relay(frame, source: str, destination: str,
     *destination*, with the header's handle word set to *handle* if given.
 
     Only that word is checked again (:meth:`~repro.net.network.Packet.relayed`);
-    every other word was checked where the frame was first encoded.
+    every other word was checked where the frame was first built.
 
     >>> packets = encode_request(Request(OP_READ, request_id=4, handle=2,
     ...                                  arg0=1, arg1=1), "ws", "router")
@@ -330,13 +352,10 @@ def relay(frame, source: str, destination: str,
 
 def _build(words: Tuple[int, ...], payload: Tuple[int, ...],
            packets: Tuple[Packet, ...]):
-    """The frame whose header packet carries *words*."""
-    if words[0] == MAGIC_REQUEST:
-        frame = Request(words[1], words[2], words[3], words[4], words[5],
-                        payload)
-    else:
-        frame = Response(words[1], words[2], words[3], words[4], words[5],
-                         payload)
+    """The frame whose header packet carries *words*; the payload's words
+    came in by a door, a ``Packet`` or a frame."""
+    frame = _frame(Request if words[0] == MAGIC_REQUEST else Response,
+                   words[1], words[2], words[3], words[4], words[5], payload)
     _set_packets(frame, packets)
     return frame
 

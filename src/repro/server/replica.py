@@ -91,6 +91,7 @@ from ..net.network import (
     PacketNetwork,
     TYPE_CONTROL,
     TYPE_DATA,
+    _packet,
 )
 from .engine import FileServer
 from .protocol import ST_BUSY, Response, encode_response
@@ -378,7 +379,8 @@ class ReplicationPrimary:
                 offset = self._shipped_words + start
                 payload = ((offset >> 16) & 0xFFFF, offset & 0xFFFF,
                            *words[start:start + CHUNK_WORDS])
-                delivered = self.network.send(Packet(
+                # Words the drive's journal tap saw land: not rechecked.
+                delivered = self.network.send(_packet(
                     self.host, self.standby.host, TYPE_DATA, payload))
                 if not delivered:
                     self._c_link_drops.inc()

@@ -11,14 +11,23 @@ and BCPL-style string coding.
 0..0xFFFF, never a float or a numpy integer, whatever its value.
 :func:`check_word` (one word) and :func:`check_words` (a sequence) state
 it, and each door words come in by runs it once, so a non-word fails at
-its write: ``Packet`` and the word ``Packet.relayed`` replaces;
-``value_words``, the file system's route to the drive for data words;
-the ``Header`` and ``Label`` constructors and ``Sector.set_header_words``
-/ ``set_label_words``, where every raw header and label write lands;
-``DiskImage(pack_id=...)``; memory, registers, state-file messages,
-Swat's ``write_word`` and ``write_register``, and a word stream's
-``put``.  Each door keeps its own error class, and words past a door are
-not checked again (see ``repro.disk.drive.DiskDrive`` for page values).
+its write: ``Packet`` and the word ``Packet.relayed`` replaces; the
+protocol's ``Request`` and ``Response`` frames, whose packets the
+encoders cut unchecked; ``value_words``, the file system's route to the
+drive for data words; the ``Header`` and ``Label`` constructors and
+``Sector.set_header_words`` / ``set_label_words``, where every raw header
+and label write lands; ``DiskImage(pack_id=...)``; memory, registers,
+state-file messages, Swat's ``write_word`` and ``write_register``, and a
+word stream's ``put``.  Each door keeps its own error class.
+
+Words past a door are not checked again.  Page values on the platter are
+words by provenance (see ``repro.disk.drive.DiskDrive``), and four routes
+carry such words to the wire without the per-word loop: a READ answer's
+payload (page values from ``AltoFile.read_page``), a client's WRITE
+payload (``bytes_to_words`` output), a frame the ``FrameAssembler``
+builds (words of received packets) and a replication journal packet (the
+part-writes the drive's journal tap saw land).  Each still checks the
+words it makes itself, such as a frame's header words.
 
 The packing, checksum and random-content hot loops run as *bulk
 operations* in C (``struct``, ``array('H')``, ``sum``, big-int shifts and
@@ -131,7 +140,8 @@ def bytes_to_words(data: bytes, pad: int = 0) -> List[int]:
         packed.byteswap()
     words = packed.tolist()
     if n & 1:
-        words.append((data[-1] << 8) | (pad & 0xFF))
+        # The raw byte, as frombytes read the rest: a signed buffer's -3 is 0xFD.
+        words.append(((data[-1] & 0xFF) << 8) | (pad & 0xFF))
     return words
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.words import WORD_MASK
+from repro.words import WORD_MASK, check_words
 
 
 # ----------------------------------------------------------------------------
@@ -140,10 +140,13 @@ def make_reference_drive(image, clock=None, fault_injector=None, **kwargs):
             data = list(data)
             if self.fault_injector is not None:
                 data = self.fault_injector.filter_write(self, address, part, data)
+            # The fast drive's door (Sector.set_header_words and
+            # set_label_words): unpack's intern lookup matches by
+            # equality, so it would take 3.0 for 3.
             if part == "header":
-                sector.header = Header.unpack(data)
+                sector.header = Header.unpack(check_words(data, "header word"))
             elif part == "label":
-                sector.label = Label.unpack(data)
+                sector.label = Label.unpack(check_words(data, "label word"))
             else:
                 sector.value = list(data)
 

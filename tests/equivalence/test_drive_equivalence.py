@@ -17,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.clock import SimClock
-from repro.disk import DiskDrive, DiskImage, FaultPlan, tiny_test_disk
-from repro.disk.sector import Label
+from repro.disk import (Action, DiskDrive, DiskImage, FaultPlan, PartCommand,
+                        tiny_test_disk)
+from repro.disk.sector import FREE_VALUE, Header, Label
 from repro.errors import (
     LabelCheckError,
     SectorChecksumError,
@@ -202,6 +203,36 @@ class TestFaultParity:
                             drive.stats(), drive.image.digest()))
         assert records[0] == records[1]
         assert records[0][2]["disk.drive.transient_read_errors"] == 2
+
+
+class TestRawWordParity:
+    """A raw header or label write of a non-word whose int twin is already
+    interned: ``Header.unpack`` and ``Label.unpack`` match by equality, so
+    the reference drive must check the words before it unpacks, as the
+    fast drive's ``Sector`` setters do."""
+
+    @pytest.mark.parametrize("part, words", [
+        ("label", [0x8000, 1, 3.0, 2, 0, WORD_MASK, WORD_MASK]),
+        ("header", [1, 4.0]),
+    ], ids=["label", "header"])
+    def test_a_non_word_is_refused_after_its_twin_is_interned(
+            self, numpy_mode, part, words):
+        twin = [int(word) for word in words]
+        {"label": Label, "header": Header}[part].unpack(twin)
+        parts = {"header": PartCommand(Action.WRITE, Header(1, 4).pack()),
+                 "label": PartCommand(Action.WRITE, Label.free().pack()),
+                 "value": PartCommand(Action.WRITE, FREE_VALUE)}
+        parts[part] = PartCommand(Action.WRITE, words)
+        if part == "label":
+            del parts["header"]  # a label write need not rewrite the header
+        records = []
+        for drive in make_pair():
+            outcome = observe(lambda: drive.transfer(4, **parts))
+            records.append((outcome, drive.clock.now_us, drive.stats(),
+                            drive.image.digest()))
+        assert records[0] == records[1]
+        assert records[0][0] == ("raise", "ValueError",
+                                 f"{part} word must be an int, got float")
 
 
 class TestSharedClockParity:

@@ -138,6 +138,12 @@ def test_request_ids_cycle_without_zero():
     assert second.request_id == 1                       # wraps past zero
 
 
+def test_a_write_with_a_float_handle_is_refused_where_it_is_built():
+    network, server, client = make_pair()
+    with pytest.raises(ValueError, match="header word must be an int, got float"):
+        client.build_write(1.5, 1, b"ab")
+
+
 def test_read_batching_uses_few_requests():
     network, server, client = make_pair()
     client.pump = server.poll

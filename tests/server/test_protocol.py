@@ -1,6 +1,7 @@
 """Wire-protocol tests: framing, reassembly, interleaving, malformed frames."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -196,6 +197,38 @@ def test_oversized_frame_payload_rejected():
     with pytest.raises(ProtocolError):
         Request(OP_WRITE, request_id=1,
                 payload=tuple([0] * (MAX_FRAME_PAYLOAD_WORDS + 1)))
+
+
+@pytest.mark.parametrize("request_id", [-1, 0x10000])
+def test_a_response_id_that_is_not_a_word_is_refused_where_it_is_built(request_id):
+    with pytest.raises(ValueError, match="header word must fit in 16 bits"):
+        Response(ST_OK, request_id=request_id)
+
+
+def test_a_float_payload_word_is_refused_where_the_request_is_built():
+    with pytest.raises(ValueError, match="payload word must be an int, got float"):
+        Request(OP_WRITE, 1, payload=(1.5,))
+
+
+def test_a_float_equal_to_a_known_op_is_refused():
+    with pytest.raises(ValueError, match="header word must be an int, got float"):
+        Request(float(OP_READ), 1)
+
+
+def test_a_list_payload_is_held_as_the_tuple_that_was_checked():
+    words = [1, 2]
+    request = Request(OP_WRITE, 1, payload=words)
+    words[0] = 1.5
+    assert request.payload == (1, 2)
+
+
+def test_only_a_frame_is_encoded():
+    """The encoders skip the per-word check because a frame made it, so
+    anything with a frame's fields that is not one is refused."""
+    impostor = SimpleNamespace(op=OP_WRITE, request_id=1, handle=0, arg0=1,
+                               arg1=2, payload=(1.5,))
+    with pytest.raises(TypeError, match="not a Request: SimpleNamespace"):
+        encode_request(impostor, "ws", "srv")
 
 
 # -- OPEN names and LIST name lists -------------------------------------------

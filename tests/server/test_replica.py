@@ -12,11 +12,12 @@ import pytest
 
 from repro import DiskDrive, DiskImage, FileSystem, tiny_test_disk
 from repro.errors import RequestTimeout
-from repro.net import PacketNetwork
+from repro.net import PacketNetwork, network
 from repro.net.network import Packet, TYPE_CONTROL, TYPE_DATA
 from repro.server import FileClient, FileServer
 from repro.server.replica import (
     CHUNK_WORDS,
+    RECORD_HEADER_WORDS,
     ReplicaStandby,
     ReplicatedFileServer,
     apply_record,
@@ -106,6 +107,24 @@ def test_standby_reassembles_across_chunks_and_acks():
     assert standby.image.sector(6).value == tuple(range(256))
     ack = net.receive("primary")
     assert ack is not None and ack.payload == (0, 1)
+
+
+def test_shipped_journal_words_skip_the_word_rule(monkeypatch):
+    """Journal records are the part-writes the drive's tap saw land, so
+    their packets hand the word rule nothing, and the standby applies them."""
+    net, fs, standby, server = build_pair()
+    client = FileClient(net, "ws", pump=pump_both(server, standby))
+    client.write_file("memo.txt", b"x" * 700)
+    fs.drive.write_label_value(40, fs.drive.read_label(40), list(range(256)))
+    checked = []
+    monkeypatch.setattr(network, "check_words",
+                        lambda words, what="word": checked.append(len(words)))
+    monkeypatch.setattr(network, "check_word",
+                        lambda word, what="word": checked.append(1))
+    assert server.replication.ship() == 2 * RECORD_HEADER_WORDS + 7 + 256
+    assert checked == []
+    assert standby.poll() == 2
+    assert standby.image.digest() == fs.drive.image.digest()
 
 
 def test_bootstrap_shares_the_primary_value_tuples():

@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import FileSystemError, RequestFailed, ServerError
+from repro.net import network
 from repro.net.network import Packet
 from repro.server import (
     FileClient,
@@ -24,7 +25,9 @@ from repro.server import (
     build_system,
     merge_names,
 )
-from repro.server.protocol import ST_ERROR, ST_OK, Response, encode_response
+from repro.server import protocol
+from repro.server.protocol import (ST_ERROR, ST_OK, FrameAssembler, Response,
+                                   encode_response)
 from repro.server.router import ShardRouter
 from repro.server.session import MAX_HANDLE
 
@@ -147,39 +150,60 @@ def test_a_failed_shard_list_answer_fails_the_listing_as_one_server_does(
     assert cluster.router.pending == 0
 
 
-def test_a_routed_read_and_write_check_each_payload_word_once(monkeypatch):
-    """The router relays the packets it received: every payload word is
-    checked once, where its frame was first encoded, and the router
-    checks only the handle word it writes into each header packet."""
+def test_a_routed_read_and_write_hand_the_word_rule_no_payload_word(monkeypatch):
+    """The words a routed one-page READ and WRITE hand to the word rule,
+    by the host that sent them: each frame's op and four header words
+    where it is built and again where it is assembled, and the one handle
+    word each relay writes.  No payload word: a READ answer's are page
+    values and a WRITE's are ``bytes_to_words`` output, both already past
+    a door, and the router relays the packets it received."""
     system = make_cluster(shards=2)
     [client] = system.clients
     client.write_file("page.dat", bytes(512))
     handle, _ = client.open("page.dat")
     shard = system.shards[system.router.shard_map.shard_of("page.dat")].host
     proxy = f"{system.router.host}.{client.host}"
-    checked = Counter()          # words checked, by the host that sent them
+    checked = Counter()          # words handed to the rule, by sending host
+    senders = [client.host]      # this test builds each request itself
 
-    def built(packet):
-        checked[packet.source] += len(packet.payload)
-        check(packet)
+    def counted(rule, one_word):
+        def count(words, what="word"):
+            checked[senders[-1]] += 1 if one_word else len(words)
+            return rule(words, what)
+        return count
 
-    def relayed(packet, source, destination, at=None, word=0):
-        if at is not None:              # the one word a relay writes
-            checked[source] += 1
-        return relay(packet, source, destination, at, word)
+    def sent_by(method, sender):
+        def wrapped(self, *args, **kwargs):
+            senders.append(sender(self, *args))
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                senders.pop()
+        return wrapped
 
-    check, relay = Packet.__post_init__, Packet.relayed
-    monkeypatch.setattr(Packet, "__post_init__", built)
-    monkeypatch.setattr(Packet, "relayed", relayed)
+    monkeypatch.setattr(protocol, "check_words",
+                        counted(protocol.check_words, False))
+    monkeypatch.setattr(network, "check_words", counted(network.check_words, False))
+    monkeypatch.setattr(network, "check_word", counted(network.check_word, True))
+    # An assembled frame's words were sent by its packets' source; a relay
+    # sends from its new source; a server sends the answers it builds.
+    monkeypatch.setattr(FrameAssembler, "feed", sent_by(
+        FrameAssembler.feed, lambda assembler, packet: packet.source))
+    monkeypatch.setattr(Packet, "relayed", sent_by(
+        Packet.relayed, lambda packet, source, *rest: source))
+    monkeypatch.setattr(FileServer, "_dispatch", sent_by(
+        FileServer._dispatch, lambda server, *rest: server.host))
     # One page is 256 payload words: with the 7 header words, a 2-packet
-    # frame; the other direction is a bare 7-word header.
+    # frame; the other direction is a bare 7-word header.  10 words: five
+    # where a frame is built, five where the router assembles it; 6: the
+    # relay's handle word, five where the frame is assembled again.
     client.transact(client.build_read(handle, 1, 1))
-    assert checked == {client.host: 7, proxy: 1, shard: 263,
-                       system.router.host: 1}
+    assert checked == {client.host: 10, proxy: 6, shard: 10,
+                       system.router.host: 6}
     checked.clear()
     client.transact(client.build_write(handle, 1, bytes(range(256)) * 2))
-    assert checked == {client.host: 263, proxy: 1, shard: 7,
-                       system.router.host: 1}
+    assert checked == {client.host: 10, proxy: 6, shard: 10,
+                       system.router.host: 6}
 
 
 def test_handles_are_virtualized_in_one_client_sequence():

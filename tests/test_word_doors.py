@@ -5,7 +5,9 @@ A word is an ``int`` (an int subclass included) in 0..0xFFFF, as
 the values ``check_word`` admits and raises its own error class for the
 rest.  A write a door refuses changes nothing: a file keeps its bytes and
 its length and the allocation map its free count, and a raw header or
-label write leaves the sector's words as they were.
+label write leaves the sector's words as they were.  A protocol frame is a
+door for each header word and its payload; its request id must also be
+nonzero, so 0 passes the rule and is then refused as an id.
 """
 
 from types import SimpleNamespace
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.disk import (Action, DiskDrive, DiskImage, Header, Label, PartCommand,
                         tiny_test_disk, value_words)
 from repro.disk.sector import FREE_VALUE
-from repro.errors import MessageTooLong, StreamError
+from repro.errors import MessageTooLong, ProtocolError, StreamError
 from repro.fs import FileSystem
 from repro.fs.allocator import PageAllocator
 from repro.fs.file import AltoFile
@@ -25,6 +27,7 @@ from repro.fs.page import PageIO
 from repro.memory.core import Memory
 from repro.net.network import TYPE_DATA, Packet
 from repro.os.swat import Swat
+from repro.server.protocol import OP_READ, OP_WRITE, ST_OK, Request, Response
 from repro.streams import WORD_ITEMS, open_write_stream
 from repro.world import Machine, ProgramRegistry, WorldEngine
 from repro.world.statefile import check_message
@@ -72,6 +75,18 @@ def raw_write(part, words):
         raise
 
 
+def request_id_door(build):
+    """*build(word)* puts *word* in a frame's request id.  A word passes
+    the rule, and 0 is then refused as an id (``ProtocolError``), not as a
+    non-word."""
+    def enter(world, word):
+        try:
+            build(word)
+        except ProtocolError as exc:
+            assert str(exc) == f"request id must be 1..65535, got {word}"
+    return enter
+
+
 @pytest.fixture(scope="module")
 def world():
     """A machine, Swat on its saved world and a word stream, built once: a
@@ -90,6 +105,20 @@ DOORS = {
     "Packet": (lambda world, w: Packet("a", "b", TYPE_DATA, (1, w, 2)), ValueError),
     "Packet.relayed": (lambda world, w: Packet("a", "b", TYPE_DATA, (1, 2, 3)).relayed(
         "b", "c", at=1, word=w), ValueError),
+    "Request request id": (request_id_door(lambda w: Request(OP_READ, w)),
+                           ValueError),
+    "Request handle": (lambda world, w: Request(OP_READ, 1, handle=w), ValueError),
+    "Request arg0": (lambda world, w: Request(OP_READ, 1, arg0=w), ValueError),
+    "Request arg1": (lambda world, w: Request(OP_READ, 1, arg1=w), ValueError),
+    "Request payload": (lambda world, w: Request(OP_WRITE, 1, payload=(1, w, 2)),
+                        ValueError),
+    "Response request id": (request_id_door(lambda w: Response(ST_OK, w)),
+                            ValueError),
+    "Response handle": (lambda world, w: Response(ST_OK, 1, handle=w), ValueError),
+    "Response result0": (lambda world, w: Response(ST_OK, 1, result0=w), ValueError),
+    "Response result1": (lambda world, w: Response(ST_OK, 1, result1=w), ValueError),
+    "Response payload": (lambda world, w: Response(ST_OK, 1, payload=(1, w, 2)),
+                         ValueError),
     "value_words": (lambda world, w: value_words([1, w]), ValueError),
     "AltoFile.append_page": (file_door(lambda f, w: f.append_page([0x4142, w], 4)),
                              ValueError),

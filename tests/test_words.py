@@ -1,6 +1,7 @@
 """Unit tests for the 16-bit word discipline."""
 
 import re
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +90,12 @@ class TestBytePacking:
     def test_empty(self):
         assert bytes_to_words(b"") == []
         assert words_to_bytes([]) == b""
+
+    def test_a_signed_byte_buffer_packs_its_raw_bytes_into_words(self):
+        # A client's WRITE payload is bytes_to_words output and is not
+        # checked again: an odd trailing byte of -3 must be 0xFD, not -768.
+        signed = array("b", [-1, 5, -3])
+        assert bytes_to_words(signed) == bytes_to_words(bytes(signed)) == [0xFF05, 0xFD00]
 
     def test_words_to_bytes_truncation(self):
         assert words_to_bytes([0x4142, 0x4300], nbytes=3) == b"ABC"
