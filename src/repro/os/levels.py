@@ -51,9 +51,10 @@ LEVELS: Tuple[LevelSpec, ...] = (
 MIN_LEVEL = LEVELS[0].number
 MAX_LEVEL = LEVELS[-1].number
 
-#: Word patterns levels are filled with, so tests can tell "this level's
-#: code/data is resident" from "this memory was freed and reused".
+
 def fill_pattern(level_number: int) -> int:
+    """The word a level's region is filled with, so tests can tell "this
+    level's code/data is resident" from "this memory was freed and reused"."""
     return 0xC000 | level_number
 
 
@@ -76,6 +77,7 @@ def layout(memory: Memory) -> Dict[int, Region]:
 
 
 def spec_for(level_number: int) -> LevelSpec:
+    """The level numbered *level_number*; ``ValueError`` if there is none."""
     for spec in LEVELS:
         if spec.number == level_number:
             return spec
@@ -92,6 +94,11 @@ def services_at_or_below(level_number: int) -> List[str]:
 
 
 def level_providing(service: str) -> LevelSpec:
+    """The level that provides *service*; ``ValueError`` if none does.
+
+    >>> level_providing("disk-stream").name
+    'disk-streams'
+    """
     for spec in LEVELS:
         if service in spec.services:
             return spec

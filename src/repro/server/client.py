@@ -72,6 +72,18 @@ DEFAULT_POLL_INTERVAL_US = 1_000
 DEFAULT_MAX_RETRIES = 8
 
 
+def upload_chunks(data: bytes) -> List[Tuple[int, bytes]]:
+    """The upload schedule of *data* as ``(page, bytes)`` WRITEs: full
+    pages, then a short tail page, possibly empty, as ``AltoFile.write_data``
+    writes them (the server promotes a staged page as the next one arrives).
+
+    >>> [(page, len(chunk)) for page, chunk in upload_chunks(bytes(1024))]
+    [(1, 512), (2, 512), (3, 0)]
+    """
+    return [(page, data[(page - 1) * FULL_PAGE: page * FULL_PAGE])
+            for page in range(1, len(data) // FULL_PAGE + 2)]
+
+
 class PendingRequest:
     """One in-flight request: its packets and retry state."""
 
@@ -335,18 +347,12 @@ class FileClient:
     def write_file(self, name: str, data: bytes) -> int:
         """Create-or-replace *name* with *data*; returns bytes written.
 
-        Pages stream sequentially and always end with a short tail page
-        (possibly empty), mirroring ``AltoFile.write_data`` -- the server
-        promotes full staged pages as the next page arrives.
+        Pages stream sequentially, as :func:`upload_chunks` schedules them.
         """
         handle, size = self.open(name, create=True)
         try:
-            n_full = len(data) // FULL_PAGE
-            for page in range(1, n_full + 1):
-                chunk = data[(page - 1) * FULL_PAGE: page * FULL_PAGE]
+            for page, chunk in upload_chunks(data):
                 self.transact(self.build_write(handle, page, chunk))
-            self.transact(self.build_write(
-                handle, n_full + 1, data[n_full * FULL_PAGE:]))
             return len(data)
         finally:
             self.close(handle)

@@ -53,13 +53,12 @@ from ..disk.geometry import tiny_test_disk
 from ..disk.image import DiskImage
 from ..errors import PowerFailure, ReproError, RequestFailed
 from ..fs.check import PointReport, SweepResult, sweep_points
-from ..fs.file import FULL_PAGE
 from ..fs.filesystem import FileSystem
 from ..fs.fsck import check_image
 from ..fs.online import ONLINE_TOLERATED_ISSUES, OnlineMaintenance
 from ..net.network import PacketNetwork
 from ..words import random_bytes, words_to_bytes
-from .client import FileClient, PendingRequest
+from .client import FileClient, PendingRequest, upload_chunks
 from .replica import ReplicaStandby, ReplicatedFileServer, promote
 from .router import ShardRouter
 
@@ -202,15 +201,6 @@ def workload_files(seed: int) -> List[Tuple[str, bytes]]:
     return files
 
 
-def _page_chunks(data: bytes) -> List[Tuple[int, bytes]]:
-    """The upload schedule: full pages, then the (possibly empty) tail."""
-    n_full = len(data) // FULL_PAGE
-    chunks = [(page, data[(page - 1) * FULL_PAGE: page * FULL_PAGE])
-              for page in range(1, n_full + 1)]
-    chunks.append((n_full + 1, data[n_full * FULL_PAGE:]))
-    return chunks
-
-
 # ----------------------------------------------------------------------------
 # The drill
 # ----------------------------------------------------------------------------
@@ -243,7 +233,7 @@ def failover_drill(
         lab.primary.replication.bootstrap()
         for name, data in lab.files:
             handle, _ = client.open(name, create=True)
-            for page, chunk in _page_chunks(data):
+            for page, chunk in upload_chunks(data):
                 # Submit and wait rather than transact: the drill keeps
                 # the pending request, whose packets are the probe.
                 pending = client.submit(client.build_write(handle, page, chunk))

@@ -34,7 +34,7 @@ from ..fs.filesystem import FileSystem
 from ..net.network import PacketNetwork
 from ..obs.metrics import SUB_BUCKET_BITS
 from ..words import random_bytes
-from .client import FileClient, PendingRequest
+from .client import FileClient, PendingRequest, upload_chunks
 from .engine import FileServer
 from .protocol import Request, Response, ST_OK
 
@@ -402,11 +402,8 @@ def client_script(client: FileClient, name: str, data: bytes,
 
     response = yield client.build_open(name, create=True)
     handle = response.handle
-    n_full = len(data) // FULL_PAGE
-    for page in range(1, n_full + 1):
-        yield client.build_write(handle, page,
-                                 data[(page - 1) * FULL_PAGE: page * FULL_PAGE])
-    yield client.build_write(handle, n_full + 1, data[n_full * FULL_PAGE:])
+    for page, chunk in upload_chunks(data):
+        yield client.build_write(handle, page, chunk)
     yield client.build_close(handle)
 
     for _ in range(read_rounds):

@@ -9,10 +9,10 @@ lazy_exports(globals(), {
                 "filter_read_stream", "map_read_stream", "map_write_stream",
                 "tee_stream"),
     "disk_stream": ("BYTE_ITEMS", "WORD_ITEMS", "open_read_stream",
-                    "open_write_stream", "read_string", "write_string"),
+                    "open_update_stream", "open_write_stream", "read_string",
+                    "write_string"),
     "display": ("DisplayDevice", "display_stream"),
     "raster": ("MemoryRaster", "raster_stream", "raster_words"),
-    "update_stream": ("open_update_stream",),
     "keyboard": ("DEBUG_KEY", "KeyboardDevice", "keyboard_stream"),
     "memory_stream": ("byte_read_stream", "byte_write_stream", "null_stream",
                       "string_read_stream", "string_write_stream",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, Optional
 
-from ..errors import EndOfStream, OperationNotSupported
+from ..errors import EndOfStream, OperationNotSupported, StreamError
 
 #: The standard operation names every stream record reserves slots for.
 STANDARD_OPERATIONS = ("get", "put", "reset", "endof", "close")
@@ -31,7 +31,8 @@ class Stream:
     Create one either by passing slot procedures directly or by subclassing
     and assigning slots in ``__init__``.  Unset standard operations raise
     :class:`OperationNotSupported` ("normally only one of [Get/Put] is
-    defined").
+    defined").  Once closed, a stream refuses every operation with
+    :class:`StreamError`; closing it again does nothing.
     """
 
     def __init__(
@@ -100,6 +101,8 @@ class Stream:
         return self._invoke(name, *args)
 
     def _invoke(self, name: str, *args: Any) -> Any:
+        if self.closed:
+            raise StreamError(f"stream is closed; cannot {name!r}")
         fn = self.ops.get(name)
         if fn is None:
             raise OperationNotSupported(f"stream does not implement {name!r}")

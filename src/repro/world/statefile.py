@@ -144,6 +144,8 @@ def full_name_to_words(name: FullName) -> List[int]:
 
 
 def full_name_from_words(words: Sequence[int]) -> FullName:
+    """Decode the first four message words back into a leader's full name
+    (page 0): the inverse of :func:`full_name_to_words`."""
     if len(words) < FULL_NAME_WORDS:
         raise BadStateFile(f"need {FULL_NAME_WORDS} words for a full name, got {len(words)}")
     return FullName(

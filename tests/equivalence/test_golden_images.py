@@ -35,6 +35,7 @@ from repro.fs.compactor import compact
 from repro.fs.scavenger import scavenge
 from repro.net import PacketNetwork
 from repro.server import FileClient, FileServer
+from repro.streams import BYTE_ITEMS, WORD_ITEMS, open_read_stream, open_write_stream
 from repro.words import random_bytes
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -141,6 +142,55 @@ def workload_crash_recover():
             "survivors": survivors}
 
 
+def workload_streams():
+    """Disk file streams: a byte write across pages, a word write, an append
+    across a page boundary, a write-stream reset, and positioned reads.
+
+    Every word file here has an even length and no stream is used after
+    close, so the pinned traffic is the read and write streams' own.
+    """
+    image, drive = _fresh()
+    fs = FileSystem.format(drive)
+    rng = random.Random(SEED)
+    text = fs.create_file("text.dat")
+    stream = open_write_stream(text, now=1)
+    for byte in random_bytes(rng, 1300):
+        stream.put(byte)
+    stream.close()
+    words = fs.create_file("words.dat")
+    stream = open_write_stream(words, items=WORD_ITEMS)
+    for _ in range(300):
+        stream.put(rng.randrange(0x10000))
+    stream.close()
+    stream = open_write_stream(text, append=True, now=2)
+    for byte in random_bytes(rng, 400):
+        stream.put(byte)
+    stream.close()
+    scratch = fs.create_file("scratch.dat")
+    stream = open_write_stream(scratch)
+    for byte in random_bytes(rng, 700):
+        stream.put(byte)
+    stream.reset()
+    for byte in random_bytes(rng, 512):  # ends on a page boundary
+        stream.put(byte)
+    stream.close()
+    stream = open_write_stream(scratch, append=True)  # onto an empty tail page
+    for byte in random_bytes(rng, 90):
+        stream.put(byte)
+    stream.close()
+    items = []
+    for file, kind, positions in ((text, BYTE_ITEMS, (0, 1500, 10, 1690)),
+                                  (words, WORD_ITEMS, (598, 0, 512, 200))):
+        stream = open_read_stream(file, items=kind)
+        for position in positions:
+            stream.call("set_position", position)
+            items += [stream.get() for _ in range(5) if not stream.endof()]
+        stream.close()
+    return {"digest": image.digest(), "simulated_us": drive.clock.now_us,
+            "commands": drive.stats()["disk.drive.commands"],
+            "items_read": len(items), "items_sum": sum(items)}
+
+
 WORKLOADS = {
     "format": workload_format,
     "mount_write": workload_mount_write,
@@ -148,6 +198,7 @@ WORKLOADS = {
     "compact": workload_compact,
     "serve": workload_serve,
     "crash_recover": workload_crash_recover,
+    "streams": workload_streams,
 }
 
 

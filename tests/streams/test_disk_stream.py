@@ -13,6 +13,7 @@ from repro.streams import (
     read_string,
     write_string,
 )
+from repro.words import bytes_to_words
 
 
 @pytest.fixture
@@ -139,6 +140,58 @@ class TestDates:
         assert file.leader.read == before
 
 
+class TestFlush:
+    def test_flush_commits_the_tail_page_before_close(self, file):
+        ws = open_write_stream(file)
+        write_string(ws, "x" * 600)
+        ws.call("flush")
+        assert file.read_data() == b"x" * 600  # visible to another reader
+        write_string(ws, "y")
+        ws.close()
+        assert file.read_data() == b"x" * 600 + b"y"
+
+
+class TestOddLengthAppend:
+    def test_a_word_appended_to_a_page_of_511_bytes_spans_two_pages(self, file):
+        file.write_data(b"x" * 511)
+        ws = open_write_stream(file, items=WORD_ITEMS, append=True)
+        ws.put(0x4142)
+        ws.put(0x4344)
+        ws.close()
+        assert file.read_data() == b"x" * 511 + b"ABCD"
+
+
+class TestClosedStreams:
+    def test_a_put_after_close_is_refused_and_writes_nothing(self, file):
+        ws = open_write_stream(file)
+        ws.put(65)
+        ws.close()
+        with pytest.raises(StreamError):
+            ws.put(66)
+        ws.close()  # closing again stays harmless
+        assert file.read_data() == b"A"
+
+    def test_a_get_after_close_is_refused(self, file):
+        file.write_data(b"abc")
+        rs = open_read_stream(file)
+        assert rs.get() == ord("a")
+        rs.close()
+        with pytest.raises(StreamError):
+            rs.get()
+
+
+class TestOddLengthWords:
+    def test_the_last_half_word_has_a_zero_low_byte(self, file):
+        file.write_data(b"abc")
+        rs = open_read_stream(file, items=WORD_ITEMS)
+        assert rs.get() == 0x6162
+        assert not rs.endof()
+        assert rs.get() == 0x6300
+        assert rs.endof()
+        with pytest.raises(EndOfStream):
+            rs.get()
+
+
 class TestCrashWindow:
     def test_unclosed_write_stream_loses_only_the_tail(self, fs, file):
         """A crash before close loses the buffered partial page; the file
@@ -170,4 +223,15 @@ class TestStreamProperties:
         rs = open_read_stream(file)
         out = bytes(rs.get() for _ in range(len(payload)))
         assert out == payload
+        assert rs.endof()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.binary(max_size=1500))
+    def test_a_word_stream_reads_bytes_to_words_of_the_file(self, payload):
+        drive = DiskDrive(DiskImage(tiny_test_disk(cylinders=30)))
+        file = FileSystem.format(drive).create_file("words.dat")
+        file.write_data(payload)
+        rs = open_read_stream(file, items=WORD_ITEMS)
+        out = [rs.get() for _ in range((len(payload) + 1) // 2)]
+        assert out == bytes_to_words(payload)
         assert rs.endof()

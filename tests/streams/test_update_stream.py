@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.disk import DiskDrive, DiskImage, tiny_test_disk
 from repro.errors import EndOfStream, StreamError
 from repro.fs import FileSystem
-from repro.streams import open_read_stream, open_write_stream, read_string, write_string
-from repro.streams.update_stream import open_update_stream
+from repro.streams import (open_read_stream, open_update_stream, open_write_stream,
+                           read_string, write_string)
 
 
 @pytest.fixture
@@ -86,6 +86,25 @@ class TestGrowth:
             stream.put(i % 256)
         stream.close()
         assert contents(f) == bytes(i % 256 for i in range(1200))
+
+    def test_growth_reads_no_page_that_starts_at_the_end(self, file):
+        """A page that starts at the end of the file holds no bytes, so
+        growing the file into it reads nothing from the disk."""
+        reads = []
+        read_page = file.read_page
+
+        def spy(page_number):
+            reads.append((page_number, file.byte_length))
+            return read_page(page_number)
+
+        file.read_page = spy
+        stream = open_update_stream(file)
+        stream.call("set_position", 1300)
+        for i in range(1000):  # fills page 3, then grows into pages 4 and 5
+            stream.put(i % 256)
+        stream.close()
+        assert reads == [(3, 1300)]
+        assert contents(file) == b"0123456789" * 130 + bytes(i % 256 for i in range(1000))
 
     def test_no_holes(self, file):
         stream = open_update_stream(file)

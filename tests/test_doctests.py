@@ -1,8 +1,11 @@
-"""Run the docstring examples of ``repro.net``, ``repro.server``,
-``repro.disk``, ``repro.obs``, ``repro.fs`` and ``repro.words``.
+"""Run the docstring examples of every package: ``repro.net``,
+``repro.server``, ``repro.disk``, ``repro.obs``, ``repro.fs``,
+``repro.streams``, ``repro.world``, ``repro.os``, ``repro.memory`` and
+``repro.words``.
 
 CI's docs job runs ``pytest --doctest-modules src/repro/net
 src/repro/server src/repro/disk src/repro/obs src/repro/fs
+src/repro/streams src/repro/world src/repro/os src/repro/memory
 src/repro/words.py`` directly;
 this test keeps the same examples green under the plain test run, so a
 stale docstring fails close to the change that broke it.
@@ -16,11 +19,16 @@ import pytest
 
 import repro.disk
 import repro.fs
+import repro.memory
 import repro.net
 import repro.obs
+import repro.os
 import repro.server
+import repro.streams
+import repro.world
 
-PACKAGES = (repro.net, repro.server, repro.disk, repro.obs, repro.fs)
+PACKAGES = (repro.net, repro.server, repro.disk, repro.obs, repro.fs,
+            repro.streams, repro.world, repro.os, repro.memory)
 
 
 def doctest_modules():
