@@ -147,9 +147,11 @@ class DiskDrive:
     Header and label words are checked as they land on the platter
     (``Sector.set_header_words``/``set_label_words``); value words are not.
     Every caller in ``repro`` hands a command ``value_words`` output, a
-    ``LeaderPage``'s pack (each field checked as it is packed), platter
-    words or ``FREE_VALUE``, so page values on the platter are words by
-    provenance, and checking them here would check each write twice.
+    ``LeaderPage``'s pack (each field checked as it is packed), a WRITE
+    frame's payload, ``bytes_to_words`` output, ``zero_words`` (the
+    scavenger's), platter words or ``FREE_VALUE``, so page values on the
+    platter are words by provenance, and checking them here would check
+    each write twice.
 
     *fault_injector*, if given, is a :class:`~repro.disk.faults.FaultPlan`.
     Every command calls its ``before_parts`` hook, every part its

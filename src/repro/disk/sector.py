@@ -393,8 +393,8 @@ def value_words(data: Sequence[int]) -> List[int]:
     """*data* as one sector value: at most 256 words, each checked
     (:func:`~repro.words.check_words`), padded with zeros to 256.
 
-    The file system's route to the drive for data words: ``PageIO``,
-    ``PageAllocator.allocate`` and ``AltoFile.write_last_page`` pass their
+    The file system's door for data words: ``PageIO.write`` and ``claim``,
+    ``PageAllocator.allocate`` and ``AltoFile``'s page writes pass their
     buffers through it before they touch anything.
     """
     data = list(data)
@@ -402,3 +402,12 @@ def value_words(data: Sequence[int]) -> List[int]:
         raise ValueError(f"value too long: {len(data)} > {VALUE_WORDS}")
     check_words(data, "value word")
     return data + zero_words(VALUE_WORDS - len(data))
+
+
+def _page_value(words: Sequence[int]) -> Tuple[int, ...]:
+    """*words*, already past a word door, as one sector value: at most 256
+    words, padded with zeros, with no loop over them; a 256-word tuple is
+    handed on as is.  ``tests/test_private_builders.py`` pins the callers."""
+    if len(words) > VALUE_WORDS:
+        raise ValueError(f"value too long: {len(words)} > {VALUE_WORDS}")
+    return tuple(words) + (0,) * (VALUE_WORDS - len(words))

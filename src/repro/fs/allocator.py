@@ -111,7 +111,11 @@ class PageAllocator:
         map told a lie -- and the next candidate is tried.  Raises
         :class:`DiskFull` when the map offers nothing.
         """
-        value = value_words(data)
+        return self._allocate_value(page_io, label, value_words(data), near)
+
+    def _allocate_value(self, page_io: PageIO, label: Label, value: Sequence[int],
+                        near: Optional[int] = None) -> int:
+        """:meth:`allocate` of *value*, a sector value already built."""
         obs = page_io.drive.clock.obs
         with obs.span("fs.allocate", "fs",
                       near=near if near is not None else NIL) as span:
@@ -120,7 +124,7 @@ class PageAllocator:
                 tried += 1
                 self.mark_busy(address)
                 try:
-                    page_io.claim_value(address, label, value)
+                    page_io._claim_value(address, label, value)
                 except PageNotFree:
                     self.map_lies += 1
                     obs.registry.counter("fs.alloc.map_lies").inc()

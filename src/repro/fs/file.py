@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..disk.geometry import NIL
-from ..disk.sector import VALUE_WORDS, value_words
+from ..disk.sector import VALUE_WORDS, _page_value, value_words
 from ..errors import FileFormatError, HintFailed
 from ..words import PAGE_DATA_BYTES, bytes_to_words, words_to_bytes
 from .allocator import PageAllocator
@@ -81,10 +81,11 @@ class AltoFile:
         leader = LeaderPage(name=name, created=now, written=now, read=now, last_page_number=1)
         # Claim the leader first (its NL is fixed up once page 1 has a home).
         leader_label = fid.label_for(0, length=FULL_PAGE, next_link=NIL, prev_link=NIL)
-        leader_address = allocator.allocate(page_io, leader_label, leader.pack(), near=near)
+        # A leader's pack checks each field as it packs it.
+        leader_address = allocator._allocate_value(page_io, leader_label, _page_value(leader.pack()), near)
         # Claim the empty data page, linked back to the leader.
         page1_label = fid.label_for(1, length=0, next_link=NIL, prev_link=leader_address)
-        page1_address = allocator.allocate(page_io, page1_label, [], near=leader_address)
+        page1_address = allocator._allocate_value(page_io, page1_label, _page_value(()), leader_address)
         # Fix the leader's forward link (change-label operation: one revolution).
         leader_name = FullName(fid, 0, leader_address)
         page_io.rewrite_label(
@@ -255,13 +256,20 @@ class AltoFile:
     # Writing
     # ------------------------------------------------------------------------
 
+    # Each public page write checks its buffer with value_words and takes
+    # the one value path beneath it, which FileServer._do_write and
+    # write_data enter with _page_value output.
+
     def write_full_page(self, page_number: int, data: Sequence[int]) -> None:
         """Overwrite a non-last data page (must already have L = 512)."""
-        if not 1 <= page_number < self._last_page_number:
-            raise ValueError(f"page {page_number} is not an interior data page")
         if len(data) != VALUE_WORDS:
             raise ValueError(f"interior pages take exactly {VALUE_WORDS} words")
-        self._retrying(page_number, lambda name: self.page_io.write(name, data))
+        self._write_full_value(page_number, value_words(data))
+
+    def _write_full_value(self, page_number: int, value: Sequence[int]) -> None:
+        if not 1 <= page_number < self._last_page_number:
+            raise ValueError(f"page {page_number} is not an interior data page")
+        self._retrying(page_number, lambda name: self.page_io._write_value(name, value))
 
     def write_last_page(self, data: Sequence[int], length: int) -> None:
         """Overwrite the last page and set its byte length L.
@@ -272,14 +280,16 @@ class AltoFile:
         :func:`value_words` before either, so a buffer it refuses changes
         nothing.
         """
-        if not 0 <= length < FULL_PAGE:
-            raise ValueError(f"last-page length must be in [0, {FULL_PAGE}), got {length}")
         if len(data) * 2 < length:
             raise ValueError(f"{len(data)} words cannot hold {length} bytes")
-        data = value_words(data)
+        self._write_last_value(value_words(data), length)
+
+    def _write_last_value(self, value: Sequence[int], length: int) -> None:
+        if not 0 <= length < FULL_PAGE:
+            raise ValueError(f"last-page length must be in [0, {FULL_PAGE}), got {length}")
         pn = self._last_page_number
         if length == self._last_length:
-            self._retrying(pn, lambda name: self.page_io.write(name, data))
+            self._retrying(pn, lambda name: self.page_io._write_value(name, value))
         else:
             def rewrite(name: FullName) -> None:
                 self.page_io.update_label(
@@ -288,7 +298,7 @@ class AltoFile:
                         pn, length=length, next_link=NIL, prev_link=label.prev_link
                     ),
                 )
-                self.page_io.write(name, data)
+                self.page_io._write_value(name, value)
 
             self._retrying(pn, rewrite)
             self._last_length = length
@@ -298,18 +308,19 @@ class AltoFile:
 
         The old last page becomes a full interior page; the new page carries
         the old last page's data role.  Costs: one allocate revolution for
-        the claim, one revolution to rewrite the old last label.  The
-        allocator checks *data* before it marks a page busy, so a buffer it
-        refuses changes nothing.
+        the claim, one revolution to rewrite the old last label.  *data*
+        goes through :func:`value_words` before a page is marked busy, so a
+        buffer it refuses changes nothing.
         """
+        self._append_value(value_words(data), length)
+
+    def _append_value(self, value: Sequence[int], length: int) -> None:
         if not 0 <= length < FULL_PAGE:
             raise ValueError(f"last-page length must be in [0, {FULL_PAGE}), got {length}")
-        if len(data) > VALUE_WORDS:
-            raise ValueError(f"a page holds {VALUE_WORDS} words, not {len(data)}")
         old_last = self.page_name(self._last_page_number)
         new_pn = self._last_page_number + 1
         new_label = self.fid.label_for(new_pn, length=length, next_link=NIL, prev_link=old_last.address)
-        new_address = self.allocator.allocate(self.page_io, new_label, data, near=old_last.address)
+        new_address = self.allocator._allocate_value(self.page_io, new_label, value, old_last.address)
         # Promote the old last page: L becomes 512 and NL points to the new
         # page (the change-length operation: read-check, then rewrite).
         self.page_io.update_label(
@@ -357,7 +368,8 @@ class AltoFile:
 
         Reuses existing pages with ordinary single-pass writes wherever
         possible; extends or truncates at the tail.  The leader's written
-        date is updated when *now* is given.
+        date is updated when *now* is given.  The pages' words come from
+        :func:`~repro.words.bytes_to_words`, so no loop checks them.
         """
         n_full, last_bytes = divmod(len(data), PAGE_DATA_BYTES)
         target_last = n_full + 1
@@ -367,16 +379,16 @@ class AltoFile:
         while self._last_page_number > target_last:
             self.truncate_last_page()
         while self._last_page_number < target_last:
-            self.append_page([], 0)
+            self._append_value(_page_value(()), 0)
 
         # Fill interior pages with ordinary single-pass writes.
         for pn in range(1, target_last):
             chunk = data[(pn - 1) * PAGE_DATA_BYTES : pn * PAGE_DATA_BYTES]
-            self.write_full_page(pn, bytes_to_words(chunk))
+            self._write_full_value(pn, _page_value(bytes_to_words(chunk)))
 
         # Tail page: the change-length operation sets L = last_bytes.
         tail_words = bytes_to_words(data[n_full * PAGE_DATA_BYTES :])
-        self.write_last_page(tail_words, length=last_bytes)
+        self._write_last_value(_page_value(tail_words), last_bytes)
         if now is not None:
             self.touch(written=now)
 
@@ -419,7 +431,7 @@ class AltoFile:
 
     def _write_leader(self) -> None:
         name = FullName(self.fid, 0, self.leader_address())
-        self.page_io.write(name, self.leader.pack())
+        self.page_io._write_value(name, _page_value(self.leader.pack()))
 
     def refresh_address_cache(self, addresses: Dict[int, int]) -> None:
         """Install externally derived address hints (e.g. after scavenging)."""

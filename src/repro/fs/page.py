@@ -100,19 +100,24 @@ class PageIO:
         """Overwrite a page's data words; the label (including L) is untouched.
 
         "On any other write the label is checked, at no cost in time"
-        (section 3.3) -- this is that ordinary, single-pass write.
+        (section 3.3) -- this is that ordinary, single-pass write.  *data*
+        goes through :func:`value_words` before the disk pass.
         """
+        self._write_value(name, value_words(data))
+
+    def _write_value(self, name: FullName, value: Sequence[int]) -> None:
+        """:meth:`write` of *value*, a sector value already built."""
         self._require_hint(name)
         obs = self.drive.clock.obs
         if obs.tracing:
             with obs.span("fs.page.write", "fs",
                           address=name.address, page=name.page_number):
-                return self._write(name, data)
-        return self._write(name, data)
+                return self._write(name, value)
+        return self._write(name, value)
 
-    def _write(self, name: FullName, data: Sequence[int]) -> None:
+    def _write(self, name: FullName, value: Sequence[int]) -> None:
         try:
-            self.drive.check_label_write_value(name.address, name.check_label(), value_words(data))
+            self.drive.check_label_write_value(name.address, name.check_label(), value)
         except (LabelCheckError, AddressOutOfRange) as exc:
             raise HintFailed(f"page {name} is not at its hinted address") from exc
 
@@ -125,11 +130,11 @@ class PageIO:
         *data* goes through :func:`value_words` before the disk pass.
         Raises :class:`PageNotFree` when the allocation map lied.
         """
-        self.claim_value(address, new_label, value_words(data))
+        self._claim_value(address, new_label, value_words(data))
 
-    def claim_value(self, address: int, new_label: Label, value: Sequence[int]) -> None:
-        """:meth:`claim` of *value*, already :func:`value_words` output:
-        the allocator checks its buffer before it marks a candidate busy."""
+    def _claim_value(self, address: int, new_label: Label, value: Sequence[int]) -> None:
+        """:meth:`claim` of *value*, a sector value already built: the
+        allocator builds its value before it marks a candidate busy."""
         try:
             self.drive.check_label_then_rewrite(address, Label.free(), new_label, value)
         except (LabelCheckError, AddressOutOfRange) as exc:

@@ -47,7 +47,7 @@ from bisect import bisect_right
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from ..disk.sector import VALUE_WORDS
+from ..disk.sector import VALUE_WORDS, _page_value
 from ..errors import (
     DirectoryError,
     DiskFull,
@@ -564,10 +564,13 @@ class FileServer:
         if file is None:
             return Response(ST_BAD_HANDLE, request.request_id), False
         page, nbytes = request.arg0, request.arg1
-        words = list(request.payload)
+        words = request.payload
         if (page < 1 or nbytes > FULL_PAGE or len(words) * 2 < nbytes
                 or len(words) > VALUE_WORDS):
             return Response(ST_BAD_REQUEST, request.request_id), False
+        # The payload's words passed the frame's door: a full page's tuple is
+        # the value, written beneath AltoFile's public doors.
+        value = _page_value(words)
         last = file.last_page_number
         try:
             if nbytes == FULL_PAGE:
@@ -576,23 +579,23 @@ class FileServer:
                 # page.  Uploads therefore always end with a short page
                 # (possibly empty), exactly like AltoFile.write_data.
                 if page == last:
-                    file.write_last_page(words, 0)
+                    file._write_last_value(value, 0)
                 elif page == last + 1:
-                    file.append_page(words, 0)
+                    file._append_value(value, 0)
                 elif page < last:
-                    file.write_full_page(page, words)
+                    file._write_full_value(page, value)
                 else:
                     return Response(ST_BAD_PAGE, request.request_id), False
             else:
                 if page == last + 1:
-                    file.append_page(words, nbytes)
+                    file._append_value(value, nbytes)
                 elif 1 <= page <= last:
                     # A short page is a tail by definition: drop any pages
                     # beyond it (the protocol's only way to shrink a file),
                     # then the change-length write sets L.
                     while file.last_page_number > page:
                         file.truncate_last_page()
-                    file.write_last_page(words, nbytes)
+                    file._write_last_value(value, nbytes)
                 else:
                     return Response(ST_BAD_PAGE, request.request_id), False
         except ValueError:

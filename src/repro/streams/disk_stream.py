@@ -106,8 +106,9 @@ def open_write_stream(
     stream = _disk_stream(file, items, zone, put=_put, endof=lambda s: False, reset=reset, close=close,
                           flush=_write_back, write_position=_position)
     if append:
-        last = file.last_page_number
-        stream.state.update(position=file.byte_length, page=_page_bytes(file, last), page_number=last)
+        # The tail page is read only when it holds bytes.
+        stream.state["position"] = file.byte_length
+        _hold(stream, file.byte_length)
     else:
         reset(stream)
     return stream

@@ -13,8 +13,8 @@ and BCPL-style string coding.
 it, and each door words come in by runs it once, so a non-word fails at
 its write: ``Packet`` and the word ``Packet.relayed`` replaces; the
 protocol's ``Request`` and ``Response`` frames, whose packets the
-encoders cut unchecked; ``value_words``, the file system's route to the
-drive for data words; the ``Header`` and ``Label`` constructors and
+encoders cut unchecked; ``value_words``, the file system's door for
+data words; the ``Header`` and ``Label`` constructors and
 ``Sector.set_header_words`` / ``set_label_words``, where every raw header
 and label write lands; ``DiskImage(pack_id=...)``; memory, registers,
 state-file messages, Swat's ``write_word`` and ``write_register``, and a
@@ -27,7 +27,9 @@ payload (page values from ``AltoFile.read_page``), a client's WRITE
 payload (``bytes_to_words`` output), a frame the ``FrameAssembler``
 builds (words of received packets) and a replication journal packet (the
 part-writes the drive's journal tap saw land).  Each still checks the
-words it makes itself, such as a frame's header words.
+words it makes itself, such as a frame's header words.  So do a WRITE's
+payload, a leader's pack and ``AltoFile.write_data``'s words on their way
+to the platter, past ``value_words``' loop.
 
 The packing, checksum and random-content hot loops run as *bulk
 operations* in C (``struct``, ``array('H')``, ``sum``, big-int shifts and

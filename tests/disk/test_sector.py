@@ -14,6 +14,7 @@ from repro.disk.sector import (
     Header,
     Label,
     Sector,
+    _page_value,
     value_words,
 )
 
@@ -127,3 +128,20 @@ class TestValueWords:
     def test_non_word_rejected(self):
         with pytest.raises(ValueError):
             value_words([0x1_0000])
+
+
+class TestPageValue:
+    """The builder for words already past a door: value_words' length rule
+    and padding, as a tuple."""
+
+    def test_pads_to_a_full_value_tuple(self):
+        assert _page_value([1, 2, 3]) == (1, 2, 3) + (0,) * (VALUE_WORDS - 3)
+        assert _page_value(()) == (0,) * VALUE_WORDS
+
+    def test_a_full_tuple_is_handed_on_as_is(self):
+        words = tuple(range(VALUE_WORDS))
+        assert _page_value(words) is words
+
+    def test_too_long_rejected(self):
+        with pytest.raises(ValueError):
+            _page_value((0,) * (VALUE_WORDS + 1))

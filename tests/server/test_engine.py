@@ -172,6 +172,28 @@ def test_refused_oversized_tail_write_leaves_the_file_unchanged(data):
     assert client.read_file("tail.txt") == data
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["plain", "cached"])
+def test_a_full_page_write_lands_as_its_payload_tuple(cached):
+    """A full-page WRITE's payload words passed the frame's door, so the
+    page value is the frame's own tuple, on the platter and, through a
+    cache, in the entry the flush writes: no word is copied."""
+    fs, server, [client] = make_served(cached=cached)
+    client.write_file("f.dat", bytes(1024))            # pages 1 and 2 full
+    handle, _ = client.open("f.dat")
+    payloads = []
+    do_write = server._do_write
+
+    def spy(session, request):
+        payloads.append(request.payload)
+        return do_write(session, request)
+
+    server._do_write = spy
+    for page in (1, 3, 4):            # interior, staged tail, appended
+        client.transact(client.build_write(handle, page, bytes(range(256)) * 2))
+        address = fs.open_file("f.dat").page_name(page).address
+        assert fs.drive.image.sector(address).value is payloads[-1]
+
+
 def test_open_with_empty_name_is_bad_request():
     _, server, [client] = make_served()
     with pytest.raises(RequestFailed) as excinfo:

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.disk import sector
 from repro.errors import FileSystemError, RequestFailed, ServerError
 from repro.net import network
 from repro.net.network import Packet
@@ -156,7 +157,10 @@ def test_a_routed_read_and_write_hand_the_word_rule_no_payload_word(monkeypatch)
     where it is built and again where it is assembled, and the one handle
     word each relay writes.  No payload word: a READ answer's are page
     values and a WRITE's are ``bytes_to_words`` output, both already past
-    a door, and the router relays the packets it received."""
+    a door, and the router relays the packets it received.  Nor does the
+    shard hand ``repro.disk.sector`` a value word: a WRITE's payload
+    reaches the platter as the frame carried it, and so does the leader
+    rewrite of a WRITE that appends a page."""
     system = make_cluster(shards=2)
     [client] = system.clients
     client.write_file("page.dat", bytes(512))
@@ -164,6 +168,7 @@ def test_a_routed_read_and_write_hand_the_word_rule_no_payload_word(monkeypatch)
     shard = system.shards[system.router.shard_map.shard_of("page.dat")].host
     proxy = f"{system.router.host}.{client.host}"
     checked = Counter()          # words handed to the rule, by sending host
+    values = Counter()           # value words handed to it, by sending host
     senders = [client.host]      # this test builds each request itself
 
     def counted(rule, one_word):
@@ -171,6 +176,11 @@ def test_a_routed_read_and_write_hand_the_word_rule_no_payload_word(monkeypatch)
             checked[senders[-1]] += 1 if one_word else len(words)
             return rule(words, what)
         return count
+
+    def counted_values(words, what="word"):
+        if what == "value word":
+            values[senders[-1]] += len(words)
+        return sector_rule(words, what)
 
     def sent_by(method, sender):
         def wrapped(self, *args, **kwargs):
@@ -185,6 +195,8 @@ def test_a_routed_read_and_write_hand_the_word_rule_no_payload_word(monkeypatch)
                         counted(protocol.check_words, False))
     monkeypatch.setattr(network, "check_words", counted(network.check_words, False))
     monkeypatch.setattr(network, "check_word", counted(network.check_word, True))
+    sector_rule = sector.check_words
+    monkeypatch.setattr(sector, "check_words", counted_values)
     # An assembled frame's words were sent by its packets' source; a relay
     # sends from its new source; a server sends the answers it builds.
     monkeypatch.setattr(FrameAssembler, "feed", sent_by(
@@ -204,6 +216,12 @@ def test_a_routed_read_and_write_hand_the_word_rule_no_payload_word(monkeypatch)
     client.transact(client.build_write(handle, 1, bytes(range(256)) * 2))
     assert checked == {client.host: 10, proxy: 6, shard: 10,
                        system.router.host: 6}
+    assert values == {}
+    checked.clear()
+    client.transact(client.build_write(handle, 3, bytes(range(256)) * 2))  # appends
+    assert checked == {client.host: 10, proxy: 6, shard: 10,
+                       system.router.host: 6}
+    assert values == {}
 
 
 def test_handles_are_virtualized_in_one_client_sequence():

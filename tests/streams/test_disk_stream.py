@@ -151,6 +151,20 @@ class TestFlush:
         assert file.read_data() == b"x" * 600 + b"y"
 
 
+class TestAppendOntoAnEmptyTailPage:
+    def test_appending_to_a_512_byte_file_issues_no_page_read(self, file):
+        """A 512-byte file ends in a tail page with no bytes, so a write
+        stream appended to it reads nothing from the disk."""
+        file.write_data(b"x" * 512)
+        drive = file.page_io.drive
+        reads = drive.stats()["disk.drive.value_reads"]
+        ws = open_write_stream(file, append=True)
+        write_string(ws, "y" * 10)
+        ws.close()
+        assert drive.stats()["disk.drive.value_reads"] == reads
+        assert file.read_data() == b"x" * 512 + b"y" * 10
+
+
 class TestOddLengthAppend:
     def test_a_word_appended_to_a_page_of_511_bytes_spans_two_pages(self, file):
         file.write_data(b"x" * 511)

@@ -1,14 +1,17 @@
-"""The wire's two unchecked builders are used only where the words they
-carry are known to be past a word door.
+"""The unchecked builders are used only where the words they carry are
+known to be past a word door.
 
 ``repro.net.network._packet`` builds a packet and
 ``repro.server.protocol._frame`` a frame without the loop over the
-payload's words.  Each is safe only at the call sites below, where the
-words' provenance is known; a new use is a reviewed change to this table.
-The walk reads every module under ``src/repro`` and records each
-reference to either name (a call, an alias or an import), by the function
-or class body it sits in.  No string names them either, so no
-``lazy_exports`` map or ``getattr`` can reach them.
+payload's words; ``repro.disk.sector._page_value`` builds a sector value
+without ``value_words``' loop, and the file system's private value paths
+beneath its public page writes take such a value unchecked.  Each is safe
+only at the call sites below, where the words' provenance is known; a new
+use is a reviewed change to this table.  The walk reads every module
+under ``src/repro`` and records each reference to any of these names (a
+call, an alias or an import), by the function or class body it sits in.
+No string names them either, so no ``lazy_exports`` map or ``getattr`` can
+reach them.
 """
 
 import ast
@@ -36,6 +39,49 @@ USES = {
         ("repro.server.engine", "FileServer._do_read"),
         ("repro.server.client", "<import>"),
         ("repro.server.client", "FileClient.build_write"),
+    },
+    "_page_value": {
+        ("repro.disk.sector", "<module>"),
+        ("repro.fs.file", "<import>"),
+        ("repro.fs.file", "AltoFile.create"),
+        ("repro.fs.file", "AltoFile.write_data"),
+        ("repro.fs.file", "AltoFile._write_leader"),
+        ("repro.server.engine", "<import>"),
+        ("repro.server.engine", "FileServer._do_write"),
+    },
+    # AltoFile's value paths: its public page writes, write_data and the
+    # server's WRITE.
+    "_write_full_value": {
+        ("repro.fs.file", "AltoFile.write_full_page"),
+        ("repro.fs.file", "AltoFile.write_data"),
+        ("repro.server.engine", "FileServer._do_write"),
+    },
+    "_write_last_value": {
+        ("repro.fs.file", "AltoFile.write_last_page"),
+        ("repro.fs.file", "AltoFile.write_data"),
+        ("repro.server.engine", "FileServer._do_write"),
+    },
+    "_append_value": {
+        ("repro.fs.file", "AltoFile.append_page"),
+        ("repro.fs.file", "AltoFile.write_data"),
+        ("repro.server.engine", "FileServer._do_write"),
+    },
+    # The page and allocator value paths beneath them.
+    "_write_value": {
+        ("repro.fs.page", "PageIO.write"),
+        ("repro.fs.file", "AltoFile._write_full_value"),
+        ("repro.fs.file", "AltoFile._write_last_value"),
+        ("repro.fs.file", "AltoFile._write_last_value.rewrite"),
+        ("repro.fs.file", "AltoFile._write_leader"),
+    },
+    "_allocate_value": {
+        ("repro.fs.allocator", "PageAllocator.allocate"),
+        ("repro.fs.file", "AltoFile.create"),
+        ("repro.fs.file", "AltoFile._append_value"),
+    },
+    "_claim_value": {
+        ("repro.fs.page", "PageIO.claim"),
+        ("repro.fs.allocator", "PageAllocator._allocate_value"),
     },
 }
 
@@ -93,8 +139,10 @@ def test_the_unchecked_builders_are_used_only_where_words_have_passed_a_door():
 
 
 def test_neither_builder_is_exported():
+    import repro.disk
+    import repro.fs
     import repro.net
     import repro.server
 
-    for package in (repro, repro.net, repro.server):
-        assert not {"_packet", "_frame"} & set(package.__all__)
+    for package in (repro, repro.disk, repro.fs, repro.net, repro.server):
+        assert not set(USES) & set(package.__all__)

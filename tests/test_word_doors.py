@@ -4,8 +4,9 @@ A word is an ``int`` (an int subclass included) in 0..0xFFFF, as
 :func:`repro.words.check_word` states it.  Each door below admits exactly
 the values ``check_word`` admits and raises its own error class for the
 rest.  A write a door refuses changes nothing: a file keeps its bytes and
-its length and the allocation map its free count, and a raw header or
-label write leaves the sector's words as they were.  A protocol frame is a
+its length and the allocation map its free count, a refused claim leaves
+its sector free, and a raw header or label write leaves the sector's words
+as they were.  A protocol frame is a
 door for each header word and its payload; its request id must also be
 nonzero, so 0 passes the rule and is then refused as an id.
 """
@@ -35,24 +36,42 @@ from repro.words import check_word
 from tests.word_strategies import bad, good
 
 
-def file_door(write):
-    """*write(file, word)* on a fresh 11-byte file; a refused write must
-    leave the file and the allocation map as they were."""
+def file_door(write, data=b"eleven byte"):
+    """*write(file, word)* on a fresh file holding *data* (11 bytes unless
+    given); a refused write must leave the file and the allocation map as
+    they were."""
     def enter(world, word):
         drive = DiskDrive(DiskImage(tiny_test_disk(cylinders=30)))
         allocator = PageAllocator(drive.shape)
         file = AltoFile.create(PageIO(drive), allocator, FileId(make_serial(1)),
                                "f.dat", now=100)
-        file.write_data(b"eleven byte")
+        file.write_data(data)
         free = allocator.count_free()
         try:
             write(file, word)
         except ValueError:
             assert allocator.count_free() == free
-            assert file.byte_length == 11
-            assert file.read_data() == b"eleven byte"
+            assert file.byte_length == len(data)
+            assert file.read_data() == data
             raise
     return enter
+
+
+#: A file whose page 1 is an interior page, for ``write_full_page``.
+INTERIOR_PAGE_FILE = bytes(range(256)) * 2 + b"tail"
+
+#: The label of page 0 of a second file, for the claim doors.
+OTHER_LABEL = FileId(make_serial(2)).label_for(0, length=512)
+
+
+def claim(file, word):
+    """``PageIO.claim`` of a free sector; a refused claim leaves it free."""
+    address = next(file.allocator.candidates())
+    try:
+        file.page_io.claim(address, OTHER_LABEL, [1, word])
+    except ValueError:
+        assert file.page_io.drive.image.sector(address).label.is_free
+        raise
 
 
 def raw_write(part, words):
@@ -124,6 +143,13 @@ DOORS = {
                              ValueError),
     "AltoFile.write_last_page": (file_door(lambda f, w: f.write_last_page([0x4142, w], 4)),
                                  ValueError),
+    "AltoFile.write_full_page": (file_door(lambda f, w: f.write_full_page(
+        1, [0x4142, w] + [0] * 254), INTERIOR_PAGE_FILE), ValueError),
+    "PageIO.write": (file_door(lambda f, w: f.page_io.write(f.page_name(1), [0x4142, w])),
+                     ValueError),
+    "PageIO.claim": (file_door(claim), ValueError),
+    "PageAllocator.allocate": (file_door(lambda f, w: f.allocator.allocate(
+        f.page_io, OTHER_LABEL, [1, w])), ValueError),
     "raw header write": (lambda world, w: raw_write("header", [1, w]), ValueError),
     "raw label write": (lambda world, w: raw_write(
         "label", [0x8000, 1, w, 2, 0, 0xFFFF, 0xFFFF]), ValueError),
